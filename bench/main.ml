@@ -1039,9 +1039,6 @@ let bench_parallel_batch ~deterministic () =
 (* P2: compiler self-profile                                           *)
 (* ------------------------------------------------------------------ *)
 
-let profile_phases =
-  [ "unroll"; "global-pass1"; "rotate"; "global-pass2"; "local" ]
-
 (* One profiled pipeline run per workload. The [_bytes] keys join the
    regression gate (looser tolerance + absolute floor, see Regress), so
    an allocation blow-up in one phase fails CI like a cycle regression
@@ -1052,9 +1049,9 @@ let bench_self_profile ~deterministic () =
     "  (bytes allocated compiling each workload at the speculative level; \
      identity-checked; seconds scrubbed under --deterministic)@.";
   Fmt.pr "  %-10s | %11s |" "program" "total bytes";
-  List.iter (fun p -> Fmt.pr " %8s |" p) profile_phases;
+  List.iter (fun p -> Fmt.pr " %8s |" p) Pipeline.phase_names;
   Fmt.pr " cycles@.";
-  let t0 = Span.now () in
+  let t0 = Prof.now_ns () in
   let measured =
     List.map
       (fun (name, (cfg0, input)) ->
@@ -1077,7 +1074,7 @@ let bench_self_profile ~deterministic () =
         (name, root, cycles))
       (proxy_programs ())
   in
-  let wall_seconds = Span.now () -. t0 in
+  let wall_seconds = Prof.seconds_of_ns (Prof.now_ns () - t0) in
   let zf x = if deterministic then 0.0 else x in
   let rows =
     List.map
@@ -1092,7 +1089,7 @@ let bench_self_profile ~deterministic () =
           | None -> 0
         in
         Fmt.pr "  %-10s | %11d |" name root.Prof.alloc_bytes;
-        List.iter (fun p -> Fmt.pr " %8d |" (phase_bytes p)) profile_phases;
+        List.iter (fun p -> Fmt.pr " %8d |" (phase_bytes p)) Pipeline.phase_names;
         Fmt.pr " %d@." cycles;
         Json.Obj
           [
@@ -1103,7 +1100,7 @@ let bench_self_profile ~deterministic () =
               Json.Obj
                 (List.map
                    (fun p -> (p ^ "_bytes", Json.Int (phase_bytes p)))
-                   profile_phases) );
+                   Pipeline.phase_names) );
           ])
       measured
   in
@@ -1117,7 +1114,7 @@ let bench_self_profile ~deterministic () =
   Fmt.pr "  (accounting identity holds on every workload)@.";
   let history =
     {
-      History.time = (if deterministic then 0.0 else Span.now ());
+      History.time = (if deterministic then 0.0 else Unix.gettimeofday ());
       label = "bench";
       total_cycles;
       wall_seconds;

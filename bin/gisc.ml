@@ -15,7 +15,6 @@ open Gis_machine
 open Gis_core
 open Gis_sim
 open Gis_frontend
-open Gis_workloads
 open Gis_obs
 open Cmdliner
 module Exit = Gis_driver.Exit_codes
@@ -24,45 +23,90 @@ type source =
   | From_file of string
   | Workload of string
 
-let builtin_workloads =
-  ("minmax", Minmax.source)
-  :: List.map (fun (p : Spec_proxy.t) -> (p.Spec_proxy.name, p.Spec_proxy.source))
-       Spec_proxy.all
+module Driver = Gis_driver.Driver
 
-let load_source = function
+(* What every compiling subcommand shares, built once by [setup_term]
+   from the common flags: the program, the machine, and the
+   configuration the level and allocation flags select. *)
+type setup = {
+  source : source;
+  machine : Machine.t;
+  config : Config.t;
+  verbose : bool;
+}
+
+let init_logs verbose =
+  if verbose then begin
+    Logs.set_reporter (Logs_fmt.reporter ());
+    Logs.set_level (Some Logs.Debug)
+  end
+
+let setup source level width regalloc pressure_aware regs no_disambig verbose =
+  init_logs verbose;
+  let level =
+    match level with
+    | "local" -> Config.Local
+    | "useful" -> Config.Useful
+    | "speculative" | "spec" -> Config.Speculative
+    | other ->
+        Fmt.epr "unknown level %s (local|useful|speculative)@." other;
+        exit Exit.usage_error
+  in
+  Metrics.enable ();
+  {
+    source;
+    machine = (if width = 1 then Machine.rs6k else Machine.superscalar ~width);
+    config =
+      {
+        (Config.of_level level) with
+        Config.regalloc;
+        pressure_aware;
+        regs;
+        disambiguate = not no_disambig;
+      };
+    verbose;
+  }
+
+(* The file is read here, so an unreadable one fails the same way in
+   every subcommand. Files ending in .s hold pseudo-assembly in the
+   paper's Figure 2 notation; everything else is Tiny-C. *)
+let task_of_source = function
   | From_file path ->
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      (Filename.basename path, s)
+      let src = In_channel.with_open_bin path In_channel.input_all in
+      {
+        Driver.name = Filename.basename path;
+        source =
+          (if Filename.check_suffix path ".s" then Driver.Asm src
+           else Driver.Tiny_c src);
+      }
   | Workload name -> (
-      match List.assoc_opt name builtin_workloads with
-      | Some src -> (name, src)
+      let workloads = Driver.workload_tasks () in
+      match
+        List.find_opt (fun (t : Driver.task) -> t.Driver.name = name) workloads
+      with
+      | Some task -> task
       | None ->
           Fmt.epr "unknown workload %s (available: %a)@." name
             Fmt.(list ~sep:comma string)
-            (List.map fst builtin_workloads);
+            (List.map (fun (t : Driver.task) -> t.Driver.name) workloads);
           exit Exit.usage_error)
 
-let default_input compiled ~elements ~seed =
-  let rng = Prng.create ~seed in
-  let arrays =
-    List.map
-      (fun (name, _, len) ->
-        (name, List.init (min len elements) (fun _ -> Prng.int rng 1000)))
-      compiled.Codegen.arrays
-  in
-  let n_binding =
-    match List.assoc_opt "n" compiled.Codegen.vars with
-    | Some reg -> [ (reg, elements) ]
-    | None -> []
-  in
-  {
-    Simulator.no_input with
-    Simulator.int_regs = n_binding;
-    memory = Codegen.array_input compiled arrays;
-  }
+(* A front-end error exits with the compile-error code. *)
+let compile (task : Driver.task) =
+  match Driver.compile_task task with
+  | compiled -> compiled
+  | exception
+      (Parser.Error m | Lexer.Error m | Codegen.Error m | Asm.Error m) ->
+      Fmt.epr "%s: %s@." task.Driver.name m;
+      exit Exit.compile_error
+
+(* [Pipeline.run], exiting with the infeasible-allocation code when the
+   register file is too small to spill into. *)
+let schedule (task : Driver.task) machine config cfg =
+  try Pipeline.run machine config cfg
+  with Gis_regalloc.Regalloc.Infeasible m ->
+    Fmt.epr "%s: regalloc infeasible: %s@." task.Driver.name m;
+    exit Exit.regalloc_infeasible
 
 let move_to_json (m : Global_sched.move) =
   Json.Obj
@@ -94,15 +138,6 @@ let outcome_to_json (o : Simulator.outcome) =
       ("telemetry", Trace.to_json o.Simulator.telemetry);
     ]
 
-let config_of_level level =
-  match level with
-  | "local" -> Config.base
-  | "useful" -> Config.useful_only
-  | "speculative" | "spec" -> Config.speculative
-  | other ->
-      Fmt.epr "unknown level %s (local|useful|speculative)@." other;
-      exit Exit.usage_error
-
 let write_file path s =
   match open_out path with
   | exception Sys_error m ->
@@ -119,9 +154,8 @@ let write_json path json = write_file path (Json.to_string json)
    pool of [jobs] domains. Exit code 0 when the whole batch succeeds,
    5 when every failure is a budget timeout, 4 when any task actually
    crashed, mismatched, or failed to compile. *)
-let run_batch dir jobs width simulate elements seed deterministic stats_file
+let run_batch dir jobs machine simulate elements seed deterministic stats_file
     config timeout =
-  let machine = if width = 1 then Machine.rs6k else Machine.superscalar ~width in
   let entries =
     match Sys.readdir dir with
     | exception Sys_error m ->
@@ -131,33 +165,33 @@ let run_batch dir jobs width simulate elements seed deterministic stats_file
         Array.sort String.compare names;
         Array.to_list names
         |> List.filter (fun n -> not (Sys.is_directory (Filename.concat dir n)))
-        |> List.map (fun n -> Gis_driver.Driver.task_of_file (Filename.concat dir n))
+        |> List.map (fun n -> Driver.task_of_file (Filename.concat dir n))
   in
   if entries = [] then begin
     Fmt.epr "batch directory %s has no files@." dir;
     exit Exit.usage_error
   end;
   let report =
-    Gis_driver.Driver.run ~jobs ?timeout ~simulate ~elements ~seed machine
+    Driver.run ~jobs ?timeout ~simulate ~elements ~seed machine
       config entries
   in
-  Fmt.pr "batch %s: %d tasks, %d jobs@.%a" dir report.Gis_driver.Driver.pool.Gis_driver.Driver.tasks
-    report.Gis_driver.Driver.pool.Gis_driver.Driver.jobs Gis_driver.Driver.pp_table report;
+  Fmt.pr "batch %s: %d tasks, %d jobs@.%a" dir report.Driver.pool.Driver.tasks
+    report.Driver.pool.Driver.jobs Driver.pp_table report;
   (* Fault-isolation post-mortem: each failed task carries its worker's
      flight-recorder ring — the last events before the failure. *)
   List.iter
-    (fun (t : Gis_driver.Driver.task_result) ->
-      match t.Gis_driver.Driver.outcome with
-      | Error e when t.Gis_driver.Driver.flight <> [] ->
+    (fun (t : Driver.task_result) ->
+      match t.Driver.outcome with
+      | Error e when t.Driver.flight <> [] ->
           Fmt.epr "@.%s failed (%a); flight recorder, oldest first:@."
-            t.Gis_driver.Driver.task Gis_driver.Driver.pp_error e;
-          List.iter (fun m -> Fmt.epr "  %s@." m) t.Gis_driver.Driver.flight
+            t.Driver.task Driver.pp_error e;
+          List.iter (fun m -> Fmt.epr "  %s@." m) t.Driver.flight
       | _ -> ())
-    report.Gis_driver.Driver.results;
+    report.Driver.results;
   Option.iter
     (fun path ->
       let json =
-        match Gis_driver.Driver.report_to_json ~deterministic report with
+        match Driver.report_to_json ~deterministic report with
         | Json.Obj fields ->
             Json.Obj (fields @ [ ("metrics", Metrics.to_json ~deterministic ()) ])
         | j -> j
@@ -168,26 +202,21 @@ let run_batch dir jobs width simulate elements seed deterministic stats_file
   (* A batch that only ran out of budget is a different condition than
      one whose tasks crashed: timeouts say "give me more time", crashes
      say "the compiler is broken". *)
-  match Gis_driver.Driver.failures report with
+  match Driver.failures report with
   | [] -> exit Exit.ok
   | fails ->
       let timeout_only =
         List.for_all
           (fun (_, e) ->
-            match e with Gis_driver.Driver.Timed_out _ -> true | _ -> false)
+            match e with Driver.Timed_out _ -> true | _ -> false)
           fails
       in
       exit
         (if timeout_only then Exit.batch_timeout_only
          else Exit.batch_partial_failure)
 
-let run_gisc source batch jobs level width show_code simulate elements seed
-    trace_issue trace_out pipeline_view deterministic stats_file regalloc
-    pressure_aware regs no_disambig timeout flight_cap verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
+let run_gisc s batch jobs show_code simulate elements seed trace_issue
+    trace_out pipeline_view deterministic stats_file timeout flight_cap =
   Option.iter
     (fun cap ->
       if cap < 1 then begin
@@ -196,324 +225,261 @@ let run_gisc source batch jobs level width show_code simulate elements seed
       end;
       Flight.set_default_capacity cap)
     flight_cap;
-  Metrics.enable ();
-  let with_alloc config =
-    {
-      config with
-      Config.regalloc;
-      pressure_aware;
-      regs;
-      disambiguate = not no_disambig;
-    }
-  in
+  let machine = s.machine in
   (match batch with
   | Some dir ->
-      run_batch dir jobs width simulate elements seed deterministic stats_file
-        (with_alloc (config_of_level level))
-        timeout
+      run_batch dir jobs machine simulate elements seed deterministic
+        stats_file s.config timeout
   | None -> ());
-  let name, src = load_source source in
-  let machine =
-    if width = 1 then Machine.rs6k else Machine.superscalar ~width
-  in
+  let task = task_of_source s.source in
+  let name = task.Driver.name in
   let sink, sink_events = Sink.memory () in
-  let config = with_alloc (config_of_level level) in
   (* A provenance table costs a hashtable insert per instruction and
      motion, so only attach one when a JSON report will use it. Same
-     for the self-profiler: it feeds the stats report and the Chrome
-     trace's profiler process. *)
+     for the self-profiler: it feeds the stats report, the Chrome
+     trace's profiler process and the --verbose phase times. *)
   let prov =
     if stats_file <> None then Some (Provenance.create ()) else None
   in
   let prof =
-    if stats_file <> None || trace_out <> None then Some (Prof.create ())
+    if stats_file <> None || trace_out <> None || s.verbose then
+      Some (Prof.create ())
     else None
   in
-  let config = { config with Config.obs = sink; prov; prof } in
+  let config = { s.config with Config.obs = sink; prov; prof } in
   let prof_root () =
     match prof with
     | None -> None
     | Some p -> ( match Prof.roots p with r :: _ -> Some r | [] -> None)
   in
-  let compile_input () =
-    (* Files ending in .s hold pseudo-assembly in the paper's Figure 2
-       notation; everything else is Tiny-C. *)
-    if Filename.check_suffix name ".s" then
-      { Codegen.cfg = Asm.parse src; vars = []; arrays = [] }
-    else Codegen.compile_string src
-  in
-  match compile_input () with
-  | exception Parser.Error m
-  | exception Lexer.Error m
-  | exception Codegen.Error m
-  | exception Asm.Error m ->
-      Fmt.epr "%s: %s@." name m;
-      exit Exit.compile_error
-  | compiled ->
-      let baseline = Cfg.deep_copy compiled.Codegen.cfg in
-      ignore (Pipeline.run machine Config.base baseline);
-      let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-      let stats =
-        try Pipeline.run machine config cfg
-        with Gis_regalloc.Regalloc.Infeasible m ->
-          Fmt.epr "%s: regalloc infeasible: %s@." name m;
-          exit Exit.regalloc_infeasible
+  let compiled = compile task in
+  let baseline = Cfg.deep_copy compiled.Codegen.cfg in
+  ignore (Pipeline.run machine Config.base baseline);
+  let cfg = Cfg.deep_copy compiled.Codegen.cfg in
+  let stats = schedule task machine config cfg in
+  Validate.check_exn cfg;
+  Fmt.pr "%s: %d blocks, %d instructions; machine %a; level %a@." name
+    (Cfg.num_blocks cfg) (Cfg.instr_count cfg) Machine.pp machine
+    Config.pp_level config.Config.level;
+  Fmt.pr "unrolled %d loops, rotated %d; %d interblock motions@."
+    stats.Pipeline.unrolled stats.Pipeline.rotated
+    (List.length (Pipeline.moves stats));
+  Option.iter
+    (fun alloc ->
+      Fmt.pr "regalloc: %a@." Gis_regalloc.Regalloc.pp alloc)
+    stats.Pipeline.regalloc;
+  List.iter
+    (fun m -> Fmt.pr "  %a@." Global_sched.pp_move m)
+    (Pipeline.moves stats);
+  if s.verbose then
+    Option.iter
+      (fun (root : Prof.node) ->
+        List.iter
+          (fun (n : Prof.node) ->
+            Fmt.pr "  phase %s: %.6fs@." n.Prof.name
+              (Prof.seconds_of_ns n.Prof.wall_ns))
+          root.Prof.children)
+      (prof_root ());
+  if show_code then Fmt.pr "@.%a@." Cfg.pp cfg;
+  if (trace_out <> None || pipeline_view) && not simulate then
+    Fmt.epr "note: --trace-out and --pipeline-view need --simulate@.";
+  let want_trace = trace_issue || trace_out <> None || pipeline_view in
+  let simulation =
+    if not simulate then None
+    else begin
+      let input = Driver.default_input compiled ~elements ~seed in
+      (* With --regalloc the scheduled code runs on physical names:
+         feed it the remapped input, route spill traffic through the
+         frame register's spill segment, and run the full
+         post-allocation verifier. Observables compare exactly —
+         spill storage is disjoint by construction. *)
+      let sched_input, frame =
+        match stats.Pipeline.regalloc with
+        | Some alloc ->
+            ( Gis_regalloc.Regalloc.remap_input alloc input,
+              alloc.Gis_regalloc.Regalloc.frame )
+        | None -> (input, None)
       in
-      Validate.check_exn cfg;
-      Fmt.pr "%s: %d blocks, %d instructions; machine %a; level %a@." name
-        (Cfg.num_blocks cfg) (Cfg.instr_count cfg) Machine.pp machine
-        Config.pp_level config.Config.level;
-      Fmt.pr "unrolled %d loops, rotated %d; %d interblock motions@."
-        stats.Pipeline.unrolled stats.Pipeline.rotated
-        (List.length (Pipeline.moves stats));
       Option.iter
         (fun alloc ->
-          Fmt.pr "regalloc: %a@." Gis_regalloc.Regalloc.pp alloc)
+          match
+            Gis_regalloc.Regalloc.verify ?gprs:config.Config.regs
+              ?fprs:config.Config.regs ~machine
+              ~baseline ~allocated:cfg alloc input
+          with
+          | Ok () -> Fmt.pr "regalloc: verified@."
+          | Error m ->
+              Fmt.epr "INTERNAL ERROR: allocation verifier failed: %s@." m;
+              exit Exit.verification_failure)
         stats.Pipeline.regalloc;
-      List.iter
-        (fun m -> Fmt.pr "  %a@." Global_sched.pp_move m)
-        (Pipeline.moves stats);
-      if verbose then
-        List.iter
-          (fun s -> Fmt.pr "  phase %a@." Span.pp s)
-          stats.Pipeline.phases;
-      if show_code then Fmt.pr "@.%a@." Cfg.pp cfg;
-      if (trace_out <> None || pipeline_view) && not simulate then
-        Fmt.epr "note: --trace-out and --pipeline-view need --simulate@.";
-      let want_trace = trace_issue || trace_out <> None || pipeline_view in
-      let simulation =
-        if not simulate then None
-        else begin
-          let input = default_input compiled ~elements ~seed in
-          (* With --regalloc the scheduled code runs on physical names:
-             feed it the remapped input, route spill traffic through the
-             frame register's spill segment, and run the full
-             post-allocation verifier. Observables compare exactly —
-             spill storage is disjoint by construction. *)
-          let sched_input, frame =
-            match stats.Pipeline.regalloc with
-            | Some alloc ->
-                ( Gis_regalloc.Regalloc.remap_input alloc input,
-                  alloc.Gis_regalloc.Regalloc.frame )
-            | None -> (input, None)
-          in
-          Option.iter
-            (fun alloc ->
-              match
-                Gis_regalloc.Regalloc.verify ?gprs:regs ?fprs:regs ~machine
-                  ~baseline ~allocated:cfg alloc input
-              with
-              | Ok () -> Fmt.pr "regalloc: verified@."
-              | Error m ->
-                  Fmt.epr "INTERNAL ERROR: allocation verifier failed: %s@." m;
-                  exit Exit.verification_failure)
-            stats.Pipeline.regalloc;
-          let ob = Simulator.run machine baseline input in
-          let os =
-            Simulator.run ~trace:want_trace ?frame machine cfg sched_input
-          in
-          let base_obs = Simulator.observables ob in
-          let sched_obs = Simulator.observables os in
-          if not (String.equal base_obs sched_obs) then begin
-            Fmt.epr "INTERNAL ERROR: scheduling changed observable behaviour@.";
-            Fmt.epr "--- base observables ---@.%s@." base_obs;
-            Fmt.epr "--- scheduled observables ---@.%s@." sched_obs;
-            exit Exit.verification_failure
-          end;
-          Fmt.pr "@.simulation (%d array elements):@." elements;
-          Fmt.pr "  base      %7d cycles, %6d instructions@." ob.Simulator.cycles
-            ob.Simulator.instructions;
-          Fmt.pr "  scheduled %7d cycles, %6d instructions (%.1f%% faster)@."
-            os.Simulator.cycles os.Simulator.instructions
-            (100.0
-            *. (1.0 -. (float_of_int os.Simulator.cycles /. float_of_int ob.Simulator.cycles)));
-          Fmt.pr "  output: %a@."
-            Fmt.(list ~sep:comma string)
-            os.Simulator.output;
-          (* Schedule-quality bound on the run we just simulated: how
-             many of the achieved cycles were forced by dependences and
-             unit capacity, and how many are attributable gap. *)
-          let bounds =
-            Gis_bounds.Bounds.compute ~machine
-              ~halted:(os.Simulator.stop = Simulator.Halted)
-              cfg os.Simulator.telemetry
-          in
-          Gis_bounds.Bounds.export_metrics bounds;
-          Fmt.pr
-            "  bound     %7d cycles lower bound (critical path %d, resources \
-             %d); gap %d@."
-            bounds.Gis_bounds.Bounds.lower_bound bounds.Gis_bounds.Bounds.cp_lb
-            bounds.Gis_bounds.Bounds.res_lb bounds.Gis_bounds.Bounds.gap;
-          Fmt.pr "@.stall breakdown (scheduled):@.";
-          Report.pp_summary Fmt.stdout os.Simulator.telemetry;
-          if trace_issue then begin
-            Fmt.pr "@.issue trace (scheduled):@.";
-            Report.pp_issue_diagram Fmt.stdout os.Simulator.telemetry
-          end;
-          if pipeline_view then begin
-            Fmt.pr "@.pipeline view (scheduled):@.";
-            Report.pp_pipeline Fmt.stdout os.Simulator.telemetry
-          end;
-          Option.iter
-            (fun path ->
-              write_file path
-                (Chrome_trace.to_string ~process_name:name
-                   ?profile:(prof_root ())
-                   ~slack:(Gis_bounds.Bounds.slack_of_uid bounds)
-                   os.Simulator.telemetry);
-              Fmt.pr "@.chrome trace written to %s (load in Perfetto)@." path)
-            trace_out;
-          Some (ob, os, bounds)
-        end
+      let ob = Simulator.run machine baseline input in
+      let os =
+        Simulator.run ~trace:want_trace ?frame machine cfg sched_input
       in
-      match stats_file with
-      | None -> ()
-      | Some path ->
-          (* --deterministic: zero every wall-clock field so reports
-             from different runs and machines diff cleanly. *)
-          let phases =
-            if deterministic then Span.scrub stats.Pipeline.phases
-            else stats.Pipeline.phases
-          in
-          let events =
-            List.map
-              (function
-                | Sink.Phase_finished p when deterministic ->
-                    Sink.Phase_finished { p with seconds = 0.0 }
-                | e -> e)
-              (sink_events ())
-          in
-          let report =
-            Json.Obj
-              ([
-                 ("program", Json.String name);
-                 ("machine", Json.String (Machine.name machine));
-                 ("level", Json.String (Fmt.str "%a" Config.pp_level config.Config.level));
-                 ("elements", Json.Int elements);
-                 ("seed", Json.Int seed);
-                 ("metrics", Metrics.to_json ~deterministic ());
-                 ( "profile",
-                   match prof_root () with
-                   | None -> Json.Null
-                   | Some r ->
-                       Prof.to_json (if deterministic then Prof.scrub r else r)
-                 );
-                 ( "provenance",
-                   match prov with
-                   | None -> Json.Null
-                   | Some p -> Provenance.to_json p );
-                 ( "scheduler",
-                   Json.Obj
-                     [
-                       ("unrolled", Json.Int stats.Pipeline.unrolled);
-                       ("rotated", Json.Int stats.Pipeline.rotated);
-                       ("phases", Span.to_json phases);
-                       ( "moves",
-                         Json.List (List.map move_to_json (Pipeline.moves stats))
-                       );
-                       ( "events",
-                         Json.List (List.map Sink.event_to_json events) );
-                       ( "regalloc",
-                         match stats.Pipeline.regalloc with
-                         | None -> Json.Null
-                         | Some a ->
-                             Json.Obj
-                               [
-                                 ( "spilled_regs",
-                                   Json.Int
-                                     (List.length a.Gis_regalloc.Regalloc.spilled)
-                                 );
-                                 ( "spill_loads",
-                                   Json.Int a.Gis_regalloc.Regalloc.spill_loads );
-                                 ( "spill_stores",
-                                   Json.Int a.Gis_regalloc.Regalloc.spill_stores
-                                 );
-                                 ("slots", Json.Int a.Gis_regalloc.Regalloc.slots);
-                                 ( "classes",
-                                   Json.List
-                                     (List.map
-                                        (fun (s : Gis_regalloc.Regalloc.cls_stat) ->
-                                          Json.Obj
-                                            [
-                                              ( "class",
-                                                Json.String
-                                                  (Fmt.str "%a" Reg.pp_cls
-                                                     s.Gis_regalloc.Regalloc.cls)
-                                              );
-                                              ( "budget",
-                                                Json.Int
-                                                  s.Gis_regalloc.Regalloc.budget );
-                                              ( "pressure",
-                                                Json.Int
-                                                  s.Gis_regalloc.Regalloc.pressure
-                                              );
-                                              ( "used",
-                                                Json.Int
-                                                  s.Gis_regalloc.Regalloc.used );
-                                            ])
-                                        a.Gis_regalloc.Regalloc.per_class) );
-                               ] );
-                     ] );
-               ]
-              @
-              match simulation with
-              | None -> []
-              | Some (ob, os, bounds) ->
-                  [
-                    ( "simulation",
-                      Json.Obj
-                        [
-                          ("base", outcome_to_json ob);
-                          ("scheduled", outcome_to_json os);
-                          ("bound", Gis_bounds.Bounds.to_json bounds);
-                        ] );
-                  ])
-          in
-          write_json path report;
-          Fmt.pr "@.stats written to %s@." path
+      let base_obs = Simulator.observables ob in
+      let sched_obs = Simulator.observables os in
+      if not (String.equal base_obs sched_obs) then begin
+        Fmt.epr "INTERNAL ERROR: scheduling changed observable behaviour@.";
+        Fmt.epr "--- base observables ---@.%s@." base_obs;
+        Fmt.epr "--- scheduled observables ---@.%s@." sched_obs;
+        exit Exit.verification_failure
+      end;
+      Fmt.pr "@.simulation (%d array elements):@." elements;
+      Fmt.pr "  base      %7d cycles, %6d instructions@." ob.Simulator.cycles
+        ob.Simulator.instructions;
+      Fmt.pr "  scheduled %7d cycles, %6d instructions (%.1f%% faster)@."
+        os.Simulator.cycles os.Simulator.instructions
+        (100.0
+        *. (1.0 -. (float_of_int os.Simulator.cycles /. float_of_int ob.Simulator.cycles)));
+      Fmt.pr "  output: %a@."
+        Fmt.(list ~sep:comma string)
+        os.Simulator.output;
+      (* Schedule-quality bound on the run we just simulated: how
+         many of the achieved cycles were forced by dependences and
+         unit capacity, and how many are attributable gap. *)
+      let bounds =
+        Gis_bounds.Bounds.compute ~machine
+          ~halted:(os.Simulator.stop = Simulator.Halted)
+          cfg os.Simulator.telemetry
+      in
+      Gis_bounds.Bounds.export_metrics bounds;
+      Fmt.pr
+        "  bound     %7d cycles lower bound (critical path %d, resources \
+         %d); gap %d@."
+        bounds.Gis_bounds.Bounds.lower_bound bounds.Gis_bounds.Bounds.cp_lb
+        bounds.Gis_bounds.Bounds.res_lb bounds.Gis_bounds.Bounds.gap;
+      Fmt.pr "@.stall breakdown (scheduled):@.";
+      Report.pp_summary Fmt.stdout os.Simulator.telemetry;
+      if trace_issue then begin
+        Fmt.pr "@.issue trace (scheduled):@.";
+        Report.pp_issue_diagram Fmt.stdout os.Simulator.telemetry
+      end;
+      if pipeline_view then begin
+        Fmt.pr "@.pipeline view (scheduled):@.";
+        Report.pp_pipeline Fmt.stdout os.Simulator.telemetry
+      end;
+      Option.iter
+        (fun path ->
+          write_file path
+            (Chrome_trace.to_string ~process_name:name
+               ?profile:(prof_root ())
+               ~slack:(Gis_bounds.Bounds.slack_of_uid bounds)
+               os.Simulator.telemetry);
+          Fmt.pr "@.chrome trace written to %s (load in Perfetto)@." path)
+        trace_out;
+      Some (ob, os, bounds)
+    end
+  in
+  match stats_file with
+  | None -> ()
+  | Some path ->
+      (* --deterministic: zero every wall-clock field so reports
+         from different runs and machines diff cleanly. *)
+      let report =
+        Json.Obj
+          ([
+             ("program", Json.String name);
+             ("machine", Json.String (Machine.name machine));
+             ("level", Json.String (Fmt.str "%a" Config.pp_level config.Config.level));
+             ("elements", Json.Int elements);
+             ("seed", Json.Int seed);
+             ("metrics", Metrics.to_json ~deterministic ());
+             ( "profile",
+               match prof_root () with
+               | None -> Json.Null
+               | Some r ->
+                   Prof.to_json (if deterministic then Prof.scrub r else r)
+             );
+             ( "provenance",
+               match prov with
+               | None -> Json.Null
+               | Some p -> Provenance.to_json p );
+             ( "scheduler",
+               Json.Obj
+                 [
+                   ("unrolled", Json.Int stats.Pipeline.unrolled);
+                   ("rotated", Json.Int stats.Pipeline.rotated);
+                   ( "moves",
+                     Json.List (List.map move_to_json (Pipeline.moves stats))
+                   );
+                   ( "events",
+                     Json.List
+                       (List.map Sink.event_to_json (sink_events ())) );
+                   ( "regalloc",
+                     match stats.Pipeline.regalloc with
+                     | None -> Json.Null
+                     | Some a ->
+                         Json.Obj
+                           [
+                             ( "spilled_regs",
+                               Json.Int
+                                 (List.length a.Gis_regalloc.Regalloc.spilled)
+                             );
+                             ( "spill_loads",
+                               Json.Int a.Gis_regalloc.Regalloc.spill_loads );
+                             ( "spill_stores",
+                               Json.Int a.Gis_regalloc.Regalloc.spill_stores
+                             );
+                             ("slots", Json.Int a.Gis_regalloc.Regalloc.slots);
+                             ( "classes",
+                               Json.List
+                                 (List.map
+                                    (fun (s : Gis_regalloc.Regalloc.cls_stat) ->
+                                      Json.Obj
+                                        [
+                                          ( "class",
+                                            Json.String
+                                              (Fmt.str "%a" Reg.pp_cls
+                                                 s.Gis_regalloc.Regalloc.cls)
+                                          );
+                                          ( "budget",
+                                            Json.Int
+                                              s.Gis_regalloc.Regalloc.budget );
+                                          ( "pressure",
+                                            Json.Int
+                                              s.Gis_regalloc.Regalloc.pressure
+                                          );
+                                          ( "used",
+                                            Json.Int
+                                              s.Gis_regalloc.Regalloc.used );
+                                        ])
+                                    a.Gis_regalloc.Regalloc.per_class) );
+                           ] );
+                 ] );
+           ]
+          @
+          match simulation with
+          | None -> []
+          | Some (ob, os, bounds) ->
+              [
+                ( "simulation",
+                  Json.Obj
+                    [
+                      ("base", outcome_to_json ob);
+                      ("scheduled", outcome_to_json os);
+                      ("bound", Gis_bounds.Bounds.to_json bounds);
+                    ] );
+              ])
+      in
+      write_json path report;
+      Fmt.pr "@.stats written to %s@." path
 
 (* `gisc explain`: provenance-tracked run of one program — where each
    final instruction came from and what the motions bought, block by
    block. The attribution identity (credits sum exactly to the base vs
    scheduled issue-cycle delta) is checked on every run. *)
-let run_explain source level width elements seed regalloc pressure_aware regs
-    no_disambig json_file trace_out verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  Metrics.enable ();
-  let name, src = load_source source in
-  let machine =
-    if width = 1 then Machine.rs6k else Machine.superscalar ~width
-  in
-  let config = config_of_level level in
-  let config =
-    {
-      config with
-      Config.regalloc;
-      pressure_aware;
-      regs;
-      disambiguate = not no_disambig;
-    }
-  in
-  let task =
-    {
-      Gis_driver.Driver.name;
-      source =
-        (if Filename.check_suffix name ".s" then Gis_driver.Driver.Asm src
-         else Gis_driver.Driver.Tiny_c src);
-    }
-  in
+let run_explain s elements seed json_file trace_out =
+  let task = task_of_source s.source in
+  let name = task.Driver.name in
   let trace = trace_out <> None in
   match
-    Gis_driver.Explain.explain ~elements ~seed ~trace machine config task
+    Gis_driver.Explain.explain ~elements ~seed ~trace s.machine s.config task
   with
-  | Error (Gis_driver.Driver.Infeasible _ as e) ->
-      Fmt.epr "%s: %a@." name Gis_driver.Driver.pp_error e;
+  | Error (Driver.Infeasible _ as e) ->
+      Fmt.epr "%s: %a@." name Driver.pp_error e;
       exit Exit.regalloc_infeasible
   | Error e ->
-      Fmt.epr "%s: %a@." name Gis_driver.Driver.pp_error e;
+      Fmt.epr "%s: %a@." name Driver.pp_error e;
       exit Exit.compile_error
   | Ok e ->
       Fmt.pr "%a" Gis_driver.Explain.pp e;
@@ -543,88 +509,54 @@ let run_explain source level width elements seed regalloc pressure_aware regs
    dependence edges, then attribute the distance between the achieved
    cycles and the bound per stall category under an exact accounting
    identity (exit 3 on violation). *)
-let run_bound source level width elements seed regalloc pressure_aware regs
-    no_disambig top_k json_file verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  Metrics.enable ();
-  let name, src = load_source source in
-  let machine =
-    if width = 1 then Machine.rs6k else Machine.superscalar ~width
+let run_bound s elements seed top_k json_file =
+  let task = task_of_source s.source in
+  let name = task.Driver.name and machine = s.machine and config = s.config in
+  let compiled = compile task in
+  let cfg = Cfg.deep_copy compiled.Codegen.cfg in
+  let stats = schedule task machine config cfg in
+  Validate.check_exn cfg;
+  let input = Driver.default_input compiled ~elements ~seed in
+  let sched_input, frame =
+    match stats.Pipeline.regalloc with
+    | Some alloc ->
+        ( Gis_regalloc.Regalloc.remap_input alloc input,
+          alloc.Gis_regalloc.Regalloc.frame )
+    | None -> (input, None)
   in
-  let config = config_of_level level in
-  let config =
-    {
-      config with
-      Config.regalloc;
-      pressure_aware;
-      regs;
-      disambiguate = not no_disambig;
-    }
+  let os = Simulator.run ?frame machine cfg sched_input in
+  let bounds =
+    Gis_bounds.Bounds.compute ~top_k ~disambig:config.Config.disambiguate
+      ~machine
+      ~halted:(os.Simulator.stop = Simulator.Halted)
+      cfg os.Simulator.telemetry
   in
-  let compile_input () =
-    if Filename.check_suffix name ".s" then
-      { Codegen.cfg = Asm.parse src; vars = []; arrays = [] }
-    else Codegen.compile_string src
-  in
-  match compile_input () with
-  | exception Parser.Error m
-  | exception Lexer.Error m
-  | exception Codegen.Error m
-  | exception Asm.Error m ->
-      Fmt.epr "%s: %s@." name m;
-      exit Exit.compile_error
-  | compiled ->
-      let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-      let stats =
-        try Pipeline.run machine config cfg
-        with Gis_regalloc.Regalloc.Infeasible m ->
-          Fmt.epr "%s: regalloc infeasible: %s@." name m;
-          exit Exit.regalloc_infeasible
-      in
-      Validate.check_exn cfg;
-      let input = default_input compiled ~elements ~seed in
-      let sched_input, frame =
-        match stats.Pipeline.regalloc with
-        | Some alloc ->
-            ( Gis_regalloc.Regalloc.remap_input alloc input,
-              alloc.Gis_regalloc.Regalloc.frame )
-        | None -> (input, None)
-      in
-      let os = Simulator.run ?frame machine cfg sched_input in
-      let bounds =
-        Gis_bounds.Bounds.compute ~top_k ~disambig:(not no_disambig) ~machine
-          ~halted:(os.Simulator.stop = Simulator.Halted)
-          cfg os.Simulator.telemetry
-      in
-      Gis_bounds.Bounds.export_metrics bounds;
-      Fmt.pr "== %s: schedule bounds (machine %a, level %a) ==@.%a" name
-        Machine.pp machine Config.pp_level config.Config.level
-        Gis_bounds.Bounds.pp bounds;
-      Option.iter
-        (fun path ->
-          write_json path
-            (Json.Obj
-               [
-                 ("program", Json.String name);
-                 ("machine", Json.String (Machine.name machine));
-                 ( "level",
-                   Json.String (Fmt.str "%a" Config.pp_level config.Config.level)
-                 );
-                 ("elements", Json.Int elements);
-                 ("seed", Json.Int seed);
-                 ("bound", Gis_bounds.Bounds.to_json bounds);
-               ]);
-          Fmt.pr "bound report written to %s@." path)
-        json_file;
-      if not (Gis_bounds.Bounds.identity_holds bounds) then begin
-        Fmt.epr
-          "INTERNAL ERROR: bound accounting identity violated (achieved <> \
-           lower bound + attributed gap)@.";
-        exit Exit.verification_failure
-      end
+  Gis_bounds.Bounds.export_metrics bounds;
+  Fmt.pr "== %s: schedule bounds (machine %a, level %a) ==@.%a" name
+    Machine.pp machine Config.pp_level config.Config.level
+    Gis_bounds.Bounds.pp bounds;
+  Option.iter
+    (fun path ->
+      write_json path
+        (Json.Obj
+           [
+             ("program", Json.String name);
+             ("machine", Json.String (Machine.name machine));
+             ( "level",
+               Json.String (Fmt.str "%a" Config.pp_level config.Config.level)
+             );
+             ("elements", Json.Int elements);
+             ("seed", Json.Int seed);
+             ("bound", Gis_bounds.Bounds.to_json bounds);
+           ]);
+      Fmt.pr "bound report written to %s@." path)
+    json_file;
+  if not (Gis_bounds.Bounds.identity_holds bounds) then begin
+    Fmt.epr
+      "INTERNAL ERROR: bound accounting identity violated (achieved <> \
+       lower bound + attributed gap)@.";
+    exit Exit.verification_failure
+  end
 
 (* `gisc check`: static certification of one program's schedule. The
    pipeline runs with the per-stage verification hook installed; every
@@ -632,193 +564,137 @@ let run_bound source level width elements seed regalloc pressure_aware regs
    control-dependence relation reconstructed independently from the
    stage's input, plus an IR lint over the source and final programs.
    No simulation is involved. Exit code 3 on any legality Error. *)
-let run_check source level width regalloc pressure_aware regs no_disambig
-    json_file deterministic verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  Metrics.enable ();
-  let name, src = load_source source in
-  let machine =
-    if width = 1 then Machine.rs6k else Machine.superscalar ~width
-  in
-  let config = config_of_level level in
+let run_check s json_file deterministic =
+  let task = task_of_source s.source in
+  let name = task.Driver.name and machine = s.machine in
   let prov = Provenance.create () in
   let collector =
     Gis_check.Check.collector ~prov
-      ~max_speculation_degree:config.Config.max_speculation_degree ()
+  ~max_speculation_degree:s.config.Config.max_speculation_degree ()
   in
   let config =
     {
-      config with
-      Config.regalloc;
-      pressure_aware;
-      regs;
-      disambiguate = not no_disambig;
-      prov = Some prov;
-      check = Some (Gis_check.Check.hook collector);
+  s.config with
+  Config.prov = Some prov;
+  check = Some (Gis_check.Check.hook collector);
     }
   in
-  let compile_input () =
-    if Filename.check_suffix name ".s" then
-      { Codegen.cfg = Asm.parse src; vars = []; arrays = [] }
-    else Codegen.compile_string src
+  let compiled = compile task in
+  let cfg = compiled.Codegen.cfg in
+  let input_lint = Gis_check.Lint.run ~stage:"input" cfg in
+  let pstats = schedule task machine config cfg in
+  let staged_slots =
+    match pstats.Pipeline.regalloc with
+    | Some alloc -> Gis_regalloc.Regalloc.staged_slots alloc
+    | None -> []
   in
-  match compile_input () with
-  | exception Parser.Error m
-  | exception Lexer.Error m
-  | exception Codegen.Error m
-  | exception Asm.Error m ->
-      Fmt.epr "%s: %s@." name m;
-      exit Exit.compile_error
-  | compiled ->
-      let cfg = compiled.Codegen.cfg in
-      let input_lint = Gis_check.Lint.run ~stage:"input" cfg in
-      let pstats =
-        try Pipeline.run machine config cfg
-        with Gis_regalloc.Regalloc.Infeasible m ->
-          Fmt.epr "%s: regalloc infeasible: %s@." name m;
-          exit Exit.regalloc_infeasible
+  let final_lint =
+    Gis_check.Lint.run ~prov ~staged_slots ~stage:"final" cfg
+  in
+  let results =
+    (("input", input_lint) :: Gis_check.Check.diagnostics collector)
+    @ [ ("final", final_lint) ]
+  in
+  let all = List.concat_map snd results in
+  let errors = Gis_check.Check.errors all in
+  let stats = Gis_check.Check.stats collector in
+  Gis_check.Check.record_metrics all;
+  Metrics.set (Metrics.gauge "check_seconds")
+    (if deterministic then 0.0 else Gis_check.Check.seconds collector);
+  List.iter
+    (fun (_, ds) ->
+      List.iter (fun d -> Fmt.pr "%a@." Gis_check.Diagnostic.pp d) ds)
+    results;
+  if all <> [] then
+    List.iter
+      (fun (rule, n) -> Fmt.pr "  %4d %s@." n rule)
+      (Gis_check.Diagnostic.counts all);
+  Fmt.pr
+    "check %s: %d stages, %d dependences checked, %d motions classified; \
+     %d errors, %d warnings@."
+    name stats.Gis_check.Check.stages
+    stats.Gis_check.Check.deps_checked
+    stats.Gis_check.Check.motions_classified (List.length errors)
+    (List.length all - List.length errors);
+  Option.iter
+    (fun path ->
+      let json =
+        match Gis_check.Check.report_to_json ~stats results with
+        | Json.Obj fields ->
+            Json.Obj
+              (("program", Json.String name)
+               :: ( "level",
+                    Json.String
+                      (Fmt.str "%a" Config.pp_level config.Config.level) )
+               :: fields
+              @ [ ("metrics", Metrics.to_json ~deterministic ()) ])
+        | j -> j
       in
-      let staged_slots =
-        match pstats.Pipeline.regalloc with
-        | Some alloc -> Gis_regalloc.Regalloc.staged_slots alloc
-        | None -> []
-      in
-      let final_lint =
-        Gis_check.Lint.run ~prov ~staged_slots ~stage:"final" cfg
-      in
-      let results =
-        (("input", input_lint) :: Gis_check.Check.diagnostics collector)
-        @ [ ("final", final_lint) ]
-      in
-      let all = List.concat_map snd results in
-      let errors = Gis_check.Check.errors all in
-      let stats = Gis_check.Check.stats collector in
-      Gis_check.Check.record_metrics all;
-      Metrics.set (Metrics.gauge "check_seconds")
-        (if deterministic then 0.0 else Gis_check.Check.seconds collector);
-      List.iter
-        (fun (_, ds) ->
-          List.iter (fun d -> Fmt.pr "%a@." Gis_check.Diagnostic.pp d) ds)
-        results;
-      if all <> [] then
-        List.iter
-          (fun (rule, n) -> Fmt.pr "  %4d %s@." n rule)
-          (Gis_check.Diagnostic.counts all);
-      Fmt.pr
-        "check %s: %d stages, %d dependences checked, %d motions classified; \
-         %d errors, %d warnings@."
-        name stats.Gis_check.Check.stages
-        stats.Gis_check.Check.deps_checked
-        stats.Gis_check.Check.motions_classified (List.length errors)
-        (List.length all - List.length errors);
-      Option.iter
-        (fun path ->
-          let json =
-            match Gis_check.Check.report_to_json ~stats results with
-            | Json.Obj fields ->
-                Json.Obj
-                  (("program", Json.String name)
-                   :: ("level", Json.String level)
-                   :: fields
-                  @ [ ("metrics", Metrics.to_json ~deterministic ()) ])
-            | j -> j
-          in
-          write_json path json;
-          Fmt.pr "diagnostics written to %s@." path)
-        json_file;
-      if errors <> [] then exit Exit.verification_failure
+      write_json path json;
+      Fmt.pr "diagnostics written to %s@." path)
+    json_file;
+  if errors <> [] then exit Exit.verification_failure
 
 (* `gisc profile`: self-profiling run of one program — wall clock,
    allocation and GC collections attributed per pipeline phase and per
    compiled region, under the exact accounting identity of
    [Gis_obs.Prof] (checked on every run; exit 3 on violation). *)
-let run_profile source level width regalloc pressure_aware regs json_file
-    folded_file folded_alloc trace_file deterministic verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  Metrics.enable ();
-  let name, src = load_source source in
-  let machine =
-    if width = 1 then Machine.rs6k else Machine.superscalar ~width
-  in
-  let config = config_of_level level in
+let run_profile s json_file folded_file folded_alloc trace_file deterministic =
+  let task = task_of_source s.source in
+  let name = task.Driver.name and machine = s.machine in
   let prof = Prof.create () in
-  let config =
-    { config with Config.regalloc; pressure_aware; regs; prof = Some prof }
-  in
-  let compile_input () =
-    if Filename.check_suffix name ".s" then
-      { Codegen.cfg = Asm.parse src; vars = []; arrays = [] }
-    else Codegen.compile_string src
-  in
-  match compile_input () with
-  | exception Parser.Error m
-  | exception Lexer.Error m
-  | exception Codegen.Error m
-  | exception Asm.Error m ->
-      Fmt.epr "%s: %s@." name m;
-      exit Exit.compile_error
-  | compiled -> (
-      let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-      let stats =
-        try Pipeline.run machine config cfg
-        with Gis_regalloc.Regalloc.Infeasible m ->
-          Fmt.epr "%s: regalloc infeasible: %s@." name m;
-          exit Exit.regalloc_infeasible
-      in
-      Validate.check_exn cfg;
-      match Prof.roots prof with
-      | [] ->
-          Fmt.epr "INTERNAL ERROR: pipeline recorded no profile tree@.";
-          exit Exit.verification_failure
-      | root :: _ as roots ->
-          Fmt.pr "%s: %d blocks, %d instructions; level %a; %d motions@." name
-            (Cfg.num_blocks cfg) (Cfg.instr_count cfg) Config.pp_level
-            config.Config.level
-            (List.length (Pipeline.moves stats));
-          Fmt.pr "@.%a@." Prof.pp root;
-          if not (List.for_all Prof.identity_ok roots) then begin
-            Fmt.epr
-              "INTERNAL ERROR: profile accounting identity violated (self \
-               values do not sum to the root totals)@.";
-            exit Exit.verification_failure
-          end;
-          Fmt.pr "@.profile: %d nodes, accounting identity holds@."
-            (Prof.node_count root);
-          Prof.export_metrics root;
-          Option.iter
-            (fun path ->
-              let node = if deterministic then Prof.scrub root else root in
-              write_json path
-                (Json.Obj
-                   [
-                     ("program", Json.String name);
-                     ("machine", Json.String (Machine.name machine));
-                     ( "level",
-                       Json.String
-                         (Fmt.str "%a" Config.pp_level config.Config.level) );
-                     ("profile", Prof.to_json node);
-                     ("metrics", Metrics.to_json ~deterministic ());
-                   ]);
-              Fmt.pr "profile written to %s@." path)
-            json_file;
-          Option.iter
-            (fun path ->
-              let metric = if folded_alloc then `Alloc else `Wall in
-              write_file path (String.concat "\n" (Prof.folded ~metric root));
-              Fmt.pr "folded stacks written to %s (flamegraph.pl/speedscope)@."
-                path)
-            folded_file;
-          Option.iter
-            (fun path ->
-              write_file path (Chrome_trace.profile_to_string root);
-              Fmt.pr "profile trace written to %s (load in Perfetto)@." path)
-            trace_file)
+  let config = { s.config with Config.prof = Some prof } in
+  let compiled = compile task in
+  let cfg = Cfg.deep_copy compiled.Codegen.cfg in
+  let stats = schedule task machine config cfg in
+  Validate.check_exn cfg;
+  match Prof.roots prof with
+  | [] ->
+      Fmt.epr "INTERNAL ERROR: pipeline recorded no profile tree@.";
+      exit Exit.verification_failure
+  | root :: _ as roots ->
+      Fmt.pr "%s: %d blocks, %d instructions; level %a; %d motions@." name
+        (Cfg.num_blocks cfg) (Cfg.instr_count cfg) Config.pp_level
+        config.Config.level
+        (List.length (Pipeline.moves stats));
+      Fmt.pr "@.%a@." Prof.pp root;
+      if not (List.for_all Prof.identity_ok roots) then begin
+        Fmt.epr
+          "INTERNAL ERROR: profile accounting identity violated (self \
+           values do not sum to the root totals)@.";
+        exit Exit.verification_failure
+      end;
+      Fmt.pr "@.profile: %d nodes, accounting identity holds@."
+        (Prof.node_count root);
+      Prof.export_metrics root;
+      Option.iter
+        (fun path ->
+          let node = if deterministic then Prof.scrub root else root in
+          write_json path
+            (Json.Obj
+               [
+                 ("program", Json.String name);
+                 ("machine", Json.String (Machine.name machine));
+                 ( "level",
+                   Json.String
+                     (Fmt.str "%a" Config.pp_level config.Config.level) );
+                 ("profile", Prof.to_json node);
+                 ("metrics", Metrics.to_json ~deterministic ());
+               ]);
+          Fmt.pr "profile written to %s@." path)
+        json_file;
+      Option.iter
+        (fun path ->
+          let metric = if folded_alloc then `Alloc else `Wall in
+          write_file path (String.concat "\n" (Prof.folded ~metric root));
+          Fmt.pr "folded stacks written to %s (flamegraph.pl/speedscope)@."
+            path)
+        folded_file;
+      Option.iter
+        (fun path ->
+          write_file path (Chrome_trace.profile_to_string root);
+          Fmt.pr "profile trace written to %s (load in Perfetto)@." path)
+        trace_file
 
 let source_arg =
   let file =
@@ -902,9 +778,10 @@ let stats_arg =
     value
     & opt (some string) None
     & info [ "stats" ] ~docv:"FILE"
-        ~doc:"Write a machine-readable JSON report: scheduler phases, \
-              decision trace, interblock motions, and (with --simulate) \
-              stall-attributed simulation telemetry.")
+        ~doc:"Write a machine-readable JSON report: the compiler's \
+              self-profile (wall clock and allocation per pipeline \
+              phase), decision trace, interblock motions, and (with \
+              --simulate) stall-attributed simulation telemetry.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose" ] ~doc:"Scheduler debug logging.")
@@ -1008,10 +885,7 @@ let explain_json_arg =
    corpus directory. Exit 6 when the campaign found anything. *)
 let run_fuzz seeds start corpus max_findings shrink_fuel jobs grammar
     no_disambig json_file verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
+  init_logs verbose;
   if seeds <= 0 then begin
     Fmt.epr "gisc fuzz: --seeds must be positive@.";
     exit Exit.usage_error
@@ -1045,13 +919,19 @@ let run_fuzz seeds start corpus max_findings shrink_fuel jobs grammar
         (if List.length findings = 1 then "" else "s");
       exit Exit.fuzz_finding
 
+(* The flags every compiling subcommand shares. [gisc profile] has no
+   --no-disambig, so it passes [Term.const false] instead. *)
+let setup_term ?(no_disambig = no_disambig_arg) () =
+  Term.(
+    const setup $ source_arg $ level_arg $ width_arg $ regalloc_arg
+    $ pressure_aware_arg $ regs_arg $ no_disambig $ verbose_arg)
+
 let main_term =
   Term.(
-    const run_gisc $ source_arg $ batch_arg $ jobs_arg $ level_arg
-    $ width_arg $ show_code_arg $ simulate_arg $ elements_arg $ seed_arg
-    $ trace_issue_arg $ trace_out_arg $ pipeline_view_arg $ deterministic_arg
-    $ stats_arg $ regalloc_arg $ pressure_aware_arg $ regs_arg
-    $ no_disambig_arg $ timeout_arg $ flight_cap_arg $ verbose_arg)
+    const run_gisc $ setup_term () $ batch_arg $ jobs_arg $ show_code_arg
+    $ simulate_arg $ elements_arg $ seed_arg $ trace_issue_arg
+    $ trace_out_arg $ pipeline_view_arg $ deterministic_arg $ stats_arg
+    $ timeout_arg $ flight_cap_arg)
 
 let explain_cmd =
   let doc =
@@ -1062,9 +942,8 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain" ~doc)
     Term.(
-      const run_explain $ source_arg $ level_arg $ width_arg $ elements_arg
-      $ seed_arg $ regalloc_arg $ pressure_aware_arg $ regs_arg
-      $ no_disambig_arg $ explain_json_arg $ trace_out_arg $ verbose_arg)
+      const run_explain $ setup_term () $ elements_arg $ seed_arg
+      $ explain_json_arg $ trace_out_arg)
 
 let profile_json_arg =
   Arg.(
@@ -1110,10 +989,10 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~doc)
     Term.(
-      const run_profile $ source_arg $ level_arg $ width_arg $ regalloc_arg
-      $ pressure_aware_arg $ regs_arg $ profile_json_arg $ folded_arg
-      $ folded_alloc_arg $ profile_trace_arg $ deterministic_arg
-      $ verbose_arg)
+      const run_profile
+      $ setup_term ~no_disambig:(const false) ()
+      $ profile_json_arg $ folded_arg $ folded_alloc_arg $ profile_trace_arg
+      $ deterministic_arg)
 
 let bound_json_arg =
   Arg.(
@@ -1144,9 +1023,8 @@ let bound_cmd =
   Cmd.v
     (Cmd.info "bound" ~doc)
     Term.(
-      const run_bound $ source_arg $ level_arg $ width_arg $ elements_arg
-      $ seed_arg $ regalloc_arg $ pressure_aware_arg $ regs_arg
-      $ no_disambig_arg $ top_k_arg $ bound_json_arg $ verbose_arg)
+      const run_bound $ setup_term () $ elements_arg $ seed_arg $ top_k_arg
+      $ bound_json_arg)
 
 let check_json_arg =
   Arg.(
@@ -1167,9 +1045,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const run_check $ source_arg $ level_arg $ width_arg $ regalloc_arg
-      $ pressure_aware_arg $ regs_arg $ no_disambig_arg $ check_json_arg
-      $ deterministic_arg $ verbose_arg)
+      const run_check $ setup_term () $ check_json_arg $ deterministic_arg)
 
 let fuzz_seeds_arg =
   Arg.(

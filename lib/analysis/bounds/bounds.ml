@@ -485,12 +485,6 @@ let slack_of_uid t uid =
         r.instrs)
     t.regions
 
-let credit_cycles t category =
-  Option.value ~default:0
-    (List.find_map
-       (fun c -> if String.equal c.category category then Some c.cycles else None)
-       t.credits)
-
 (* ---- metrics ---- *)
 
 let g_achieved = Metrics.gauge "bound.achieved_cycles"

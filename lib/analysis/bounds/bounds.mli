@@ -102,10 +102,6 @@ val identity_holds : t -> bool
 val slack_of_uid : t -> int -> int option
 (** Static slack of the instruction with the given uid, if bounded. *)
 
-val credit_cycles : t -> string -> int
-(** Cycles attributed to the given category at program level (0 for an
-    unknown category). *)
-
 val export_metrics : t -> unit
 (** Publish [bound.*] gauges (achieved/cp/resource/lower/gap cycles
     and the region count) into {!Gis_obs.Metrics}. *)

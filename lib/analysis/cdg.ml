@@ -68,7 +68,6 @@ let compute ?edge_label (flow : Flow.t) =
   { parents; children }
 
 let parents t v = t.parents.(v)
-let children t v = t.children.(v)
 
 let immediate_successors t v =
   List.sort_uniq Int.compare (List.map fst t.children.(v))

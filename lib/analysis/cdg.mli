@@ -23,9 +23,6 @@ val parents : t -> int -> (int * label) list
 (** The nodes controlling [v] (its control dependences), without
     duplicates. *)
 
-val children : t -> int -> (int * label) list
-(** The nodes [v] controls. *)
-
 val immediate_successors : t -> int -> int list
 (** Distinct CSPDG successors of [v] — the blocks reachable by gambling
     on exactly one branch of [v] (used for 1-branch speculative

@@ -86,10 +86,6 @@ let dominates t a b =
   reachable t a && reachable t b && t.tin.(a) <= t.tin.(b)
   && t.tout.(b) <= t.tout.(a)
 
-let strictly_dominates t a b = a <> b && dominates t a b
-
-let children t v = t.children.(v)
-
 let dom_tree_depth t v = t.depth.(v)
 
 module Post = struct

@@ -17,13 +17,6 @@ val dominates : t -> int -> int -> bool
     Reflexive. False when either node is unreachable (unless equal and
     reachable). O(1) after preprocessing. *)
 
-val strictly_dominates : t -> int -> int -> bool
-
-val children : t -> int -> int list
-(** Dominator-tree children. *)
-
-val reachable : t -> int -> bool
-
 val dom_tree_depth : t -> int -> int
 (** Depth of a node in the dominator tree (entry = 0); [-1] when
     unreachable. *)

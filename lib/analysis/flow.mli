@@ -51,9 +51,6 @@ val reverse : t -> exit_nodes:int list -> t
     construction for postdominators. Nodes unreachable backwards from
     the exits keep empty edges. *)
 
-val postorder : t -> int list
-(** Depth-first postorder from the entry; unreachable nodes omitted. *)
-
 val reverse_postorder : t -> int list
 
 val reachable_matrix : t -> bool array array

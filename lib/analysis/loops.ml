@@ -146,11 +146,6 @@ let innermost_first t =
     (fun a b -> Int.compare b.depth a.depth)
     (Array.to_list t.loops)
 
-let loop_of_block t b =
-  if b < 0 || b >= Array.length t.innermost then None
-  else if t.innermost.(b) = -1 then None
-  else Some t.innermost.(b)
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>reducible=%b" t.reducible;
   Array.iter

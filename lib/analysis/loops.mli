@@ -31,7 +31,4 @@ val innermost_first : t -> loop list
 (** Loops sorted by decreasing depth — the scheduling order of
     Section 5.1 ("innermost regions are scheduled first"). *)
 
-val loop_of_block : t -> int -> int option
-(** Index of the innermost loop containing the block. *)
-
 val pp : t Fmt.t

@@ -68,7 +68,6 @@ let compute cfg =
   }
 
 let regions t = t.region_list
-let reducible t = Loops.reducible t.loop_info
 
 let summary_blocks t ~loop_index =
   (Loops.loops t.loop_info).(loop_index).Loops.blocks

@@ -31,8 +31,6 @@ val regions : t -> region list
 (** Innermost first — the scheduling order. Includes the top-level
     region last. *)
 
-val reducible : t -> bool
-
 type view = {
   flow : Flow.t;
   nodes : node array;  (** view node index -> node *)

@@ -38,7 +38,6 @@ type origin
 (** A definition instance: an instruction uid together with the defined
     register, or the register's procedure-entry value. *)
 
-val equal_origin : origin -> origin -> bool
 val pp_origin : origin Fmt.t
 
 type value =

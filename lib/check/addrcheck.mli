@@ -35,10 +35,6 @@ val compute : Gis_ir.Cfg.t -> t
     register's abstract value at every [Load]/[Store], before any
     [update] post-increment. *)
 
-val base_value : t -> int -> av
-(** Abstract base value of the access with uid [uid]; [Any] when the
-    uid is not a recorded memory access. *)
-
 val delta : t -> a:int -> b:int -> int option
 (** [Some d] when access [b]'s base provably equals access [a]'s base
     plus [d] on every joint execution — both [Num], or both [Ref] of

@@ -743,16 +743,16 @@ let collector ?prov ?max_speculation_degree () =
   }
 
 let hook c ~stage ~pre ~post =
-  let (diags, counters), span =
-    Span.time ("check-" ^ stage) (fun () ->
-        run_stage ?prov:c.c_prov
-          ?max_speculation_degree:c.c_max_degree ~stage ~pre ~post ())
+  let t0 = Prof.now_ns () in
+  let diags, counters =
+    run_stage ?prov:c.c_prov ?max_speculation_degree:c.c_max_degree ~stage
+      ~pre ~post ()
   in
   c.c_results <- (stage, diags) :: c.c_results;
   c.c_stages <- c.c_stages + 1;
   c.c_deps <- c.c_deps + counters.deps_checked;
   c.c_motions <- c.c_motions + counters.motions;
-  c.c_seconds <- c.c_seconds +. span.Span.seconds
+  c.c_seconds <- c.c_seconds +. Prof.seconds_of_ns (Prof.now_ns () - t0)
 
 let diagnostics c = List.rev c.c_results
 

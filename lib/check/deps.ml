@@ -38,7 +38,6 @@ type program = {
   p_disambig : bool;
 }
 
-let cfg p = p.p_cfg
 let reaching p = Lazy.force p.p_reaching
 let uids p = p.p_uids
 
@@ -126,7 +125,6 @@ let of_cfg ?(disambig = true) cfg =
 
 let site p uid = Hashtbl.find_opt p.p_sites uid
 let block_id_of_uid p uid = Option.map fst (site p uid)
-let pos_of_uid p uid = Option.map snd (site p uid)
 
 let block_label_of_uid p uid =
   Option.map (fun b -> (Cfg.block p.p_cfg b).Block.label) (block_id_of_uid p uid)

@@ -38,22 +38,13 @@ val back_edges : Cfg.t -> (int * int) list
 (** DFS back edges from the entry (block-id pairs) — the edges masked to
     obtain the forward view. *)
 
-val cfg : program -> Cfg.t
 val reaching : program -> Gis_analysis.Reaching.t
 
 val uids : program -> Gis_util.Ints.Int_set.t
 (** Uids of every instruction in layout blocks (bodies + terminators). *)
 
 val instr : program -> int -> Instr.t option
-val block_id_of_uid : program -> int -> int option
 val block_label_of_uid : program -> int -> Label.t option
-val pos_of_uid : program -> int -> int option
-(** Position within the owning block; the terminator is last. *)
-
-val block_reaches : program -> int -> int -> bool
-(** [block_reaches p a b]: block [b] is reachable from block [a] along
-    forward (back-edge-masked) CFG edges; reflexive. *)
-
 val ordered : program -> src:int -> dst:int -> bool
 (** Is [src] guaranteed to execute before [dst] on every forward path
     where both execute? True when they share a block with [src] earlier,

@@ -34,5 +34,4 @@ val counts : t list -> (string * int) list
 
 val pp : t Fmt.t
 
-val to_json : t -> Gis_obs.Json.t
 val list_to_json : t list -> Gis_obs.Json.t

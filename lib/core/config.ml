@@ -76,6 +76,11 @@ let base =
 let useful_only = { default with level = Useful }
 let speculative = default
 
+let of_level = function
+  | Local -> base
+  | Useful -> useful_only
+  | Speculative -> speculative
+
 let pp ppf c =
   Fmt.pf ppf
     "level=%a rename=%b prune=%b rules=[%a] limits=%db/%di nesting<=%d \

@@ -87,7 +87,7 @@ type t = {
   obs : Gis_obs.Sink.t;
       (** telemetry sink for structured scheduler decision events
           (candidates, motions, renames, safety rejections, skipped
-          regions, phase timings). {!Gis_obs.Sink.null} by default —
+          regions). {!Gis_obs.Sink.null} by default —
           one dropped closure call per event. *)
   prov : Gis_obs.Provenance.t option;
       (** motion provenance table. When set, the pipeline seeds every
@@ -121,5 +121,8 @@ val base : t
 
 val useful_only : t
 val speculative : t
+
+val of_level : level -> t
+(** [base], [useful_only] or [speculative]. *)
 
 val pp : t Fmt.t

@@ -48,19 +48,6 @@ type region_report = {
 
 val pp_region_report : region_report Fmt.t
 
-val schedule_region :
-  ?sym:Gis_analysis.Symaddr.t ->
-  Gis_machine.Machine.t ->
-  Config.t ->
-  Gis_ir.Cfg.t ->
-  Gis_analysis.Regions.t ->
-  Gis_analysis.Regions.region ->
-  region_report
-(** Schedule one region in place. [sym] is the whole-procedure symbolic
-    address analysis used to prune provably false Mem edges from the
-    region's DDG ({!Gis_ddg.Ddg.build}); {!schedule} computes it once
-    per pass when [config.disambiguate] is on. *)
-
 val schedule :
   ?only:(Gis_analysis.Regions.region -> bool) ->
   ?regions:Gis_analysis.Regions.t ->

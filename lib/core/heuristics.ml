@@ -1,20 +1,6 @@
 open Gis_ddg
 
-type t = {
-  d : int array;
-  cp : int array;
-  estart : int array;
-  lstart : int array;
-}
-
-(* Issue-to-issue weight of an intra-block edge, mirroring the
-   scheduler's availability rule: a flow edge holds the consumer until
-   the producer's result is through the pipeline, order edges carry
-   only their own delay. *)
-let issue_weight ddg src (e : Ddg.edge) =
-  match e.Ddg.kind with
-  | Ddg.Flow -> Ddg.exec_time ddg src + e.Ddg.delay
-  | Ddg.Anti | Ddg.Output | Ddg.Mem -> e.Ddg.delay
+type t = { d : int array; cp : int array }
 
 let compute ddg =
   let n = Ddg.num_nodes ddg in
@@ -54,52 +40,10 @@ let compute ddg =
     go 0 (-1)
   in
   each_view max_view;
-  (* Estart/Lstart in issue-cycle space, per block (paper Section 5.2's
-     critical-path reasoning made explicit): Estart is the earliest
-     issue offset the block's dependences allow, tail the longest
-     weighted path still ahead, and Lstart = span - tail the latest
-     issue offset that keeps the block at its dependence-height span.
-     Slack (Lstart - Estart) is 0 exactly on the critical path. *)
-  let estart = Array.make n 0 in
-  let tail = Array.make n 0 in
-  let visit_tail i =
-    let nd = Ddg.node ddg i in
-    List.iter
-      (fun (e : Ddg.edge) ->
-        if (Ddg.node ddg e.Ddg.dst).Ddg.view_node = nd.Ddg.view_node then
-          tail.(i) <- max tail.(i) (issue_weight ddg i e + tail.(e.Ddg.dst)))
-      (Ddg.succs ddg i)
-  in
-  let visit_estart i =
-    let nd = Ddg.node ddg i in
-    List.iter
-      (fun (e : Ddg.edge) ->
-        if (Ddg.node ddg e.Ddg.dst).Ddg.view_node = nd.Ddg.view_node then
-          estart.(e.Ddg.dst) <-
-            max estart.(e.Ddg.dst) (estart.(i) + issue_weight ddg i e))
-      (Ddg.succs ddg i)
-  in
-  let lstart = Array.make n 0 in
-  let rec each_view_se v =
-    if v >= 0 then begin
-      let nodes = Ddg.nodes_of_view_node ddg v in
-      List.iter visit_tail (List.rev nodes);
-      List.iter visit_estart nodes;
-      let span =
-        List.fold_left (fun acc i -> max acc (estart.(i) + tail.(i))) 0 nodes
-      in
-      List.iter (fun i -> lstart.(i) <- span - tail.(i)) nodes;
-      each_view_se (v - 1)
-    end
-  in
-  each_view_se max_view;
-  { d; cp; estart; lstart }
+  { d; cp }
 
 let d t i = t.d.(i)
 let cp t i = t.cp.(i)
-let estart t i = t.estart.(i)
-let lstart t i = t.lstart.(i)
-let slack t i = t.lstart.(i) - t.estart.(i)
 
 let class_pressure live cls =
   Gis_ir.Reg.Set.fold

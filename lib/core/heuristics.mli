@@ -24,23 +24,6 @@ val d : t -> int -> int
 val cp : t -> int -> int
 (** Critical path heuristic of the node with the given DDG index. *)
 
-val estart : t -> int -> int
-(** Earliest issue offset (in cycles from the block's first issue) the
-    node's intra-block dependences allow — the forward analogue of the
-    [CP] recurrence, in issue-to-issue edge weights. *)
-
-val lstart : t -> int -> int
-(** Latest issue offset that still keeps the node's block at its
-    dependence-height span; [lstart - estart] is the node's slack and
-    is 0 exactly on the block's critical path. *)
-
-val slack : t -> int -> int
-(** [lstart t i - estart t i]. *)
-
-val class_pressure : Gis_ir.Reg.Set.t -> Gis_ir.Reg.cls -> int
-(** Number of registers of the given class in a live set — the register
-    pressure the allocator will face at that program point. *)
-
 val import_pressure :
   live:Gis_ir.Reg.Set.t ->
   budget:(Gis_ir.Reg.cls -> int) ->

@@ -6,15 +6,12 @@ type stats = {
   pass1 : Global_sched.region_report list;
   pass2 : Global_sched.region_report list;
   regalloc : Gis_regalloc.Regalloc.t option;
-  phases : Gis_obs.Span.t list;
 }
 
 let moves stats =
   List.concat_map
     (fun (r : Global_sched.region_report) -> r.Global_sched.moves)
     (stats.pass1 @ stats.pass2)
-
-let seconds stats = Gis_obs.Span.total stats.phases
 
 let phase_names = [ "unroll"; "global-pass1"; "rotate"; "global-pass2"; "local" ]
 
@@ -39,132 +36,79 @@ let run_phases machine (config : Config.t) cfg =
           Gis_util.Vec.iter at b.Block.body;
           at b.Block.term)
         cfg);
-  let spans = ref [] in
-  let time name f =
-    (* The profiler nests inside the span so span totals stay what they
-       always were; a detached profiler ([None]) adds one match. *)
-    let v, span =
-      Gis_obs.Span.time name (fun () -> Gis_obs.Prof.record prof name f)
-    in
-    spans := span :: !spans;
-    config.Config.obs.Gis_obs.Sink.emit
-      (Gis_obs.Sink.Phase_finished
-         { phase = name; seconds = span.Gis_obs.Span.seconds });
-    v
-  in
-  if config.Config.split_webs && config.Config.level <> Config.Local then
-    time "webs" (fun () -> ignore (Webs.split cfg));
-  (* Per-stage verification: snapshot the CFG before a stage that will
-     actually run, hand the pre/post pair to the hook afterwards. The
-     snapshot is taken only when a hook is installed. *)
-  let snapshot () =
-    match config.Config.check with
-    | Some _ -> Some (Cfg.deep_copy cfg)
-    | None -> None
-  in
-  let fire stage pre =
-    match config.Config.check, pre with
-    | Some f, Some pre -> f ~stage ~pre ~post:cfg
-    | _, _ -> ()
-  in
   let global = config.Config.level <> Config.Local in
+  (* The one per-stage wrapper: a profiler node named after the stage
+     and, when the stage runs and a check hook is installed, a snapshot
+     of the CFG before it and the hook on the pre/post pair after it. A
+     stage that does not run still records its node (the cost of
+     deciding to skip it), so every profile lists [phase_names]. *)
+  let stage name ~runs ~skipped f =
+    Gis_obs.Prof.record prof name (fun () ->
+        if not runs then skipped
+        else
+          match config.Config.check with
+          | None -> f ()
+          | Some hook ->
+              let pre = Cfg.deep_copy cfg in
+              let v = f () in
+              hook ~stage:name ~pre ~post:cfg;
+              v)
+  in
+  if config.Config.split_webs && global then
+    stage "webs" ~runs:true ~skipped:() (fun () -> ignore (Webs.split cfg));
   (* Region analysis is a function of the CFG's shape, which interblock
      motion preserves — only unrolling and rotation invalidate it. Both
      global passes therefore share one analysis unless rotation ran in
-     between. Computed inside the timed phases so the spans stay
-     honest. *)
+     between. Computed inside the profiled stages, as a child node of
+     whichever global pass forced it. *)
   let regions_cache = ref None in
   let regions () =
     match !regions_cache with
     | Some r -> r
     | None ->
-        (* A nested span: shows up as a child of whichever global pass
-           forced the computation. *)
-        let r, _span =
-          Gis_obs.Span.time "regions" (fun () ->
-              Gis_obs.Prof.record prof "regions" (fun () ->
-                  Gis_analysis.Regions.compute cfg))
+        let r =
+          Gis_obs.Prof.record prof "regions" (fun () ->
+              Gis_analysis.Regions.compute cfg)
         in
         regions_cache := Some r;
         r
   in
+  let small = config.Config.small_loop_blocks in
   let unrolled =
-    time "unroll" (fun () ->
-        if global && config.Config.unroll_small_loops then begin
-          let pre = snapshot () in
-          let n =
-            Unroll.unroll_small_inner_loops ?prov
-              ~max_blocks:config.Config.small_loop_blocks cfg
-          in
-          fire "unroll" pre;
-          n
-        end
-        else 0)
+    stage "unroll" ~runs:(global && config.Config.unroll_small_loops)
+      ~skipped:0 (fun () ->
+        Unroll.unroll_small_inner_loops ?prov ~max_blocks:small cfg)
   in
   let pass1 =
-    time "global-pass1" (fun () ->
-        if global then begin
-          let pre = snapshot () in
-          let reports =
-            Global_sched.schedule ~only:Global_sched.is_inner_region
-              ~regions:(regions ()) machine config cfg
-          in
-          fire "global-pass1" pre;
-          reports
-        end
-        else [])
+    stage "global-pass1" ~runs:global ~skipped:[] (fun () ->
+        Global_sched.schedule ~only:Global_sched.is_inner_region
+          ~regions:(regions ()) machine config cfg)
   in
   let rotated =
-    time "rotate" (fun () ->
-        if global && config.Config.rotate_small_loops then begin
-          let pre = snapshot () in
-          let n =
-            Rotate.rotate_small_inner_loops ?prov
-              ~max_blocks:config.Config.small_loop_blocks cfg
-          in
-          fire "rotate" pre;
-          n
-        end
-        else 0)
+    stage "rotate" ~runs:(global && config.Config.rotate_small_loops)
+      ~skipped:0 (fun () ->
+        Rotate.rotate_small_inner_loops ?prov ~max_blocks:small cfg)
   in
   if rotated > 0 then regions_cache := None;
   let pass2 =
-    time "global-pass2" (fun () ->
-        if global then begin
-          let pre = snapshot () in
-          let reports =
-            Global_sched.schedule
-              ~only:(fun r ->
-                rotated > 0 || not (Global_sched.is_inner_region r))
-              ~regions:(regions ()) machine config cfg
-          in
-          fire "global-pass2" pre;
-          reports
-        end
-        else [])
+    stage "global-pass2" ~runs:global ~skipped:[] (fun () ->
+        Global_sched.schedule
+          ~only:(fun r -> rotated > 0 || not (Global_sched.is_inner_region r))
+          ~regions:(regions ()) machine config cfg)
   in
-  time "local" (fun () ->
-      if config.Config.local_post_pass then begin
-        let local_machine =
-          Option.value ~default:machine config.Config.local_machine
-        in
-        let pre = snapshot () in
-        Local_sched.schedule_cfg ~rules:config.Config.rules
-          ~obs:config.Config.obs ?prov
-          ~disambig:config.Config.disambiguate local_machine cfg;
-        fire "local" pre
-      end);
+  stage "local" ~runs:config.Config.local_post_pass ~skipped:() (fun () ->
+      Local_sched.schedule_cfg ~rules:config.Config.rules
+        ~obs:config.Config.obs ?prov ~disambig:config.Config.disambiguate
+        (Option.value ~default:machine config.Config.local_machine)
+        cfg);
   let regalloc =
     if config.Config.regalloc then
-      time "regalloc" (fun () ->
-          let pre = snapshot () in
+      stage "regalloc" ~runs:true ~skipped:None (fun () ->
           match
             Gis_regalloc.Regalloc.allocate ?gprs:config.Config.regs
               ?fprs:config.Config.regs ?prov machine cfg
           with
-          | Ok alloc ->
-              fire "regalloc" pre;
-              Some alloc
+          | Ok alloc -> Some alloc
           | Error msg ->
               (* A typed, deterministic outcome — drivers classify it
                  as infeasibility, not a crash. *)
@@ -173,7 +117,7 @@ let run_phases machine (config : Config.t) cfg =
   in
   ignore (Cfg.reachable cfg);
   Gis_obs.Provenance.finalize prov cfg;
-  { unrolled; rotated; pass1; pass2; regalloc; phases = List.rev !spans }
+  { unrolled; rotated; pass1; pass2; regalloc }
 
 let run machine (config : Config.t) cfg =
   Gis_obs.Prof.record config.Config.prof "pipeline" (fun () ->

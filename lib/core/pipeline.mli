@@ -19,14 +19,9 @@ type stats = {
   regalloc : Gis_regalloc.Regalloc.t option;
       (** allocation result when [Config.regalloc] is set; [None]
           otherwise. On [Error] from the allocator, {!run} raises
-          [Failure] — a register file too small to spill into is a task
-          failure, not a silent fallback. *)
-  phases : Gis_obs.Span.t list;
-      (** CPU time per pipeline phase, in execution order. Always
-          contains the five phases of {!phase_names} (a disabled phase
-          reports the cost of deciding to skip it, ~0); a ["webs"] span
-          is prepended when the Section 4.2 pre-pass runs and a
-          ["regalloc"] span appended when allocation runs. *)
+          [Gis_regalloc.Regalloc.Infeasible] — a register file too
+          small to spill into is a task failure, not a silent
+          fallback. *)
 }
 
 val phase_names : string list
@@ -36,15 +31,14 @@ val phase_names : string list
 val moves : stats -> Global_sched.move list
 (** All interblock motions across both passes. *)
 
-val seconds : stats -> float
-(** Total CPU time spent in scheduling — the sum of all phase spans
-    (what the old [stats.seconds] field reported). *)
-
 val run :
   Gis_machine.Machine.t -> Config.t -> Gis_ir.Cfg.t -> stats
-(** Transform the procedure in place. Every phase duration is also
-    emitted as a [Phase_finished] event on [config.obs]. With
-    [config.prof] set, the whole run is recorded as one ["pipeline"]
-    profile tree — phases as children, compiled regions as
-    grandchildren — whose wall/allocation deltas satisfy the exact
-    accounting identity ({!Gis_obs.Prof.identity_ok}). *)
+(** Transform the procedure in place. With [config.prof] set, the
+    whole run is recorded as one ["pipeline"] profile tree — phases as
+    children, compiled regions as grandchildren — whose
+    wall/allocation deltas satisfy the exact accounting identity
+    ({!Gis_obs.Prof.identity_ok}). The children always include the
+    five phases of {!phase_names}, in order (a disabled phase records
+    the cost of deciding to skip it, ~0); a ["webs"] node is prepended
+    when the Section 4.2 pre-pass runs and a ["regalloc"] node appended
+    when allocation runs. *)

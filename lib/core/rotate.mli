@@ -7,13 +7,6 @@
     pass can pull the next iteration's leading instructions up into the
     body — the partial software-pipelining effect. *)
 
-val rotate :
-  ?prov:Gis_obs.Provenance.t ->
-  Gis_ir.Cfg.t ->
-  Gis_analysis.Loops.loop ->
-  Gis_ir.Label.t
-(** Rotate the loop in place; returns the label of the header copy. *)
-
 val rotate_small_inner_loops :
   ?prov:Gis_obs.Provenance.t -> max_blocks:int -> Gis_ir.Cfg.t -> int
 (** Rotate every innermost loop with at most [max_blocks] blocks;

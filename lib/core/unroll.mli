@@ -7,13 +7,6 @@
     through the copy, so it is valid for any loop shape, counted or
     not. *)
 
-val unroll_once :
-  ?prov:Gis_obs.Provenance.t -> Gis_ir.Cfg.t -> Gis_analysis.Loops.loop -> unit
-(** Duplicate the loop body in place: the original back edges are
-    redirected to a fresh copy of the loop, whose own back edges return
-    to the original header. Raises [Invalid_argument] if the loop
-    header's label generates a clash (never happens with {!Gis_ir.Label.fresh}). *)
-
 val unroll_small_inner_loops :
   ?prov:Gis_obs.Provenance.t -> max_blocks:int -> Gis_ir.Cfg.t -> int
 (** Unroll every innermost loop with at most [max_blocks] blocks;

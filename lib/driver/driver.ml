@@ -48,7 +48,6 @@ type summary = {
   sched_cycles : int;
   observables : string;
   code : string;
-  phases : Span.t list;
 }
 
 type error =
@@ -129,7 +128,6 @@ exception Observable_mismatch of string
    sub-second lands in bucket 0 and the distribution is invisible. *)
 let m_tasks = Metrics.counter "driver.tasks_total"
 let m_failed = Metrics.counter "driver.tasks_failed_total"
-let m_task_seconds = Metrics.histogram "driver.task_seconds"
 let m_queue_wait_us = Metrics.histogram "driver.queue_wait_us"
 let m_run_us = Metrics.histogram "driver.task_run_us"
 
@@ -246,7 +244,6 @@ let run_task machine config ~simulate ~elements ~seed task =
           sched_cycles;
           observables;
           code = Fmt.str "%a" Cfg.pp cfg;
-          phases = stats.Pipeline.phases;
         }
       with
       | summary -> Ok summary
@@ -280,14 +277,15 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
           Some i
         end)
   in
-  let batch_start = Span.now () in
+  let batch_start = Prof.now_ns () in
+  let since t0 = Prof.seconds_of_ns (Prof.now_ns () - t0) in
   let worker wid =
     let rec loop () =
       match dequeue () with
       | None -> ()
       | Some i ->
           let task = tasks_arr.(i) in
-          let elapsed = Span.now () -. batch_start in
+          let elapsed = since batch_start in
           (match timeout with
           | Some budget when elapsed > budget ->
               (* The batch budget is already spent: mark the task timed
@@ -309,12 +307,12 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
               (* How long the task sat queued before a worker picked it
                  up — every task was enqueued at batch start. *)
               Metrics.observe m_queue_wait_us (elapsed *. 1e6);
-              let t0 = Span.now () in
+              let t0 = Prof.now_ns () in
               let outcome =
                 try run_task machine config ~simulate ~elements ~seed task
                 with e -> Error (Crashed (Printexc.to_string e))
               in
-              let seconds = Span.now () -. t0 in
+              let seconds = since t0 in
               (* Per-task budget check stays: a single task that blows
                  the whole budget is reported as timed out too, even
                  though (cooperatively) it did run to completion. *)
@@ -325,7 +323,6 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
               in
               Metrics.incr m_tasks;
               if Result.is_error outcome then Metrics.incr m_failed;
-              Metrics.observe m_task_seconds seconds;
               Metrics.observe m_run_us (seconds *. 1e6);
               busy.(wid) <- busy.(wid) +. seconds;
               ran.(wid) <- ran.(wid) + 1;
@@ -343,7 +340,7 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
   in
   let domains = Array.init jobs (fun wid -> Domain.spawn (fun () -> worker wid)) in
   Array.iter Domain.join domains;
-  let wall_seconds = Span.now () -. batch_start in
+  let wall_seconds = since batch_start in
   let results =
     Array.to_list
       (Array.map
@@ -429,10 +426,6 @@ let report_to_json ?(deterministic = false) r =
                   ("base_cycles", Json.Int s.base_cycles);
                   ("sched_cycles", Json.Int s.sched_cycles);
                   ("observables", Json.String s.observables);
-                  ( "phases",
-                    Span.to_json
-                      (if deterministic then Span.scrub s.phases else s.phases)
-                  );
                 ] );
           ])
   in

@@ -26,7 +26,7 @@
       cannot be killed), so a diverging task is bounded only by the
       pipeline's own progress guards and the simulator's fuel, both of
       which are finite.
-    - {b Telemetry}: per-task wall-clock spans, per-worker busy time and
+    - {b Telemetry}: per-task wall-clock seconds, per-worker busy time and
       task counts, queue high-water mark, and pool utilization, all
       reportable as JSON via {!report_to_json}. *)
 
@@ -72,7 +72,6 @@ type summary = {
   sched_cycles : int;  (** -1 when simulation was disabled *)
   observables : string;  (** canonical observable trace, "" unsimulated *)
   code : string;  (** the scheduled procedure, printed *)
-  phases : Gis_obs.Span.t list;  (** pipeline phase spans *)
 }
 
 type error =
@@ -155,17 +154,17 @@ val run :
     (defaults 128/3) parameterize the default simulation input exactly
     as [gisc] does. [config.obs] is replaced by a private per-task sink
     — a shared sink would race across domains; use the [events] count
-    and phase spans in each summary instead. *)
+    in each summary instead. *)
 
 val speedup : report -> report -> float
 (** [speedup sequential parallel] — ratio of batch wall-clock times. *)
 
 val report_to_json : ?deterministic:bool -> report -> Gis_obs.Json.t
 (** With [deterministic] (default false) every field that depends on
-    timing or on the worker count — task seconds, phase durations,
-    worker assignment, flight-recorder dumps, and all pool fields
-    except [tasks]/[failed] — is zeroed or dropped, so reports are
-    byte-identical across runs and job counts. *)
+    timing or on the worker count — task seconds, worker assignment,
+    flight-recorder dumps, and all pool fields except [tasks]/[failed]
+    — is zeroed or dropped, so reports are byte-identical across runs
+    and job counts. *)
 
 val pp_table : report Fmt.t
 (** Human-readable batch table: one row per task plus a pool summary.

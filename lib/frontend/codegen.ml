@@ -264,11 +264,6 @@ let compile (p : Ast.program) =
 
 let compile_string src = compile (Parser.parse src)
 
-let array_base c name =
-  match List.find_opt (fun (n, _, _) -> n = name) c.arrays with
-  | Some (_, base, _) -> base
-  | None -> err "unknown array %s" name
-
 let var_reg c name =
   match List.assoc_opt name c.vars with
   | Some r -> r

@@ -2,7 +2,7 @@
 
     Scalars live in symbolic general-purpose registers (scheduling runs
     before register allocation, so the supply is unbounded). Arrays are
-    laid out in static memory starting at {!first_array_base}; each
+    laid out in static memory starting at address 1024; each
     array's base address is materialised into a register in the entry
     block. Conditions become compare + conditional-branch pairs with
     short-circuit control flow, producing exactly the small-basic-block
@@ -14,8 +14,6 @@ type compiled = {
   arrays : (string * int * int) list;
       (** array name, base byte address, length in 4-byte words *)
 }
-
-val first_array_base : int
 
 exception Error of string
 (** Undeclared variables, name clashes, using an array as a scalar... *)
@@ -33,5 +31,4 @@ val array_input :
     with the given contents: [(address, value)] pairs. Raises {!Error}
     for unknown arrays or oversized contents. *)
 
-val array_base : compiled -> string -> int
 val var_reg : compiled -> string -> Gis_ir.Reg.t

@@ -5,10 +5,4 @@
     Tiny-C program — directly replayable with [gisc <file> --simulate]
     or [gisc check <file>] since the lexer skips comments. *)
 
-val file_name : Fuzz.finding -> string
-(** e.g. ["seed42_speculative_superscalar-x4_ra.tc"]. *)
-
-val write : dir:string -> Fuzz.finding -> string
-(** Write one reproducer (creating [dir] if needed); returns the path. *)
-
 val write_all : dir:string -> Fuzz.finding list -> string list

@@ -35,11 +35,6 @@ let same_kind a b =
 
 type cell = { level : Config.level; regalloc : bool; machine : Machine.t }
 
-let config_of_level = function
-  | Config.Local -> Config.base
-  | Config.Useful -> Config.useful_only
-  | Config.Speculative -> Config.speculative
-
 let level_name = function
   | Config.Local -> "base"
   | Config.Useful -> "useful"
@@ -116,7 +111,7 @@ let reference_observables compiled input =
 let run_cell ?(disambig = true) cell compiled input ~reference =
   match
     let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-    let base_config = config_of_level cell.level in
+    let base_config = Config.of_level cell.level in
     let collector =
       Gis_check.Check.collector
         ~max_speculation_degree:base_config.Config.max_speculation_degree ()
@@ -256,12 +251,6 @@ let shrink_finding ~disambig ~shrink_fuel f =
       f.program
   in
   { f with shrunk }
-
-let run_seed ?(params = Random_prog.hardened)
-    ?(shrink_fuel = Shrink.default_fuel) ?(disambig = true) seed =
-  Option.map
-    (shrink_finding ~disambig ~shrink_fuel)
-    (detect_seed ~disambig params seed)
 
 type report = {
   seeds_run : int;

@@ -68,17 +68,6 @@ type finding = {
   shrunk : Gis_frontend.Ast.program;  (** minimal reproducer *)
 }
 
-val run_seed :
-  ?params:Gis_workloads.Random_prog.params ->
-  ?shrink_fuel:int ->
-  ?disambig:bool ->
-  int ->
-  finding option
-(** Fuzz one seed: generate, compile, run the full matrix, shrink the
-    first failure (predicate: candidate compiles, still halts on the
-    reference machine, and fails in the same cell with the same failure
-    class). [None] means every cell agreed with the reference. *)
-
 type report = {
   seeds_run : int;
   cells_per_seed : int;
@@ -105,4 +94,3 @@ val campaign :
     applied to every cell; [false] is the A1 control campaign. *)
 
 val report_to_json : report -> Gis_obs.Json.t
-val finding_to_json : finding -> Gis_obs.Json.t

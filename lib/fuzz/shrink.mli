@@ -20,12 +20,6 @@ val stmt_count : Gis_frontend.Ast.program -> int
 (** Statements in the body, counting nested ones — the "minimal
     reproducer" metric reported for corpus entries. *)
 
-val candidates : Gis_frontend.Ast.program -> Gis_frontend.Ast.program list
-(** All one-step reductions, in the order [shrink] tries them: body
-    statement removal, block splicing and statement edits first, then
-    declaration removal. Every candidate has a strictly smaller
-    (size, literal-magnitude) measure. *)
-
 val default_fuel : int
 
 val shrink :

@@ -31,14 +31,6 @@ let regs m = function
   | Reg.Fpr -> m.fprs
   | Reg.Cr -> m.crs
 
-let with_regs ?gprs ?fprs ?crs m =
-  let gprs = Option.value gprs ~default:m.gprs in
-  let fprs = Option.value fprs ~default:m.fprs in
-  let crs = Option.value crs ~default:m.crs in
-  if gprs < 1 || fprs < 1 || crs < 1 then
-    invalid_arg "Machine.with_regs: need at least one register per class";
-  { m with gprs; fprs; crs }
-
 (* RS/6000 execution times: most instructions take a single cycle;
    multiply and divide are the multi-cycle exceptions (Section 2.1). *)
 let rs6k_exec_time i =

@@ -23,12 +23,6 @@ val regs : t -> Gis_ir.Reg.cls -> int
     allocate against. Defaults mirror the RS/6000: 32 GPRs, 32 FPRs,
     8 condition register fields. *)
 
-val with_regs : ?gprs:int -> ?fprs:int -> ?crs:int -> t -> t
-(** Same machine with a smaller (or larger) register file per class —
-    used to force spills in experiments. Condition registers spill
-    through an integer scratch transfer (mfcr/mtcr), so [crs] can be
-    shrunk to exercise condition-register pressure too. *)
-
 val exec_time : t -> Gis_ir.Instr.t -> int
 (** Cycles the instruction occupies its unit; >= 1. *)
 

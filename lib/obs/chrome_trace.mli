@@ -38,11 +38,4 @@ val to_string :
   Trace.summary ->
   string
 
-val profile_events : Prof.node -> Json.t list
-(** The raw trace events of one profile tree (metadata, slices,
-    counters), for embedding in a larger trace. *)
-
-val profile_to_json : Prof.node -> Json.t
-(** A standalone profiler-only trace ([gisc profile --trace-out]). *)
-
 val profile_to_string : Prof.node -> string

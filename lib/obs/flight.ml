@@ -6,20 +6,18 @@
    and recording is a single array store — no allocation beyond the
    message the caller already built, no locks. *)
 
-type entry = { at : float; msg : string }
-
 let capacity = 64
 
-type t = { mutable n : int (* total notes ever *); slots : entry array }
+type t = { mutable n : int (* total notes ever *); slots : string array }
 
 let create ?capacity:(c = capacity) () =
   if c < 1 then invalid_arg "Flight.create: capacity must be >= 1";
-  { n = 0; slots = Array.make c { at = 0.0; msg = "" } }
+  { n = 0; slots = Array.make c "" }
 
 let capacity_of r = Array.length r.slots
 
 let note_to r msg =
-  r.slots.(r.n mod capacity_of r) <- { at = Unix.gettimeofday (); msg };
+  r.slots.(r.n mod capacity_of r) <- msg;
   r.n <- r.n + 1
 
 let notef_to r fmt = Fmt.kstr (note_to r) fmt
@@ -51,19 +49,7 @@ let note msg = note_to (Domain.DLS.get ring) msg
 let notef fmt = Fmt.kstr note fmt
 let clear () = clear_of (Domain.DLS.get ring)
 let recorded () = recorded_of (Domain.DLS.get ring)
-let dump () = dump_of (Domain.DLS.get ring)
-let dump_messages () = List.map (fun e -> e.msg) (dump ())
-
-let pp_dump ppf () =
-  match dump () with
-  | [] -> Fmt.pf ppf "flight recorder: empty@."
-  | entries ->
-      let t0 = (List.hd entries).at in
-      Fmt.pf ppf "flight recorder (last %d of %d event(s)):@."
-        (List.length entries) (recorded ());
-      List.iter
-        (fun e -> Fmt.pf ppf "  [+%8.6fs] %s@." (e.at -. t0) e.msg)
-        entries
+let dump_messages () = dump_of (Domain.DLS.get ring)
 
 (* A sink that mirrors every scheduler decision event into this
    domain's ring, for wrapping around a real sink with [Sink.tee]. *)

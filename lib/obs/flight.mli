@@ -8,8 +8,6 @@
     domains. The driver pool's fault-isolation path dumps it on crash
     and timeout; everything else just keeps feeding it. *)
 
-type entry = { at : float;  (** wall clock of the note *) msg : string }
-
 val capacity : int
 (** Default entries retained per ring (older notes are overwritten). *)
 
@@ -22,11 +20,10 @@ val create : ?capacity:int -> unit -> t
     [Invalid_argument] when < 1. *)
 
 val capacity_of : t -> int
-val note_to : t -> string -> unit
 val notef_to : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val clear_of : t -> unit
 val recorded_of : t -> int
-val dump_of : t -> entry list
+val dump_of : t -> string list
 
 val set_default_capacity : int -> unit
 (** Capacity for per-domain rings created after this call (each
@@ -53,13 +50,8 @@ val recorded : unit -> int
 (** Total notes ever recorded on this domain since the last {!clear} —
     may exceed {!capacity}; the excess has been overwritten. *)
 
-val dump : unit -> entry list
-(** The surviving entries of this domain's ring, oldest first. *)
-
 val dump_messages : unit -> string list
-
-val pp_dump : unit Fmt.t
-(** Render the ring with timestamps relative to the oldest entry. *)
+(** The surviving notes of this domain's ring, oldest first. *)
 
 val sink : unit -> Sink.t
 (** A sink that mirrors every event into this domain's ring — tee it

@@ -18,9 +18,6 @@ type entry = {
   per_program_cycles : (string * int) list;
 }
 
-val to_json : entry -> Json.t
-val of_json : Json.t -> (entry, string) result
-
 val append : path:string -> entry -> unit
 (** Append one record (creates the file if needed). *)
 

@@ -103,8 +103,8 @@ let observe h v =
 (* A metric whose name ends in "_seconds", "_ns" or "_us" measures wall
    clock, and one ending in "_bytes" measures allocation (which varies
    with compiler version even when the program is deterministic);
-   deterministic dumps zero both the same way [Span.scrub] zeroes phase
-   timings, so reports stay byte-stable across runs and toolchains. *)
+   deterministic dumps zero both the same way [Prof.scrub] zeroes the
+   profile tree, so reports stay byte-stable across runs and toolchains. *)
 let scrubbed_name name =
   let suffix s = Filename.check_suffix name s in
   suffix "_seconds" || suffix "_ns" || suffix "_us" || suffix "_bytes"

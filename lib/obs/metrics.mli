@@ -59,7 +59,7 @@ val pp_histogram_view : histogram_view Fmt.t
 val to_json : ?deterministic:bool -> unit -> Json.t
 (** Every registered metric, sorted by name. With [deterministic], any
     metric whose name ends in ["_seconds"], ["_ns"], ["_us"] or
-    ["_bytes"] is zeroed — the registry's equivalent of [Span.scrub]
+    ["_bytes"] is zeroed — the registry's equivalent of [Prof.scrub]
     (allocation counts are deterministic per binary but vary across
     compiler versions, so they scrub too). *)
 

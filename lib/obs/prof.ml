@@ -9,8 +9,8 @@
    slack. [identity_ok] re-derives that sum independently; `gisc
    profile` runs it on every invocation and exits 3 when it fails.
 
-   Recording mirrors {!Span}: a per-domain stack of open frames, so the
-   batch driver's worker domains never interleave each other's trees.
+   Recording keeps a per-domain stack of open frames, so the batch
+   driver's worker domains never interleave each other's trees.
    With no profiler attached ([record None]) the cost is one pattern
    match — the pinned test asserts schedules are byte-identical. *)
 
@@ -29,9 +29,9 @@ let create () = { roots = []; lock = Mutex.create () }
 
 let roots t = Mutex.protect t.lock (fun () -> List.rev t.roots)
 
-(* Integer samples. [gettimeofday] doubles carry ~2^-22 s of mantissa
-   at current epochs; scaling to ns before truncating keeps the
-   subtraction exact in int space, which is all the identity needs.
+(* Integer samples. Wall clock comes from the monotonic clock in
+   nanoseconds, so a step of the system clock mid-phase cannot make a
+   self time negative and fail the identity.
 
    Allocation is sampled from [Gc.minor_words], not
    [Gc.allocated_bytes]: the latter is [minor + major - promoted],
@@ -40,7 +40,7 @@ let roots t = Mutex.protect t.lock (fun () -> List.rev t.roots)
    collections happen to fall. [minor_words] is precise and monotonic
    per domain — deterministic attribution at the cost of not counting
    blocks allocated directly on the major heap (> 128 words). *)
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let allocated () = int_of_float (Gc.minor_words ()) * (Sys.word_size / 8)
 
 type frame = {
@@ -118,9 +118,8 @@ let rec fold f acc n = List.fold_left (fold f) (f acc n) n.children
 (* The identity, checked from first principles rather than trusting the
    derivation above: over any subtree, the self values must sum back to
    the root's totals, and no counter that is physically monotonic
-   (allocation, collections) may go negative anywhere. Wall-clock self
-   may only go negative if the system clock stepped backwards mid-run —
-   that too is a violation worth failing loudly on. *)
+   (allocation, collections, and the monotonic wall clock) may go
+   negative anywhere. *)
 let identity_ok n =
   let sums =
     fold

@@ -1,9 +1,9 @@
 (** Hierarchical self-profiler: wall-clock and GC attribution per
     pipeline phase and per compiled region.
 
-    {!Span} answers "how long did each phase take"; [Prof] additionally
-    answers "what did it allocate and how often did the GC run", and it
-    does so under an {e exact} accounting identity: every sample is an
+    [Prof] answers "how long did each phase take", "what did it
+    allocate" and "how often did the GC run", and it does so under an
+    {e exact} accounting identity: every sample is an
     integer (nanoseconds, bytes, collections), a node's self value is
     its total minus its children's totals, and the self values of a
     subtree sum back to the root's totals with no floating-point slack
@@ -46,10 +46,14 @@ val record : t option -> string -> (unit -> 'a) -> 'a
 val roots : t -> node list
 (** Completed top-level trees, oldest first. *)
 
+val now_ns : unit -> int
+(** The monotonic clock in nanoseconds — the one clock the pipeline,
+    the batch driver and the checker time themselves with. Only
+    differences between two readings are meaningful. *)
+
 val self_wall_ns : node -> int
-(** Wall clock not covered by any child. May only be negative if the
-    system clock stepped backwards mid-phase; {!identity_ok} rejects
-    that. *)
+(** Wall clock not covered by any child; never negative, since every
+    sample reads the monotonic clock ({!identity_ok} still checks). *)
 
 val self_alloc_bytes : node -> int
 val self_minor : node -> int
@@ -68,8 +72,7 @@ val fold : ('a -> node -> 'a) -> 'a -> node -> 'a
 
 val scrub : node -> node
 (** Zero every [*_seconds]/[*_bytes]/collection field recursively,
-    keeping names and shape — the profile-report counterpart of
-    {!Span.scrub} for [--deterministic] output. *)
+    keeping names and shape, for [--deterministic] output. *)
 
 val seconds_of_ns : int -> float
 

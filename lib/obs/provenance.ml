@@ -48,7 +48,6 @@ type t = {
 let create () = { tbl = Hashtbl.create 256; final = Hashtbl.create 256 }
 
 let find t uid = Hashtbl.find_opt t.tbl uid
-let final_site t uid = Hashtbl.find_opt t.final uid
 
 let seed prov ~uid ~origin =
   match prov with

@@ -13,10 +13,6 @@
 
 type kind = Unmoved | Useful | Speculative | Duplicated | Spill_inserted
 
-val all_kinds : kind list
-(** Fixed order used for conservation counts and deterministic
-    remainder assignment in {!attribute}. *)
-
 val kind_name : kind -> string
 val pp_kind : kind Fmt.t
 
@@ -77,15 +73,14 @@ type entry = { record : record; block : Gis_ir.Label.t; position : int }
 val entries : t -> entry list
 (** One entry per final instruction, ordered by (block, position). *)
 
-val final_site : t -> int -> (Gis_ir.Label.t * int) option
-
 val missing : t -> Gis_ir.Cfg.t -> int list
 (** Uids present in the CFG with no provenance record — non-empty means
     a pass created instructions without recording them (conservation
     violation; QCheck-tested empty). *)
 
 val counts : t -> (kind * int) list
-(** Final instructions per kind, in {!all_kinds} order; sums to the
+(** Final instructions per kind — useful, speculative, duplicated,
+    spill-inserted, unmoved, in that order; sums to the
     instruction count of the finalized CFG. *)
 
 (** Per-block cycle attribution: the schedule's stall-gap saving in
@@ -102,7 +97,5 @@ type attribution = {
 val attribute : t -> base:Trace.summary -> sched:Trace.summary -> attribution list
 val attribution_total : attribution list -> int
 
-val scores_to_json : scores -> Json.t
-val entry_to_json : entry -> Json.t
 val to_json : t -> Json.t
 val attribution_to_json : attribution list -> Json.t

@@ -39,10 +39,6 @@ val ratio : finding -> float
     current value positive, [1.0] when both are zero, [nan] when either
     side is NaN. *)
 
-val delta : finding -> float
-(** [current -. baseline] — the absolute movement, the honest number
-    when the baseline is zero. *)
-
 type outcome = {
   compared : int;  (** metrics compared *)
   regressions : finding list;  (** beyond tolerance (see above) *)

@@ -13,7 +13,6 @@ type sched_event =
   | Blocked of { uid : int; reason : string }
   | Region_skipped of { region_id : int; reason : string }
   | Block_scheduled of { block : Label.t; cycles : int }
-  | Phase_finished of { phase : string; seconds : float }
 
 type t = { emit : sched_event -> unit }
 
@@ -81,13 +80,6 @@ let event_to_json = function
           ("block", Json.String block);
           ("cycles", Json.Int cycles);
         ]
-  | Phase_finished { phase; seconds } ->
-      Json.Obj
-        [
-          ("event", Json.String "phase_finished");
-          ("phase", Json.String phase);
-          ("seconds", Json.Float seconds);
-        ]
 
 let pp_event ppf = function
   | Candidate_considered { uid; from_block; into_block; speculative } ->
@@ -107,5 +99,3 @@ let pp_event ppf = function
       Fmt.pf ppf "region %d skipped (%s)" region_id reason
   | Block_scheduled { block; cycles } ->
       Fmt.pf ppf "block %a locally scheduled in %d cycles" Label.pp block cycles
-  | Phase_finished { phase; seconds } ->
-      Fmt.pf ppf "phase %s: %.6fs" phase seconds

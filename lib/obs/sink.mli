@@ -3,11 +3,10 @@
     The global and local schedulers narrate what they do — which
     instructions became interblock candidates, which motions committed
     (and whether they were useful or speculative), which were blocked by
-    the Section 5.3 safety rule, which regions were skipped and why, and
-    how long each pipeline phase took. A sink is just a callback; the
-    default {!null} sink costs one indirect call per event, so tracing
-    is always compiled in and enabled by plugging a real sink into
-    [Config.obs]. *)
+    the Section 5.3 safety rule, and which regions were skipped and
+    why. A sink is just a callback; the default {!null} sink costs one
+    indirect call per event, so tracing is always compiled in and
+    enabled by plugging a real sink into [Config.obs]. *)
 
 type sched_event =
   | Candidate_considered of {
@@ -34,7 +33,6 @@ type sched_event =
   | Region_skipped of { region_id : int; reason : string }
   | Block_scheduled of { block : Gis_ir.Label.t; cycles : int }
       (** local post-pass finished a block with the given schedule length *)
-  | Phase_finished of { phase : string; seconds : float }
 
 type t = { emit : sched_event -> unit }
 

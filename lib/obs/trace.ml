@@ -61,18 +61,6 @@ type summary = {
   events : event list;
 }
 
-let empty =
-  {
-    last_issue = 0;
-    interlock_cycles = 0;
-    mem_interlock_cycles = 0;
-    call_interlock_cycles = 0;
-    in_order_instrs = 0;
-    units = [];
-    blocks = [];
-    events = [];
-  }
-
 let unit_busy_total s =
   List.fold_left (fun acc u -> acc + u.busy_stall) 0 s.units
 

@@ -87,8 +87,6 @@ type summary = {
   events : event list;  (** chronological; [[]] unless tracing was on *)
 }
 
-val empty : summary
-
 val unit_busy_total : summary -> int
 (** Sum of [busy_stall] over all unit types. *)
 

@@ -6,10 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
-let length h = h.size
-
-let is_empty h = h.size = 0
-
 let grow h x =
   let cap = Array.length h.data in
   if h.size = cap then begin
@@ -60,5 +56,3 @@ let pop h =
     end;
     Some top
   end
-
-let clear h = h.size <- 0

@@ -11,10 +11,6 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> 'a t
 (** A fresh empty heap. [cmp a b < 0] means [a] pops before [b]. *)
 
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -22,5 +18,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
-
-val clear : 'a t -> unit

@@ -242,8 +242,6 @@ let generate_with params ~seed =
    even when early candidates die of a codegen restriction. *)
 let retry_stride = 7919
 
-let generate ~seed = generate_with default ~seed
-
 let generate_compiled_via ~compile params ~seed =
   let rec try_seed s attempts =
     if attempts = 0 then failwith "Random_prog: generation kept failing"

@@ -40,17 +40,11 @@ val hardened : params
     index, and masked load indices. Termination and print-all-scalars
     guarantees are unchanged. *)
 
-val generate : seed:int -> Gis_frontend.Ast.program
-(** [generate_with default]. *)
-
 val generate_with : params -> seed:int -> Gis_frontend.Ast.program
 
 val generate_compiled : seed:int -> Gis_frontend.Codegen.compiled
 (** Generate and compile; retries with derived seeds in the unlikely
     event the program dies of a codegen restriction. *)
-
-val generate_compiled_with :
-  params -> seed:int -> Gis_frontend.Codegen.compiled
 
 val retry_stride : int
 (** Seed increment between retry candidates: attempt [k] compiles

@@ -42,9 +42,9 @@ let test_workload_identity () =
     (fun (name, (cfg0, input)) ->
       List.iter
         (fun level ->
-          let config = Test_support.config_of_level level in
+          let config = Config.of_level level in
           let b, _ = bound_of_cfg ~machine:rs6k ~config cfg0 input in
-          let ctx = name ^ "/" ^ Test_support.level_name level in
+          let ctx = Fmt.str "%s/%a" name Config.pp_level level in
           Alcotest.(check bool) (ctx ^ " identity") true (Bounds.identity_holds b);
           Alcotest.(check bool)
             (ctx ^ " bound <= achieved") true
@@ -58,7 +58,7 @@ let test_workload_identity () =
             (List.fold_left
                (fun acc (c : Bounds.credit) -> acc + c.Bounds.cycles)
                0 b.Bounds.credits))
-        [ `Local; `Useful; `Speculative ])
+        [ Config.Local; Config.Useful; Config.Speculative ])
     (Test_support.standard_programs ())
 
 (* ---- per-instruction slack is consistent with the region statics ---- *)

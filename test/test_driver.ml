@@ -41,25 +41,23 @@ let parallel_jobs =
    pipeline default. *)
 let golden =
   [
-    ("minmax", `Local, 655, 375, 0, 0, 0);
-    ("minmax", `Useful, 431, 375, 4, 0, 0);
-    ("minmax", `Speculative, 395, 407, 6, 2, 1);
-    ("li", `Local, 8998, 7460, 0, 0, 0);
-    ("li", `Useful, 7657, 7460, 1, 0, 0);
-    ("li", `Speculative, 6646, 7878, 4, 3, 0);
-    ("eqntott", `Local, 8656, 6865, 0, 0, 0);
-    ("eqntott", `Useful, 6837, 6865, 3, 0, 0);
-    ("eqntott", `Speculative, 6837, 7286, 4, 1, 0);
-    ("espresso", `Local, 15375, 15761, 0, 0, 0);
-    ("espresso", `Useful, 15375, 15761, 0, 0, 0);
-    ("espresso", `Speculative, 15375, 15761, 0, 0, 0);
-    ("gcc", `Local, 14760, 14469, 0, 0, 0);
-    ("gcc", `Useful, 14760, 14469, 1, 0, 0);
-    ("gcc", `Speculative, 14332, 14706, 4, 3, 0);
+    ("minmax", Config.Local, 655, 375, 0, 0, 0);
+    ("minmax", Config.Useful, 431, 375, 4, 0, 0);
+    ("minmax", Config.Speculative, 395, 407, 6, 2, 1);
+    ("li", Config.Local, 8998, 7460, 0, 0, 0);
+    ("li", Config.Useful, 7657, 7460, 1, 0, 0);
+    ("li", Config.Speculative, 6646, 7878, 4, 3, 0);
+    ("eqntott", Config.Local, 8656, 6865, 0, 0, 0);
+    ("eqntott", Config.Useful, 6837, 6865, 3, 0, 0);
+    ("eqntott", Config.Speculative, 6837, 7286, 4, 1, 0);
+    ("espresso", Config.Local, 15375, 15761, 0, 0, 0);
+    ("espresso", Config.Useful, 15375, 15761, 0, 0, 0);
+    ("espresso", Config.Speculative, 15375, 15761, 0, 0, 0);
+    ("gcc", Config.Local, 14760, 14469, 0, 0, 0);
+    ("gcc", Config.Useful, 14760, 14469, 1, 0, 0);
+    ("gcc", Config.Speculative, 14332, 14706, 4, 3, 0);
   ]
 
-let config_of_level = Test_support.config_of_level
-let level_name = Test_support.level_name
 let standard_programs = Test_support.standard_programs
 
 let test_golden_schedules () =
@@ -68,7 +66,7 @@ let test_golden_schedules () =
     (fun (name, level, cycles, instrs, moves, spec, renames) ->
       let cfg0, input = List.assoc name programs in
       let cfg = Cfg.deep_copy cfg0 in
-      let stats = Pipeline.run machine (config_of_level level) cfg in
+      let stats = Pipeline.run machine (Config.of_level level) cfg in
       let ms = Pipeline.moves stats in
       let outcome = Simulator.run machine cfg input in
       let got =
@@ -85,7 +83,7 @@ let test_golden_schedules () =
                ms) )
       in
       Alcotest.(check (list int))
-        (Fmt.str "%s @ %s" name (level_name level))
+        (Fmt.str "%s @ %a" name Config.pp_level level)
         [ cycles; instrs; moves; spec; renames ]
         (let a, b, c, d, e = got in
          [ a; b; c; d; e ]))
@@ -246,10 +244,10 @@ let prop_provenance_conservation =
       Label.reset_fresh_counter ();
       let compiled = compile_task task in
       let prov = Provenance.create () in
-      let level = List.nth [ `Local; `Useful; `Speculative ] li in
+      let level = List.nth [ Config.Local; Config.Useful; Config.Speculative ] li in
       let config =
         {
-          (config_of_level level) with
+          (Config.of_level level) with
           Config.unroll_small_loops = unroll;
           rotate_small_loops = unroll;
           regalloc;

@@ -174,8 +174,13 @@ let test_figure7_overhead_sane () =
     (fun (p : Spec_proxy.t) ->
       let compiled = Spec_proxy.compile p in
       let time config =
+        let prof = Gis_obs.Prof.create () in
         let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-        Pipeline.seconds (Pipeline.run machine config cfg)
+        ignore
+          (Pipeline.run machine { config with Config.prof = Some prof } cfg);
+        match Gis_obs.Prof.roots prof with
+        | [ root ] -> Gis_obs.Prof.seconds_of_ns root.Gis_obs.Prof.wall_ns
+        | _ -> Alcotest.fail "expected one profile tree per run"
       in
       let base = time Config.base in
       let full = time Config.speculative in

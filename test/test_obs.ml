@@ -147,27 +147,29 @@ let test_json_float_canonical () =
 (* Span nesting and scrubbing                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Phase spans are Prof nodes: three nested records make one tree. *)
 let nested_span () =
-  let (), outer =
-    Span.time "outer" (fun () ->
-        let (), _inner =
-          Span.time "inner" (fun () ->
-              let (), _leaf = Span.time "leaf" (fun () -> ()) in
-              ())
-        in
-        ())
-  in
-  outer
+  let t = Prof.create () in
+  Prof.record (Some t) "outer" (fun () ->
+      Prof.record (Some t) "inner" (fun () ->
+          Prof.record (Some t) "leaf" (fun () -> ())));
+  match Prof.roots t with
+  | [ outer ] -> outer
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
 type shape = Shape of string * shape list
 
-let rec span_shape (s : Span.t) =
-  Shape (s.Span.name, List.map span_shape s.Span.children)
+let rec span_shape (s : Prof.node) =
+  Shape (s.Prof.name, List.map span_shape s.Prof.children)
 
 let shape name children = Shape (name, children)
 
-let rec all_zero (s : Span.t) =
-  s.Span.seconds = 0.0 && List.for_all all_zero s.Span.children
+let all_zero (s : Prof.node) =
+  Prof.fold
+    (fun ok n ->
+      ok && n.Prof.wall_ns = 0 && n.Prof.alloc_bytes = 0 && n.Prof.minor = 0
+      && n.Prof.major = 0)
+    true s
 
 let test_span_nesting () =
   let outer = nested_span () in
@@ -176,28 +178,25 @@ let test_span_nesting () =
     (span_shape outer
     = shape "outer" [ shape "inner" [ shape "leaf" [] ] ]);
   (* A parent's time includes its children's. *)
-  let inner = List.hd outer.Span.children in
+  let inner = List.hd outer.Prof.children in
   Alcotest.(check bool) "parent >= child" true
-    (outer.Span.seconds >= inner.Span.seconds)
+    (outer.Prof.wall_ns >= inner.Prof.wall_ns)
 
-(* The PR-4 determinism bug: scrub zeroed only the top level, so a
-   nested span leaked wall-clock into --deterministic reports. Pinned:
-   scrubbing is recursive and shape-preserving, and the scrubbed JSON
-   is byte-stable across runs. *)
+(* A scrub that zeroed only the top level would leak wall clock from
+   nested spans into --deterministic reports. Pinned: scrubbing is
+   recursive and shape-preserving, and the scrubbed JSON is byte-stable
+   across runs. *)
 let test_span_scrub_nested () =
-  let scrubbed = Span.scrub [ nested_span () ] in
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "every nested duration zeroed" true (all_zero s))
-    scrubbed;
+  let scrubbed = Prof.scrub (nested_span ()) in
+  Alcotest.(check bool) "every nested duration zeroed" true (all_zero scrubbed);
   Alcotest.(check bool)
     "shape preserved" true
-    (List.map span_shape scrubbed
-    = [ shape "outer" [ shape "inner" [ shape "leaf" [] ] ] ]);
-  let again = Span.scrub [ nested_span () ] in
+    (span_shape scrubbed
+    = shape "outer" [ shape "inner" [ shape "leaf" [] ] ]);
+  let again = Prof.scrub (nested_span ()) in
   Alcotest.(check string) "scrubbed JSON byte-stable"
-    (Json.to_string (Span.to_json scrubbed))
-    (Json.to_string (Span.to_json again))
+    (Json.to_string (Prof.to_json scrubbed))
+    (Json.to_string (Prof.to_json again))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -440,31 +439,6 @@ let test_decision_trace_considers_and_blocks () =
       | Error m -> Alcotest.fail m)
     events
 
-let test_phase_spans () =
-  let stats, events = traced_pipeline Config.Speculative in
-  let names = List.map (fun (s : Span.t) -> s.Span.name) stats.Pipeline.phases in
-  Alcotest.(check (list string)) "the five pipeline phases, in order"
-    Pipeline.phase_names names;
-  List.iter
-    (fun (s : Span.t) ->
-      Alcotest.(check bool) (s.Span.name ^ " non-negative") true
-        (s.Span.seconds >= 0.0))
-    stats.Pipeline.phases;
-  let total =
-    List.fold_left (fun acc (s : Span.t) -> acc +. s.Span.seconds) 0.0
-      stats.Pipeline.phases
-  in
-  Alcotest.(check (float 1e-9)) "seconds is the phase sum" total
-    (Pipeline.seconds stats);
-  (* The sink heard about each phase too. *)
-  let finished =
-    List.filter_map
-      (function Sink.Phase_finished { phase; _ } -> Some phase | _ -> None)
-      events
-  in
-  Alcotest.(check (list string)) "Phase_finished events match"
-    Pipeline.phase_names finished
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -687,6 +661,5 @@ let () =
             test_decision_trace_replays_moves;
           Alcotest.test_case "considers and blocks" `Quick
             test_decision_trace_considers_and_blocks;
-          Alcotest.test_case "phase spans" `Quick test_phase_spans;
         ] );
     ]

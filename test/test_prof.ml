@@ -164,6 +164,93 @@ let test_prof_pipeline_tree () =
       Alcotest.(check bool) "regions recorded" true (region_nodes > 0)
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
+(* The pipeline's phases in the profile: the five standard phases in
+   [Pipeline.phase_names] order at BASE (where four of them only decide
+   to skip) and at the speculative level, no negative time anywhere,
+   and the phases summing to no more than the whole run. *)
+let test_prof_phase_order () =
+  let compiled = Codegen.compile_string Minmax.source in
+  List.iter
+    (fun (label, config) ->
+      let prof = Prof.create () in
+      let cfg = Cfg.deep_copy compiled.Codegen.cfg in
+      ignore (Pipeline.run machine { config with Config.prof = Some prof } cfg);
+      match Prof.roots prof with
+      | [ root ] ->
+          Alcotest.(check (list string))
+            (label ^ ": the five pipeline phases, in order")
+            Pipeline.phase_names
+            (List.map (fun (n : Prof.node) -> n.Prof.name) root.Prof.children);
+          Alcotest.(check bool)
+            (label ^ ": no negative time") true
+            (Prof.fold
+               (fun ok n -> ok && n.Prof.wall_ns >= 0 && Prof.self_wall_ns n >= 0)
+               true root);
+          Alcotest.(check bool)
+            (label ^ ": children sum within the root") true
+            (List.fold_left
+               (fun acc (n : Prof.node) -> acc + n.Prof.wall_ns)
+               0 root.Prof.children
+            <= root.Prof.wall_ns);
+          Alcotest.(check bool)
+            (label ^ ": identity") true (Prof.identity_ok root)
+      | roots -> Alcotest.failf "expected one root, got %d" (List.length roots))
+    [ ("base", Config.base); ("speculative", Config.speculative) ]
+
+(* `gisc --stats` attaches the profiler, and its report's "profile"
+   object is the only place phase times appear: it must list every
+   pipeline phase and satisfy the accounting identity. The JSON carries
+   seconds, so each node is rebuilt with wall clock back in integer
+   nanoseconds (exact at these magnitudes) for [Prof.identity_ok]. *)
+let test_gisc_stats_profile () =
+  let out = Filename.temp_file "gisc_stats" ".json" in
+  let cmd =
+    Filename.quote_command ~stdout:Filename.null
+      Filename.(concat (dirname Sys.executable_name) "../bin/gisc.exe")
+      [ "--workload"; "minmax"; "--simulate"; "--stats"; out ]
+  in
+  Alcotest.(check int) "gisc exits 0" 0 (Sys.command cmd);
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  let field name j =
+    match Json.member name j with
+    | Some v -> v
+    | None -> Alcotest.failf "profile node lacks %S" name
+  in
+  let int name j =
+    match field name j with
+    | Json.Int n -> n
+    | _ -> Alcotest.failf "%S is not an integer" name
+  in
+  let rec node j =
+    {
+      Prof.name =
+        (match field "name" j with
+        | Json.String s -> s
+        | _ -> Alcotest.fail "name is not a string");
+      wall_ns =
+        (match field "wall_seconds" j with
+        | Json.Float f -> int_of_float (Float.round (f *. 1e9))
+        | Json.Int n -> n * 1_000_000_000
+        | _ -> Alcotest.fail "wall_seconds is not a number");
+      alloc_bytes = int "alloc_bytes" j;
+      minor = int "minor_collections" j;
+      major = int "major_collections" j;
+      children =
+        List.map node
+          (Option.fold ~none:[] ~some:Json.to_list (Json.member "children" j));
+    }
+  in
+  match Json.of_string text with
+  | Error e -> Alcotest.fail e
+  | Ok report ->
+      let root = node (field "profile" report) in
+      Alcotest.(check string) "root" "pipeline" root.Prof.name;
+      Alcotest.(check (list string))
+        "every phase listed" Pipeline.phase_names
+        (List.map (fun (n : Prof.node) -> n.Prof.name) root.Prof.children);
+      Alcotest.(check bool) "identity" true (Prof.identity_ok root)
+
 (* Pinned: a detached profiler must not perturb the schedule at all. *)
 let test_prof_none_schedule_identical () =
   List.iter
@@ -221,7 +308,7 @@ let qtest name prop =
 
 let test_flight_ring () =
   Flight.clear ();
-  Alcotest.(check int) "empty after clear" 0 (List.length (Flight.dump ()));
+  Alcotest.(check int) "empty after clear" 0 (List.length (Flight.dump_messages ()));
   Flight.note "one";
   Flight.notef "two %d" 2;
   Alcotest.(check (list string))
@@ -259,7 +346,7 @@ let test_flight_capacity () =
   Alcotest.(check int) "recorded counts all" 5 (Flight.recorded_of r);
   Alcotest.(check (list string))
     "ring keeps newest 3" [ "n3"; "n4"; "n5" ]
-    (List.map (fun (e : Flight.entry) -> e.Flight.msg) (Flight.dump_of r));
+    (Flight.dump_of r);
   Flight.clear_of r;
   Alcotest.(check int) "clear empties" 0 (List.length (Flight.dump_of r));
   Alcotest.check_raises "capacity must be positive"
@@ -284,8 +371,8 @@ let test_flight_domain_isolation () =
 let test_flight_sink () =
   Flight.clear ();
   let sink = Flight.sink () in
-  sink.Sink.emit (Sink.Phase_finished { phase = "local"; seconds = 0.0 });
-  Alcotest.(check int) "event mirrored" 1 (List.length (Flight.dump ()));
+  sink.Sink.emit (Sink.Block_scheduled { block = "BL1"; cycles = 3 });
+  Alcotest.(check int) "event mirrored" 1 (List.length (Flight.dump_messages ()));
   Flight.clear ()
 
 (* ------------------------------------------------------------------ *)
@@ -548,6 +635,9 @@ let () =
           Alcotest.test_case "scrub and json" `Quick test_prof_scrub_and_json;
           Alcotest.test_case "folded stacks" `Quick test_prof_folded;
           Alcotest.test_case "pipeline tree" `Quick test_prof_pipeline_tree;
+          Alcotest.test_case "phases in order" `Quick test_prof_phase_order;
+          Alcotest.test_case "gisc --stats profile" `Quick
+            test_gisc_stats_profile;
           Alcotest.test_case "detached profiler pins schedule" `Quick
             test_prof_none_schedule_identical;
           qtest "identity holds: local" (prop_identity Config.base);

@@ -4,7 +4,6 @@
    corpus — previously duplicated per file. *)
 
 open Gis_machine
-open Gis_core
 open Gis_sim
 open Gis_frontend
 open Gis_workloads
@@ -23,16 +22,6 @@ let baseline_compiled seed =
 let baseline_and_input seed =
   let compiled, input = baseline_compiled seed in
   (compiled.Codegen.cfg, input)
-
-let config_of_level = function
-  | `Local -> Config.base
-  | `Useful -> Config.useful_only
-  | `Speculative -> Config.speculative
-
-let level_name = function
-  | `Local -> "local"
-  | `Useful -> "useful"
-  | `Speculative -> "speculative"
 
 let minmax_elements =
   let rng = Prng.create ~seed:5 in
