@@ -81,10 +81,9 @@ let m_rule_order_fallback =
   Gis_obs.Metrics.counter "priority.rule_decides_total.order-fallback"
 
 let tally_decision ~rules winner runner_up =
-  if Gis_obs.Metrics.is_enabled () then
-    match Priority.deciding_rule ~rules winner runner_up with
-    | Some r -> Gis_obs.Metrics.incr (List.assoc r m_rule_decides)
-    | None -> Gis_obs.Metrics.incr m_rule_order_fallback
+  match Priority.deciding_rule ~rules winner runner_up with
+  | Some r -> Gis_obs.Metrics.incr (List.assoc r m_rule_decides)
+  | None -> Gis_obs.Metrics.incr m_rule_order_fallback
 
 let blocked_reason = function
   | `Live_on_exit r -> Fmt.str "%a live on exit" Reg.pp r
@@ -119,7 +118,6 @@ type state = {
   heur : Heuristics.t;
   order_of : int array;  (** ddg node -> original program order *)
   home : int array;  (** ddg node -> current view node *)
-  issue : int array;  (** ddg node -> issue cycle within its block pass *)
   done_ : bool array;  (** ddg node -> dependences from it are fulfilled *)
   current : Instr.t option array;  (** possibly renamed instruction *)
   mutable liveness : Liveness.t option;
@@ -212,7 +210,6 @@ let make_state ?sym machine config cfg regions view =
     heur;
     order_of;
     home = Array.init n (fun i -> (Ddg.node ddg i).Ddg.view_node);
-    issue = Array.make n (-1);
     done_ = Array.make n false;
     current = Array.init n (fun i -> (Ddg.node ddg i).Ddg.instr);
     liveness = None;
@@ -437,105 +434,55 @@ let schedule_block st a blk_id =
     | None -> failwith "Global_sched: terminator not in DDG"
   in
   (* Candidate set: own instructions plus importable ones. *)
-  let candidate = Array.make (Array.length st.home) false in
-  List.iter (fun i -> candidate.(i) <- true) own;
+  let imports = ref [] in
   let import_ok ~spec_src i =
     match st.current.(i) with
     | None -> false
     | Some inst ->
-        st.issue.(i) = -1 && (not st.done_.(i))
+        (not st.done_.(i))
         &&
         if spec_src then Instr.speculable inst
         else Instr.movable_across_blocks inst
   in
-  let consider ~speculative i v =
-    candidate.(i) <- true;
-    match st.current.(i) with
-    | Some inst ->
-        emit st
-          (Gis_obs.Sink.Candidate_considered
-             {
-               uid = Instr.uid inst;
-               from_block =
-                 Option.value ~default:blk.Block.label (view_label st v);
-               into_block = blk.Block.label;
-               speculative;
-             })
-    | None -> ()
+  let consider ~speculative ~ok blocks =
+    List.iter
+      (fun v ->
+        List.iter
+          (fun i ->
+            if st.home.(i) = v && import_ok ~spec_src:speculative i && ok v i
+            then begin
+              imports := i :: !imports;
+              match st.current.(i) with
+              | Some inst ->
+                  emit st
+                    (Gis_obs.Sink.Candidate_considered
+                       {
+                         uid = Instr.uid inst;
+                         from_block =
+                           Option.value ~default:blk.Block.label
+                             (view_label st v);
+                         into_block = blk.Block.label;
+                         speculative;
+                       })
+              | None -> ()
+            end)
+          (Ddg.nodes_of_view_node st.ddg v))
+      blocks
   in
-  (match st.config.Config.level with
-  | Config.Local -> ()
-  | Config.Useful | Config.Speculative ->
-      List.iter
-        (fun e ->
-          List.iter
-            (fun i ->
-              if st.home.(i) = e && import_ok ~spec_src:false i then
-                consider ~speculative:false i e)
-            (Ddg.nodes_of_view_node st.ddg e))
-        equiv;
-      List.iter
-        (fun s ->
-          List.iter
-            (fun i ->
-              if st.home.(i) = s && import_ok ~spec_src:true i then
-                consider ~speculative:true i s)
-            (Ddg.nodes_of_view_node st.ddg s))
-        spec;
-      List.iter
-        (fun d ->
-          List.iter
-            (fun i ->
-              if
-                st.home.(i) = d
-                && import_ok ~spec_src:true i
-                && duplication_sources_ok st ~join:d i
-              then consider ~speculative:true i d)
-            (Ddg.nodes_of_view_node st.ddg d))
-        dup);
-  (* Per-candidate dependence bookkeeping. A candidate whose
-     predecessor is neither fulfilled nor a candidate can never become
-     ready during this block pass. *)
-  let n = Array.length st.home in
-  let pending = Array.make n 0 in
-  let ready_at = Array.make n 0 in
-  let barred = Array.make n false in
-  for i = 0 to n - 1 do
-    if candidate.(i) && st.issue.(i) = -1 then
-      List.iter
-        (fun (e : Ddg.edge) ->
-          let p = e.Ddg.src in
-          if st.done_.(p) then ()
-          else if candidate.(p) then pending.(i) <- pending.(i) + 1
-          else barred.(i) <- true)
-        (Ddg.preds st.ddg i)
-  done;
-  let emitted = Vec.create () in
-  let own_left =
-    ref (List.length (List.filter (fun i -> st.issue.(i) = -1) own))
-  in
-  let cycle = ref 0 in
-  let unit_of i =
-    match st.current.(i) with
-    | Some ins -> Instr.unit_ty ins
-    | None -> Instr.Fixed
-  in
-  let is_own i = st.home.(i) = a in
-  let finished = ref false in
-  (* Ready-list machinery. Candidates whose dependences are satisfied
-     sit in [ready_h], a heap ordered by the paper's rank heuristics
-     (rules 1-7, [Program_order] as the strict final arbiter, so pop
-     order is a total order independent of insertion order); candidates
-     whose operands become available at a known future cycle wait in
-     [waiting] keyed by that cycle. A node's [ready_at] is final once
-     its last in-flight predecessor has issued, which is exactly when it
-     is released, so [waiting] keys never go stale. Without the
-     pressure term, [item]'s fields are likewise fixed for the lifetime
-     of a heap entry: [home] changes only when a node issues, and
-     issued nodes never re-enter a heap. The [pressure] field, however,
-     reads the lazy liveness that every motion invalidates, so under
-     [pressure_aware] each applied motion must re-key surviving heap
-     entries (see [rekey_ready]) or pops would follow stale ranks. *)
+  (* No level guard: [schedule_region] never runs a block pass at
+     [Local], and [spec] and [dup] are empty below [Speculative]. *)
+  consider ~speculative:false ~ok:(fun _ _ -> true) equiv;
+  consider ~speculative:true ~ok:(fun _ _ -> true) spec;
+  consider ~speculative:true
+    ~ok:(fun d i -> duplication_sources_ok st ~join:d i)
+    dup;
+  (* Without the pressure term, [item]'s fields are fixed for the
+     lifetime of a queued entry: [home] changes only when a node
+     issues. The [pressure] field, however, reads the lazy liveness
+     that every motion invalidates, so under [pressure_aware] each
+     applied motion answers [Accept_rekeyed] and the engine re-keys the
+     surviving entries; otherwise pop order follows the original keys,
+     keeping the golden schedules byte-identical. *)
   let pressure_budget cls =
     match st.config.Config.regs with
     | Some n when cls <> Reg.Cr -> n
@@ -567,312 +514,146 @@ let schedule_block st a blk_id =
       Priority_rule.Min_pressure :: st.config.Config.rules
     else st.config.Config.rules
   in
-  let ready_h = Heap.create ~cmp:(Priority.compare ~rules) in
-  let waiting = Heap.create ~cmp:(fun (ra, _) (rb, _) -> Int.compare ra rb) in
-  let deferred = ref [] in
-  (* An applied motion invalidates the lazy liveness backing the
-     pressure term, leaving entries already in the heaps with stale
-     rank keys; rebuild every surviving entry with a fresh [item].
-     Skipped entirely when pressure-aware scheduling is off: all keys
-     are then immutable and pop order is untouched, keeping the golden
-     schedules byte-identical. *)
-  let rekey_ready () =
-    if st.config.Config.pressure_aware then begin
-      let rec drain h acc =
-        match Heap.pop h with Some x -> drain h (x :: acc) | None -> acc
+  (* Own instructions issue unconditionally; an import first has to
+     pass the legality checks of its motion kind, and is then moved. *)
+  let commit (it : Priority.item) =
+    let i = it.Priority.node in
+    if st.home.(i) = a then List_sched.Accept
+    else begin
+      let speculative = not (List.mem st.home.(i) useful_homes) in
+      let inst =
+        match st.current.(i) with Some x -> x | None -> assert false
       in
-      List.iter
-        (fun it -> Heap.push ready_h (item it.Priority.node))
-        (drain ready_h []);
-      List.iter
-        (fun (r, it) -> Heap.push waiting (r, item it.Priority.node))
-        (drain waiting []);
-      deferred := List.map (fun it -> item it.Priority.node) !deferred
-    end
-  in
-  let release i =
-    if i <> term_node && candidate.(i) && (not barred.(i)) && st.issue.(i) = -1
-    then begin
-      let it = item i in
-      if ready_at.(i) <= !cycle then Heap.push ready_h it
-      else Heap.push waiting (ready_at.(i), it)
-    end
-  in
-  for i = 0 to n - 1 do
-    if candidate.(i) && st.issue.(i) = -1 && pending.(i) = 0 then release i
-  done;
-  while not !finished do
-    if !cycle > 200_000 then failwith "Global_sched: no progress";
-    let slots = Hashtbl.create 3 in
-    let slots_left u =
-      match Hashtbl.find_opt slots u with
-      | Some k -> k
-      | None -> Machine.units st.machine u
-    in
-    let take_slot u = Hashtbl.replace slots u (slots_left u - 1) in
-    (* Start-of-cycle: operands newly available this cycle, plus
-       candidates shut out by unit saturation last cycle (units never
-       free up mid-cycle, so they could not have issued any earlier). *)
-    List.iter (Heap.push ready_h) !deferred;
-    deferred := [];
-    let rec drain_waiting () =
-      match Heap.peek waiting with
-      | Some (r, _) when r <= !cycle -> (
-          match Heap.pop waiting with
-          | Some (_, it) ->
-              Heap.push ready_h it;
-              drain_waiting ()
-          | None -> ())
-      | Some _ | None -> ()
-    in
-    drain_waiting ();
-    let basic_ready i =
-      candidate.(i) && (not barred.(i)) && st.issue.(i) = -1
-      && pending.(i) = 0
-      && ready_at.(i) <= !cycle
-      && slots_left (unit_of i) > 0
-    in
-    (* The terminator waits for the block's own instructions — and
-       yields to ready duplication candidates, which are free to take
-       (the join shrinks on every path) but would otherwise lose the
-       race against a delay-less jump. Useful/speculative candidates
-       get no such priority: their interplay with the terminator is
-       exactly the paper's, keeping the Figure 5/6 schedules intact.
-       [dup] is almost always empty, so the linear scan is off the hot
-       path. *)
-    let dup_ready_exists () =
-      dup <> []
-      && List.exists
-           (fun i -> basic_ready i && List.mem st.home.(i) dup)
-           (List.init n Fun.id)
-    in
-    let term_item () =
-      if
-        !own_left = 1
-        && candidate.(term_node)
-        && (not barred.(term_node))
-        && st.issue.(term_node) = -1
-        && pending.(term_node) = 0
-        && ready_at.(term_node) <= !cycle
-        && slots_left (unit_of term_node) > 0
-        && not (dup_ready_exists ())
-      then Some (item term_node)
-      else None
-    in
-    (* Best heap entry that can still issue this cycle; entries whose
-       unit is saturated move to [deferred] for the next cycle. *)
-    let rec pick_ready () =
-      match Heap.pop ready_h with
-      | None -> None
-      | Some it ->
-          let i = it.Priority.node in
-          if (not candidate.(i)) || st.issue.(i) <> -1 then pick_ready ()
-          else if slots_left (unit_of i) > 0 then Some it
-          else begin
-            deferred := it :: !deferred;
-            pick_ready ()
-          end
-    in
-    (* Best still-live entry left in the heap — the tie-break
-       counters' runner-up. Popped entries go straight back; the
-       comparator is total and deterministic, so re-pushing cannot
-       perturb pop order. Only scanned when metrics are on. *)
-    let runner_up () =
-      if not (Gis_obs.Metrics.is_enabled ()) then None
-      else begin
-        let popped = ref [] in
-        let rec go () =
-          match Heap.pop ready_h with
-          | None -> None
-          | Some it ->
-              popped := it :: !popped;
-              let i = it.Priority.node in
-              if candidate.(i) && st.issue.(i) = -1 then Some it else go ()
+      let needs_duplication = List.mem st.home.(i) dup in
+      (* A duplication motion additionally needs the instruction's
+         definitions out of the way of every copy host's branch. *)
+      let copy_hosts =
+        if not needs_duplication then []
+        else
+          List.filter
+            (fun p -> p <> a)
+            st.view.Regions.flow.Flow.pred.(st.home.(i))
+      in
+      let copy_hosts_ok =
+        List.for_all
+          (fun p ->
+            match st.view.Regions.nodes.(p) with
+            | Regions.Block pb ->
+                let term = (Cfg.block st.cfg pb).Block.term in
+                List.for_all
+                  (fun r ->
+                    not (List.exists (Reg.equal r) (Instr.uses term)))
+                  (Instr.defs inst)
+            | Regions.Inner_loop _ -> false)
+          copy_hosts
+      in
+      let verdict =
+        if needs_duplication && not copy_hosts_ok then
+          Unsafe
+            {
+              blocked_uid = Instr.uid inst;
+              reason =
+                `Live_on_exit
+                  (match Instr.defs inst with
+                  | r :: _ -> r
+                  | [] -> assert false);
+            }
+        else if speculative then
+          check_speculative st ~target_block:blk_id inst
+        else Safe
+      in
+      let place_copies placed =
+        List.iter
+          (fun p ->
+            match st.view.Regions.nodes.(p) with
+            | Regions.Block pb ->
+                let copy = Cfg.copy_instr st.cfg placed in
+                Gis_obs.Metrics.incr m_dup_copies;
+                Gis_obs.Provenance.duplicated st.config.Config.prov
+                  ~orig:(Instr.uid placed) ~copy:(Instr.uid copy)
+                  ~block:(Cfg.block st.cfg pb).Block.label;
+                if Ints.Int_set.mem p st.processed then
+                  Vec.push (Cfg.block st.cfg pb).Block.body copy
+                else
+                  Hashtbl.replace st.pending_copies p
+                    (copy
+                    :: Option.value ~default:[]
+                         (Hashtbl.find_opt st.pending_copies p))
+            | Regions.Inner_loop _ -> assert false)
+          copy_hosts;
+        if copy_hosts <> [] then invalidate_dataflow st
+      in
+      (* Provenance: the committed motion with the heap entry's
+         decision-time ranks. Reads the move record [apply_motion]
+         just pushed, so rename and duplication details are exact. *)
+      let record_motion () =
+        match st.config.Config.prov, st.moves with
+        | None, _ | _, [] -> ()
+        | (Some _ as prov), m :: _ ->
+            Gis_obs.Provenance.moved prov ~uid:m.uid
+              ~kind:
+                (if needs_duplication then Gis_obs.Provenance.Duplicated
+                 else if speculative then Gis_obs.Provenance.Speculative
+                 else Gis_obs.Provenance.Useful)
+              ~scores:
+                {
+                  Gis_obs.Provenance.d = it.Priority.d;
+                  cp = it.Priority.cp;
+                  order = it.Priority.order;
+                  pressure = it.Priority.pressure;
+                }
+              ~renamed:(m.renamed <> None) ~from:m.from_label ()
+      in
+      let hosts_labels =
+        List.filter_map
+          (fun p ->
+            match st.view.Regions.nodes.(p) with
+            | Regions.Block pb -> Some (Cfg.block st.cfg pb).Block.label
+            | Regions.Inner_loop _ -> None)
+          copy_hosts
+      in
+      let move rename =
+        let placed =
+          apply_motion st ~node:i ~target_blk:blk ~speculative ~rename
+            ~duplicated_into:hosts_labels
         in
-        let res = go () in
-        List.iter (Heap.push ready_h) !popped;
-        res
-      end
-    in
-    let pick () =
-      match pick_ready (), term_item () with
-      | None, t -> t
-      | (Some it as s), None ->
-          (match runner_up () with
-          | Some other -> tally_decision ~rules it other
-          | None -> ());
-          s
-      | (Some it as s), (Some t as tt) ->
-          if Priority.compare ~rules t it < 0 then begin
-            tally_decision ~rules t it;
-            Heap.push ready_h it;
-            tt
-          end
-          else begin
-            tally_decision ~rules it t;
-            s
-          end
-    in
-    let rec step () =
-      if !finished then ()
-      else
-        match pick () with
-        | None -> ()
-        | Some it ->
-          let i = it.Priority.node in
-          let accept ~was_own =
-            st.issue.(i) <- !cycle;
-            take_slot (unit_of i);
-            Vec.push emitted i;
-            if was_own then decr own_left;
-            List.iter
-              (fun (e : Ddg.edge) ->
-                if candidate.(e.Ddg.dst) then begin
-                  pending.(e.Ddg.dst) <- pending.(e.Ddg.dst) - 1;
-                  let avail =
-                    match e.Ddg.kind with
-                    | Ddg.Flow ->
-                        !cycle + Ddg.exec_time st.ddg i + e.Ddg.delay
-                    | Ddg.Anti | Ddg.Output | Ddg.Mem -> !cycle + e.Ddg.delay
-                  in
-                  ready_at.(e.Ddg.dst) <- max ready_at.(e.Ddg.dst) avail;
-                  if pending.(e.Ddg.dst) = 0 then release e.Ddg.dst
-                end)
-              (Ddg.succs st.ddg i);
-            st.done_.(i) <- true;
-            if i = term_node then finished := true
-          in
-          (if is_own i then accept ~was_own:true
-          else begin
-            let speculative = not (List.mem st.home.(i) useful_homes) in
-            let inst =
-              match st.current.(i) with Some x -> x | None -> assert false
-            in
-            let needs_duplication = List.mem st.home.(i) dup in
-            (* A duplication motion additionally needs the instruction's
-               definitions out of the way of every copy host's branch. *)
-            let copy_hosts =
-              if not needs_duplication then []
-              else
-                List.filter
-                  (fun p -> p <> a)
-                  st.view.Regions.flow.Flow.pred.(st.home.(i))
-            in
-            let copy_hosts_ok =
-              List.for_all
-                (fun p ->
-                  match st.view.Regions.nodes.(p) with
-                  | Regions.Block pb ->
-                      let term = (Cfg.block st.cfg pb).Block.term in
-                      List.for_all
-                        (fun r ->
-                          not (List.exists (Reg.equal r) (Instr.uses term)))
-                        (Instr.defs inst)
-                  | Regions.Inner_loop _ -> false)
-                copy_hosts
-            in
-            let verdict =
-              if needs_duplication && not copy_hosts_ok then
-                Unsafe
-                  {
-                    blocked_uid = Instr.uid inst;
-                    reason =
-                      `Live_on_exit
-                        (match Instr.defs inst with
-                        | r :: _ -> r
-                        | [] -> assert false);
-                  }
-              else if speculative then
-                check_speculative st ~target_block:blk_id inst
-              else Safe
-            in
-            let place_copies placed =
-              List.iter
-                (fun p ->
-                  match st.view.Regions.nodes.(p) with
-                  | Regions.Block pb ->
-                      let copy = Cfg.copy_instr st.cfg placed in
-                      Gis_obs.Metrics.incr m_dup_copies;
-                      Gis_obs.Provenance.duplicated st.config.Config.prov
-                        ~orig:(Instr.uid placed) ~copy:(Instr.uid copy)
-                        ~block:(Cfg.block st.cfg pb).Block.label;
-                      if Ints.Int_set.mem p st.processed then
-                        Vec.push (Cfg.block st.cfg pb).Block.body copy
-                      else
-                        Hashtbl.replace st.pending_copies p
-                          (copy
-                          :: Option.value ~default:[]
-                               (Hashtbl.find_opt st.pending_copies p))
-                  | Regions.Inner_loop _ -> assert false)
-                copy_hosts;
-              if copy_hosts <> [] then invalidate_dataflow st
-            in
-            (* Provenance: the committed motion with the heap entry's
-               decision-time ranks. Reads the move record [apply_motion]
-               just pushed, so rename and duplication details are exact. *)
-            let record_motion () =
-              match st.config.Config.prov, st.moves with
-              | None, _ | _, [] -> ()
-              | (Some _ as prov), m :: _ ->
-                  Gis_obs.Provenance.moved prov ~uid:m.uid
-                    ~kind:
-                      (if needs_duplication then Gis_obs.Provenance.Duplicated
-                       else if speculative then Gis_obs.Provenance.Speculative
-                       else Gis_obs.Provenance.Useful)
-                    ~scores:
-                      {
-                        Gis_obs.Provenance.d = it.Priority.d;
-                        cp = it.Priority.cp;
-                        order = it.Priority.order;
-                        pressure = it.Priority.pressure;
-                      }
-                    ~renamed:(m.renamed <> None) ~from:m.from_label ()
-            in
-            let hosts_labels =
-              List.filter_map
-                (fun p ->
-                  match st.view.Regions.nodes.(p) with
-                  | Regions.Block pb -> Some (Cfg.block st.cfg pb).Block.label
-                  | Regions.Inner_loop _ -> None)
-                copy_hosts
-            in
-            match verdict with
-            | Safe ->
-                let placed =
-                  apply_motion st ~node:i ~target_blk:blk ~speculative
-                    ~rename:None ~duplicated_into:hosts_labels
-                in
-                record_motion ();
-                place_copies placed;
-                st.home.(i) <- a;
-                accept ~was_own:false;
-                rekey_ready ()
-            | Safe_with_rename (r, uses) ->
-                let placed =
-                  apply_motion st ~node:i ~target_blk:blk ~speculative
-                    ~rename:(Some (r, uses)) ~duplicated_into:hosts_labels
-                in
-                record_motion ();
-                place_copies placed;
-                st.home.(i) <- a;
-                accept ~was_own:false;
-                rekey_ready ()
-            | Unsafe b ->
-                Gis_obs.Metrics.incr m_blocked;
-                st.blocked_log <- b :: st.blocked_log;
-                emit st
-                  (Gis_obs.Sink.Blocked
-                     { uid = b.blocked_uid; reason = blocked_reason b.reason });
-                candidate.(i) <- false
-          end);
-          step ()
-    in
-    step ();
-    incr cycle
-  done;
+        record_motion ();
+        place_copies placed;
+        st.home.(i) <- a;
+        if st.config.Config.pressure_aware then List_sched.Accept_rekeyed
+        else List_sched.Accept
+      in
+      match verdict with
+      | Safe -> move None
+      | Safe_with_rename (r, uses) -> move (Some (r, uses))
+      | Unsafe b ->
+          Gis_obs.Metrics.incr m_blocked;
+          st.blocked_log <- b :: st.blocked_log;
+          emit st
+            (Gis_obs.Sink.Blocked
+               { uid = b.blocked_uid; reason = blocked_reason b.reason });
+          List_sched.Reject
+    end
+  in
+  (* The terminator waits for the block's own instructions — and
+     yields to ready duplication candidates, which are free to take
+     (the join shrinks on every path) but would otherwise lose the
+     race against a delay-less jump. Useful/speculative candidates
+     get no such priority: their interplay with the terminator is
+     exactly the paper's, keeping the Figure 5/6 schedules intact. *)
+  let yields_to = List.filter (fun i -> List.mem st.home.(i) dup) !imports in
+  let emitted, _ =
+    List_sched.run ~fulfilled:(fun p -> st.done_.(p)) ~yields_to
+      ?tally:
+        (if Gis_obs.Metrics.is_enabled () then Some (tally_decision ~rules)
+         else None)
+      ~machine:st.machine ~rules ~item ~commit ~own ~imports:!imports
+      ~term:term_node st.ddg
+  in
+  List.iter (fun i -> st.done_.(i) <- true) emitted;
   (* Rewrite the block body in emission order; the terminator stays in
      place as the block's [term]. *)
-  let order = List.filter (fun i -> i <> term_node) (Vec.to_list emitted) in
+  let order = List.filter (fun i -> i <> term_node) emitted in
   Vec.clear blk.Block.body;
   List.iter
     (fun i ->

@@ -1,10 +1,12 @@
 (** The basic block (local) scheduler.
 
-    A classic list scheduler over the intra-block dependence graph with
-    the D/CP priority heuristics. The paper's BASE compiler runs this on
-    every block; the global scheduler also runs it as a post-pass,
-    because global decisions "are not necessarily optimal in a local
-    context" (Section 5.1). Functional units are fully pipelined: each
+    The shared list scheduler ({!List_sched}) run over one block's
+    intra-block dependence graph with the D/CP priority heuristics: the
+    global pass's loop with the block's own instructions as the only
+    candidates. The paper's BASE compiler runs this on every block; the
+    global scheduler also runs it as a post-pass, because global
+    decisions "are not necessarily optimal in a local context"
+    (Section 5.1). Functional units are fully pipelined: each
     unit issues at most one instruction per cycle, execution times affect
     only result availability. *)
 
@@ -35,8 +37,3 @@ val schedule_cfg :
     {!Gis_obs.Sink.null}). [disambig] (default [true]) runs the
     symbolic address analysis once for the procedure and shares it
     across blocks. *)
-
-val block_schedule_length :
-  Gis_machine.Machine.t -> Gis_ir.Block.t -> int
-(** Schedule length the list scheduler would achieve, without mutating
-    the block — a static per-block cycle estimate. *)

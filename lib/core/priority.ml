@@ -28,11 +28,3 @@ let deciding_rule ~rules a b =
     | r :: rest -> if apply_rule r a b <> 0 then Some r else go rest
   in
   go rules
-
-let best ~rules = function
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun acc x -> if compare ~rules x acc < 0 then x else acc)
-           first rest)

@@ -27,5 +27,3 @@ val deciding_rule :
     rule that actually broke the tie when one of them was picked over
     the other. [None] when every rule ties and the pick fell through
     to the final program-order arbiter. *)
-
-val best : rules:Priority_rule.t list -> item list -> item option

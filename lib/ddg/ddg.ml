@@ -247,115 +247,101 @@ let mem_delay_fn machine (nodes : node array) a b =
   | Some p, Some c -> Gis_machine.Machine.mem_delay machine ~producer:p ~consumer:c
   | None, _ | _, None -> 0
 
-let build_single_block ?sym machine (blk : Block.t) =
-  let nodes_v = Vec.create () in
-  let mem_v = Vec.create () in
-  let exec_v = Vec.create () in
+(* The node table under construction: one entry per node, with its
+   memory access and execution time at the same index. *)
+type table = {
+  t_nodes : node Vec.t;
+  t_mem : Alias.access option Vec.t;
+  t_exec : int Vec.t;
+}
+
+let new_table () =
+  { t_nodes = Vec.create (); t_mem = Vec.create (); t_exec = Vec.create () }
+
+let add_node tbl ~uid ~instr ~view_node ~pos ~defs ~uses ~mem ~exec =
+  let idx = Vec.length tbl.t_nodes in
+  Vec.push tbl.t_nodes { idx; uid; instr; view_node; pos; defs; uses };
+  Vec.push tbl.t_mem mem;
+  Vec.push tbl.t_exec exec;
+  idx
+
+(* One node per instruction of [blk], terminator last; returns their
+   indices in program order. A memory access is versioned by the
+   block-local definitions of its base register before it. Shared by
+   the region builder and the single-block builder. *)
+let add_block_nodes machine tbl ~view_node (blk : Block.t) =
   let versions = Hashtbl.create 8 in
   let version_of (r : Reg.t) =
     Option.value ~default:(-1) (Hashtbl.find_opt versions (Reg.hash r))
   in
+  let idxs = ref [] and pos = ref 0 in
   let visit i =
-    let idx = Vec.length nodes_v in
-    Vec.push nodes_v
-      {
-        idx;
-        uid = Instr.uid i;
-        instr = Some i;
-        view_node = 0;
-        pos = idx;
-        defs = Reg.Set.of_list (Instr.defs i);
-        uses = Reg.Set.of_list (Instr.uses i);
-      };
-    Vec.push mem_v (Alias.access_of_instr ~version_of i);
-    Vec.push exec_v (Gis_machine.Machine.exec_time machine i);
+    let mem = Alias.access_of_instr ~version_of i in
+    let idx =
+      add_node tbl ~uid:(Instr.uid i) ~instr:(Some i) ~view_node ~pos:!pos
+        ~defs:(Reg.Set.of_list (Instr.defs i))
+        ~uses:(Reg.Set.of_list (Instr.uses i))
+        ~mem ~exec:(Gis_machine.Machine.exec_time machine i)
+    in
+    incr pos;
     List.iter
       (fun r -> Hashtbl.replace versions (Reg.hash r) (Instr.uid i))
-      (Instr.defs i)
+      (Instr.defs i);
+    idxs := idx :: !idxs
   in
   Vec.iter visit blk.Block.body;
   visit blk.Block.term;
-  let nodes = Vec.to_array nodes_v in
-  let mem_access = Vec.to_array mem_v in
-  let exec = Vec.to_array exec_v in
+  List.rev !idxs
+
+let build_single_block ?sym machine (blk : Block.t) =
+  let tbl = new_table () in
+  let idxs = add_block_nodes machine tbl ~view_node:0 blk in
+  let nodes = Vec.to_array tbl.t_nodes in
+  let mem_access = Vec.to_array tbl.t_mem in
   let edges, add_edge = make_edge_table () in
   let kept = ref 0 and pruned = ref 0 in
   intra_block_scan ~nodes ~mem_access
     ~flow_delay:(flow_delay_fn machine nodes)
     ~mem_delay:(mem_delay_fn machine nodes)
     ~mem_conflict:(intra_mem_conflict ~sym ~nodes ~mem_access ~kept ~pruned)
-    ~add_edge
-    (List.init (Array.length nodes) Fun.id);
-  finalize ~nodes ~mem_access ~exec
-    ~by_view_node:[| List.init (Array.length nodes) Fun.id |]
-    ~mem_kept:!kept ~mem_pruned:!pruned edges
+    ~add_edge idxs;
+  finalize ~nodes ~mem_access ~exec:(Vec.to_array tbl.t_exec)
+    ~by_view_node:[| idxs |] ~mem_kept:!kept ~mem_pruned:!pruned edges
 
 let build ?sym cfg machine regions (view : Regions.view) =
   let loops_blocks c = Regions.summary_blocks regions ~loop_index:c in
   (* ---- 1. Node table ---- *)
-  let nodes = Vec.create () in
-  let mem_access_v = Vec.create () in
-  let exec_v = Vec.create () in
-  let add_node ~uid ~instr ~view_node ~pos ~defs ~uses ~mem ~exec =
-    let idx = Vec.length nodes in
-    Vec.push nodes { idx; uid; instr; view_node; pos; defs; uses };
-    Vec.push mem_access_v mem;
-    Vec.push exec_v exec;
-    idx
+  let tbl = new_table () in
+  let by_view_node =
+    Array.mapi
+      (fun v kind ->
+        match kind with
+        | Regions.Block b ->
+            add_block_nodes machine tbl ~view_node:v (Cfg.block cfg b)
+        | Regions.Inner_loop c ->
+            let defs = ref Reg.Set.empty and uses = ref Reg.Set.empty in
+            let mem = ref false in
+            Ints.Int_set.iter
+              (fun b ->
+                List.iter
+                  (fun i ->
+                    List.iter (fun r -> defs := Reg.Set.add r !defs) (Instr.defs i);
+                    List.iter (fun r -> uses := Reg.Set.add r !uses) (Instr.uses i);
+                    if Instr.touches_memory i then mem := true)
+                  (Block.instrs (Cfg.block cfg b)))
+              (loops_blocks c);
+            [
+              add_node tbl ~uid:(-c - 1) ~instr:None ~view_node:v ~pos:0
+                ~defs:!defs ~uses:!uses
+                ~mem:(if !mem then Some Alias.Call_ref else None)
+                ~exec:1;
+            ])
+      view.Regions.nodes
   in
-  let num_view_nodes = view.Regions.flow.Flow.num_nodes in
-  let by_view_node = Array.make num_view_nodes [] in
-  Array.iteri
-    (fun v kind ->
-      match kind with
-      | Regions.Block b ->
-          let blk = Cfg.block cfg b in
-          let versions = Hashtbl.create 8 in
-          let version_of (r : Reg.t) =
-            Option.value ~default:(-1) (Hashtbl.find_opt versions (Reg.hash r))
-          in
-          let pos = ref 0 in
-          let visit i =
-            let mem = Alias.access_of_instr ~version_of i in
-            let idx =
-              add_node ~uid:(Instr.uid i) ~instr:(Some i) ~view_node:v
-                ~pos:!pos
-                ~defs:(Reg.Set.of_list (Instr.defs i))
-                ~uses:(Reg.Set.of_list (Instr.uses i))
-                ~mem ~exec:(Gis_machine.Machine.exec_time machine i)
-            in
-            incr pos;
-            List.iter
-              (fun r -> Hashtbl.replace versions (Reg.hash r) (Instr.uid i))
-              (Instr.defs i);
-            by_view_node.(v) <- idx :: by_view_node.(v)
-          in
-          Vec.iter visit blk.Block.body;
-          visit blk.Block.term
-      | Regions.Inner_loop c ->
-          let defs = ref Reg.Set.empty and uses = ref Reg.Set.empty in
-          let mem = ref false in
-          Ints.Int_set.iter
-            (fun b ->
-              List.iter
-                (fun i ->
-                  List.iter (fun r -> defs := Reg.Set.add r !defs) (Instr.defs i);
-                  List.iter (fun r -> uses := Reg.Set.add r !uses) (Instr.uses i);
-                  if Instr.touches_memory i then mem := true)
-                (Block.instrs (Cfg.block cfg b)))
-            (loops_blocks c);
-          let idx =
-            add_node ~uid:(-c - 1) ~instr:None ~view_node:v ~pos:0 ~defs:!defs
-              ~uses:!uses
-              ~mem:(if !mem then Some Alias.Call_ref else None)
-              ~exec:1
-          in
-          by_view_node.(v) <- idx :: by_view_node.(v))
-    view.Regions.nodes;
-  let by_view_node = Array.map List.rev by_view_node in
-  let nodes = Vec.to_array nodes in
-  let mem_access = Vec.to_array mem_access_v in
-  let exec = Vec.to_array exec_v in
+  let num_view_nodes = Array.length by_view_node in
+  let nodes = Vec.to_array tbl.t_nodes in
+  let mem_access = Vec.to_array tbl.t_mem in
+  let exec = Vec.to_array tbl.t_exec in
   (* ---- 2. Edges ---- *)
   let edges, add_edge = make_edge_table () in
   let flow_delay = flow_delay_fn machine nodes in

@@ -1,8 +1,9 @@
 (** Array-backed binary min-heap.
 
-    The global scheduler keeps its ready candidates here, ordered by the
-    paper's rank heuristics, replacing the per-cycle linear rescans of
-    the whole node set. Ties must be broken by the comparator itself
+    The list scheduler shared by the global and basic-block passes
+    ([Gis_core.List_sched]) keeps its ready candidates here, ordered
+    by the paper's rank heuristics, replacing per-pick linear rescans
+    of the whole node set. Ties must be broken by the comparator itself
     (the scheduler's final [Program_order] arbiter already does), so pop
     order is deterministic regardless of insertion order. *)
 
