@@ -366,10 +366,6 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
       };
   }
 
-let speedup sequential parallel =
-  if parallel.pool.wall_seconds <= 0.0 then 0.0
-  else sequential.pool.wall_seconds /. parallel.pool.wall_seconds
-
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)
 (* ------------------------------------------------------------------ *)

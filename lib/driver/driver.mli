@@ -156,9 +156,6 @@ val run :
     — a shared sink would race across domains; use the [events] count
     in each summary instead. *)
 
-val speedup : report -> report -> float
-(** [speedup sequential parallel] — ratio of batch wall-clock times. *)
-
 val report_to_json : ?deterministic:bool -> report -> Gis_obs.Json.t
 (** With [deterministic] (default false) every field that depends on
     timing or on the worker count — task seconds, worker assignment,

@@ -20,8 +20,7 @@
     (NaN compares false with everything). A metric-bearing subtree
     present in the baseline but absent from the current report also
     fails, so schema drift cannot silently shrink coverage. Timing
-    fields are never cycle- or bytes-named in scrubbed reports, so
-    reports generated with [--deterministic] gate cleanly. *)
+    fields are never cycle- or bytes-named, so they never gate. *)
 
 type kind = Cycles | Alloc
 

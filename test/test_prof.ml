@@ -1,7 +1,7 @@
 (* Self-profiling layer: the profiler's exact accounting identity (unit
    and property tests), flight-recorder ring semantics, the metrics
    snapshot API, the regression gate's zero/NaN/allocation handling,
-   bench history append/load/trend, and the pinned guarantee that a
+   the bench harness's argument checks, and the pinned guarantee that a
    detached profiler leaves schedules byte-identical. *)
 
 open Gis_ir
@@ -495,98 +495,46 @@ let test_regress_alloc_tolerance_and_floor () =
   Alcotest.(check bool) "alloc within 50% ratio passes" true (Regress.ok o4)
 
 (* ------------------------------------------------------------------ *)
-(* Bench history                                                       *)
+(* Bench harness arguments                                             *)
 (* ------------------------------------------------------------------ *)
 
-let entry ?(time = 0.0) ?(cycles = 1000) ?(wall = 1.0) ?(alloc = 1_000_000) ()
-    =
-  {
-    History.time;
-    label = "test";
-    total_cycles = cycles;
-    wall_seconds = wall;
-    total_alloc_bytes = alloc;
-    per_program_cycles = [ ("minmax", cycles) ];
-  }
-
-let with_temp_file f =
-  let path = Filename.temp_file "gis_history" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-
-let test_history_roundtrip () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      (* append creates a missing file *)
-      History.append ~path (entry ~cycles:10 ());
-      History.append ~path (entry ~cycles:20 ());
-      let entries, skipped = History.load ~path in
-      Alcotest.(check int) "no skips" 0 (List.length skipped);
-      Alcotest.(check (list int))
-        "order preserved" [ 10; 20 ]
-        (List.map (fun e -> e.History.total_cycles) entries);
-      Alcotest.(check (list (pair string int)))
-        "per-program survives" [ ("minmax", 20) ]
-        (List.nth entries 1).History.per_program_cycles)
-
-let test_history_skips_bad_lines () =
-  with_temp_file (fun path ->
-      History.append ~path (entry ~cycles:1 ());
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{truncated append\n";
-      close_out oc;
-      History.append ~path (entry ~cycles:2 ());
-      let entries, skipped = History.load ~path in
-      Alcotest.(check int) "two good records" 2 (List.length entries);
-      Alcotest.(check int) "one skip reported" 1 (List.length skipped))
-
-let test_history_load_missing () =
-  let entries, skipped = History.load ~path:"/nonexistent/gis_history.jsonl" in
-  Alcotest.(check int) "missing file is empty" 0 (List.length entries);
-  Alcotest.(check int) "no skips" 0 (List.length skipped)
-
-(* The drift thresholds are configurable (bench --trend-*-pct) but the
-   defaults are pinned: cycles 2%, allocation 10%, wall clock 50%. *)
-let test_history_trend_tolerances () =
-  let stable = List.init 5 (fun _ -> entry ()) in
-  (* +1% cycles sits inside the default 2%; +3% is out. *)
-  Alcotest.(check int) "cycles +1% inside default" 0
-    (List.length (History.trend (stable @ [ entry ~cycles:1010 () ])));
-  Alcotest.(check int) "cycles +3% outside default" 1
-    (List.length (History.trend (stable @ [ entry ~cycles:1030 () ])));
-  (* +8% alloc inside the default 10%; +15% is out. *)
-  Alcotest.(check int) "alloc +8% inside default" 0
-    (List.length (History.trend (stable @ [ entry ~alloc:1_080_000 () ])));
-  Alcotest.(check int) "alloc +15% outside default" 1
-    (List.length (History.trend (stable @ [ entry ~alloc:1_150_000 () ])));
-  (* +40% wall inside the default 50%; tightening the tolerance flags it. *)
-  let wall_up = stable @ [ entry ~wall:1.4 () ] in
-  Alcotest.(check int) "wall +40% inside default" 0
-    (List.length (History.trend wall_up));
-  (match History.trend ~wall_tolerance:0.3 wall_up with
-  | [ d ] -> Alcotest.(check string) "metric" "wall_seconds" d.History.metric
-  | ds -> Alcotest.failf "expected one wall drift, got %d" (List.length ds));
-  (* Overriding one tolerance leaves the others at their defaults. *)
-  Alcotest.(check int) "cycle override flags +1%" 1
-    (List.length
-       (History.trend ~cycle_tolerance:0.005 (stable @ [ entry ~cycles:1010 () ])))
-
-let test_history_trend () =
-  let stable = List.init 5 (fun _ -> entry ()) in
-  Alcotest.(check int) "stable history has no drift" 0
-    (List.length (History.trend stable));
-  (* Newest run +10% cycles over the window mean: flagged. *)
-  let drifted = stable @ [ entry ~cycles:1100 () ] in
-  (match History.trend drifted with
-  | [ d ] ->
-      Alcotest.(check string) "metric" "total_cycles" d.History.metric;
-      Alcotest.(check bool) "upward" true (d.History.change > 0.0)
-  | ds -> Alcotest.failf "expected one drift, got %d" (List.length ds));
-  (* Improvement (downward) is never flagged. *)
-  Alcotest.(check int) "improvement not flagged" 0
-    (List.length (History.trend (stable @ [ entry ~cycles:900 () ])));
-  (* Fewer than two entries: nothing to compare. *)
-  Alcotest.(check int) "single entry no findings" 0
-    (List.length (History.trend [ entry () ]))
+(* A bad flag combination or an unreadable baseline must exit 2 before
+   the first table runs: nothing on stdout carries a table header. A
+   two-character --json name is a file, not a usage error, so the
+   failure reported is the missing --baseline. *)
+let test_bench_bad_args () =
+  let run args =
+    let out = Filename.temp_file "bench_out" ".txt" in
+    let err = Filename.temp_file "bench_err" ".txt" in
+    let code =
+      Sys.command
+        (Filename.quote_command ~stdout:out ~stderr:err
+           Filename.(concat (dirname Sys.executable_name) "../bench/main.exe")
+           args)
+    in
+    let read f =
+      let s = In_channel.with_open_bin f In_channel.input_all in
+      Sys.remove f;
+      s
+    in
+    (code, read out, read err)
+  in
+  List.iter
+    (fun (args, needle) ->
+      let label = String.concat " " args in
+      let code, stdout, stderr = run args in
+      Alcotest.(check int) (label ^ ": exit 2") 2 code;
+      Alcotest.(check bool)
+        (label ^ ": no table ran") false
+        (contains ~needle:"===" stdout);
+      Alcotest.(check bool)
+        (label ^ ": says why") true
+        (contains ~needle stderr))
+    [
+      ([ "--check" ], "--check needs --baseline");
+      ([ "--baseline"; "/nonexistent"; "--check" ], "cannot read baseline");
+      ([ "--json"; "ab"; "--check" ], "--check needs --baseline");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver integration: flight dumps and deterministic reports          *)
@@ -667,15 +615,10 @@ let () =
           Alcotest.test_case "alloc tolerance and floor" `Quick
             test_regress_alloc_tolerance_and_floor;
         ] );
-      ( "bench history",
+      ( "bench harness",
         [
-          Alcotest.test_case "append and load" `Quick test_history_roundtrip;
-          Alcotest.test_case "skips bad lines" `Quick
-            test_history_skips_bad_lines;
-          Alcotest.test_case "missing file" `Quick test_history_load_missing;
-          Alcotest.test_case "trend" `Quick test_history_trend;
-          Alcotest.test_case "trend tolerances, pinned defaults" `Quick
-            test_history_trend_tolerances;
+          Alcotest.test_case "bad arguments exit 2 before any table" `Quick
+            test_bench_bad_args;
         ] );
       ( "driver",
         [
