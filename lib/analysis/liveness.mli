@@ -3,9 +3,9 @@
     The global scheduler needs the registers *live on exit* from each
     basic block to decide whether a speculative motion is safe (paper
     Section 5.3): an instruction must not be moved into block [B] if it
-    writes a register live on exit from [B]. The information is
-    recomputed after each motion — the paper notes it "has to be updated
-    dynamically". *)
+    writes a register live on exit from [B]. The paper notes the
+    information "has to be updated dynamically": the scheduler drops it
+    after each motion and recomputes it lazily, on the next read. *)
 
 type t
 

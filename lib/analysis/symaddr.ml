@@ -31,10 +31,12 @@ let equal_value a b =
   | Top, Top -> true
   | (Const _ | Sym _ | Top), _ -> false
 
-(* Environments map register keys to values. A register absent from the
-   map reads as [Top] — only unreachable blocks ever hit that case,
-   because the entry environment seeds every register of the procedure
-   with its own entry origin. *)
+(* Environments map the register keys of the slice (see [slice] below)
+   to values. A register absent from the map reads as [Top]: a slice
+   register is absent only in unreachable blocks, because the entry
+   environment seeds each with its own entry origin, and any other
+   register is read only to define a register outside the slice, a
+   definition [set] drops. *)
 type env = value Ints.Int_map.t
 
 let lookup env r =
@@ -62,15 +64,20 @@ let shift v k =
 
 let fresh uid (r : Reg.t) = Sym { origin = { o_uid = uid; o_reg = Reg.hash r }; offset = 0 }
 
-let set env (r : Reg.t) v = Ints.Int_map.add (Reg.hash r) v env
+(* Only slice registers are tracked: a definition of any other register
+   leaves the environment unchanged. *)
+let set ~slice env (r : Reg.t) v =
+  let k = Reg.hash r in
+  if Ints.Int_set.mem k slice then Ints.Int_map.add k v env else env
 
 (* Transfer of one instruction. [record] is called with the base value
    of a load/store before the [update] post-increment — the simulator
    computes the effective address from the old base, then writes the
    destination, then updates the base (so on [LU rT,rT] the update
    wins, mirrored by the [set] order below). *)
-let transfer ~record env i =
+let transfer ~slice ~record env i =
   let uid = Instr.uid i in
+  let set = set ~slice in
   let opaque env r = set env r (fresh uid r) in
   match Instr.kind i with
   | Instr.Load_imm { dst; value } -> set env dst (Const value)
@@ -121,29 +128,64 @@ let transfer ~record env i =
 
 type t = { base_values : (int, value) Hashtbl.t }
 
+(* The backward affine slice: the register keys whose values can reach a
+   load or store base. It starts from every base register and closes
+   over the operands the affine transfer reads when it defines a slice
+   register — a [Move]'s source and an [Add]/[Sub]'s operands. Every
+   other definition is opaque, so no other register can influence a
+   base value, and tracking the slice alone reproduces every base value
+   the whole-register analysis computes. *)
+let slice cfg =
+  let sources = Hashtbl.create 64 in (* dst key -> source keys *)
+  let bases = ref [] in
+  let note dst srcs =
+    List.iter (fun s -> Hashtbl.add sources (Reg.hash dst) (Reg.hash s)) srcs
+  in
+  Cfg.iter_blocks
+    (fun b ->
+      List.iter
+        (fun i ->
+          match Instr.kind i with
+          | Instr.Move { dst; src } -> note dst [ src ]
+          | Instr.Binop { op = Instr.Add | Instr.Sub; dst; lhs; rhs } ->
+              note dst
+                (lhs :: (match rhs with Instr.Reg r -> [ r ] | Instr.Imm _ -> []))
+          | Instr.Load { base; _ } | Instr.Store { base; _ } ->
+              bases := Reg.hash base :: !bases
+          | Instr.Load_imm _ | Instr.Binop _ | Instr.Compare _
+          | Instr.Fcompare _ | Instr.Fbinop _ | Instr.Call _
+          | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt ->
+              ())
+        (Block.instrs b))
+    cfg;
+  let rec close acc = function
+    | [] -> acc
+    | k :: rest when Ints.Int_set.mem k acc -> close acc rest
+    | k :: rest ->
+        close (Ints.Int_set.add k acc) (Hashtbl.find_all sources k @ rest)
+  in
+  close Ints.Int_set.empty !bases
+
 let compute cfg =
   let n = Cfg.num_blocks cfg in
-  (* Entry environment: every register of the procedure starts at its
-     own entry origin, so a merge of "defined in the loop" with "still
-     the entry value" joins two different origins to [Top] instead of
-     spuriously claiming them equal. *)
+  let slice = slice cfg in
+  (* Entry environment: every slice register starts at its own entry
+     origin, so a merge of "defined in the loop" with "still the entry
+     value" joins two different origins to [Top] instead of spuriously
+     claiming them equal. *)
   let entry_env =
-    Cfg.fold_blocks
-      (fun acc b ->
-        List.fold_left
-          (fun acc i ->
-            List.fold_left
-              (fun acc r ->
-                set acc r (Sym { origin = { o_uid = -1; o_reg = Reg.hash r }; offset = 0 }))
-              acc
-              (Instr.defs i @ Instr.uses i))
-          acc (Block.instrs b))
-      Ints.Int_map.empty cfg
+    Ints.Int_set.fold
+      (fun k acc ->
+        Ints.Int_map.add k (Sym { origin = { o_uid = -1; o_reg = k }; offset = 0 }) acc)
+      slice Ints.Int_map.empty
   in
-  (* Block-entry environments to fixpoint: [None] is bottom (block not
-     yet reached), the neutral element of the join. Each (block,
-     register) entry moves at most bottom -> value -> Top, so the
-     iteration terminates quickly. *)
+  (* Block-entry environments, swept in layout order until a sweep
+     changes nothing: [None] is bottom (block not yet reached), the
+     neutral element of the join. The transfer is not monotone — a
+     [Top] operand opens a fresh origin — so an entry can change from
+     one value to a different one without passing through [Top]. So
+     the sweeps stay in layout order: a worklist in another order is not
+     obviously the same fixpoint. *)
   let in_ : env option array = Array.make n None in
   let out : env option array = Array.make n None in
   let preds = Cfg.predecessors cfg in
@@ -174,7 +216,7 @@ let compute cfg =
             if stale then begin
               in_.(id) <- Some inn;
               let o =
-                List.fold_left (transfer ~record:no_record) inn
+                List.fold_left (transfer ~slice ~record:no_record) inn
                   (Block.instrs (Cfg.block cfg id))
               in
               out.(id) <- Some o;
@@ -194,7 +236,7 @@ let compute cfg =
       | None -> ()
       | Some env ->
           ignore
-            (List.fold_left (transfer ~record) env
+            (List.fold_left (transfer ~slice ~record) env
                (Block.instrs (Cfg.block cfg id))))
     in_;
   { base_values }

@@ -14,7 +14,9 @@
     add/sub-with-a-known-constant [Binop]s (including the base
     post-increment of [update] loads/stores), every other definition
     starts a fresh origin, and CFG merges join pointwise with
-    equality-or-Top.
+    equality-or-Top. Only the registers in the backward affine slice of
+    the load/store bases are tracked; no other register can change a
+    base value.
 
     Soundness of origin comparison: a point maps a register to
     [Sym (o, k)] only when {e every} path to it passes through [o] with

@@ -1,0 +1,62 @@
+type t = { cap : int; words : int array }
+
+let bits = Sys.int_size
+
+let create n =
+  if n < 0 then invalid_arg "Bitset.create";
+  { cap = n; words = Array.make ((n + bits - 1) / bits) 0 }
+
+
+let check s i =
+  if i < 0 || i >= s.cap then
+    invalid_arg (Printf.sprintf "Bitset: %d out of bounds [0,%d)" i s.cap)
+
+let mem s i =
+  check s i;
+  s.words.(i / bits) land (1 lsl (i mod bits)) <> 0
+
+let add s i =
+  check s i;
+  let w = i / bits in
+  s.words.(w) <- s.words.(w) lor (1 lsl (i mod bits))
+
+let remove s i =
+  check s i;
+  let w = i / bits in
+  s.words.(w) <- s.words.(w) land lnot (1 lsl (i mod bits))
+
+let clear s = Array.fill s.words 0 (Array.length s.words) 0
+
+let same_capacity a b =
+  if a.cap <> b.cap then invalid_arg "Bitset: capacity mismatch"
+
+let equal a b =
+  same_capacity a b;
+  let rec go w = w < 0 || (a.words.(w) = b.words.(w) && go (w - 1)) in
+  go (Array.length a.words - 1)
+
+let union_into ~dst s =
+  same_capacity dst s;
+  for w = 0 to Array.length dst.words - 1 do
+    dst.words.(w) <- dst.words.(w) lor s.words.(w)
+  done
+
+let assign ~dst s =
+  same_capacity dst s;
+  let changed = not (equal dst s) in
+  if changed then Array.blit s.words 0 dst.words 0 (Array.length s.words);
+  changed
+
+let transfer ~dst ~gen ~kill s =
+  same_capacity dst s;
+  same_capacity gen s;
+  same_capacity kill s;
+  let changed = ref false in
+  for w = 0 to Array.length dst.words - 1 do
+    let v = gen.words.(w) lor (s.words.(w) land lnot kill.words.(w)) in
+    if v <> dst.words.(w) then begin
+      dst.words.(w) <- v;
+      changed := true
+    end
+  done;
+  !changed

@@ -526,6 +526,41 @@ let test_symaddr_join () =
     (diamond 8 8);
   Alcotest.(check (option int)) "disagreeing join is Top" None (diamond 8 16)
 
+(* Only the backward slice of the bases is tracked, and it closes over
+   move sources and add/sub operands: a base reached through a move of
+   a sum of constants is still a known constant, and a definition
+   outside the slice (the multiply) changes nothing. *)
+let test_symaddr_slice () =
+  let g = Reg.Gen.create () in
+  let k1024 = Reg.Gen.fresh g Reg.Gpr in
+  let k8 = Reg.Gen.fresh g Reg.Gpr in
+  let sum = Reg.Gen.fresh g Reg.Gpr in
+  let base = Reg.Gen.fresh g Reg.Gpr in
+  let other = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "A",
+          [
+            B.li ~dst:k1024 1024;
+            B.li ~dst:k8 8;
+            B.add ~dst:sum ~lhs:k1024 ~rhs:k8;
+            B.mul ~dst:x ~lhs:k8 ~rhs:k8;
+            B.mr ~dst:base ~src:sum;
+            B.store ~src:x ~base ~offset:0;
+            B.li ~dst:other 1040;
+            B.store ~src:x ~base:other ~offset:0;
+          ],
+          Instr.Halt );
+      ]
+  in
+  let t = Symaddr.compute cfg in
+  Alcotest.(check bool) "base through move of a sum" true
+    (Symaddr.base_value t (body_uid cfg "A" 5) = Symaddr.Const 1032);
+  Alcotest.(check (option int)) "constants compare" (Some 8)
+    (Symaddr.delta t ~a:(body_uid cfg "A" 5) ~b:(body_uid cfg "A" 7))
+
 (* The fault-injection hook fabricates deltas for unprovable pairs;
    the DDG-subset property and the checker-independence tests rely on
    it actually over-claiming. *)
@@ -554,6 +589,92 @@ let test_symaddr_overclaim_hook () =
     (fun () ->
       Alcotest.(check bool) "hook fabricates a delta" true
         (Symaddr.delta t ~a:u0 ~b:u1 <> None))
+
+(* ---- reference properties over every pipeline stage ---- *)
+
+(* A random program of the given grammar, compiled with the label
+   counter reset so a seed denotes one exact CFG. *)
+let random_cfg params seed =
+  Gis_workloads.Random_prog.generate_compiled_via
+    ~compile:(fun prog ->
+      Label.reset_fresh_counter ();
+      match Gis_frontend.Codegen.compile prog with
+      | c -> Ok c.Gis_frontend.Codegen.cfg
+      | exception Gis_frontend.Codegen.Error m -> Error m)
+    params ~seed
+
+(* Run the speculative pipeline and apply [f] to each stage's input CFG
+   through the per-stage verification hook; true when [f] holds at
+   every stage. *)
+let every_stage_input params seed f =
+  let ok = ref true in
+  let config =
+    {
+      Gis_core.Config.speculative with
+      Gis_core.Config.check =
+        Some (fun ~stage ~pre ~post:_ -> if not (f ~stage pre) then ok := false);
+    }
+  in
+  ignore (Gis_core.Pipeline.run Gis_machine.Machine.rs6k config (random_cfg params seed));
+  !ok
+
+let instrs cfg =
+  List.concat_map (fun id -> Block.instrs (Cfg.block cfg id)) (Cfg.layout cfg)
+
+(* The bitset [Reaching] gives the same chains as the balanced-tree
+   reference, list for list, element order included. *)
+let reaching_matches_reference ~stage cfg =
+  let fast = Reaching.compute cfg and slow = Reaching_ref.compute cfg in
+  let same what uid reg a b =
+    a = b
+    || QCheck.Test.fail_reportf "%s: %s of %a at uid %d differs" stage what
+         Reg.pp reg uid
+  in
+  List.for_all
+    (fun i ->
+      let uid = Instr.uid i in
+      List.for_all
+        (fun reg ->
+          same "defs_of_use" uid reg
+            (Reaching.defs_of_use fast ~uid ~reg)
+            (Reaching_ref.defs_of_use slow ~uid ~reg))
+        (Instr.uses i)
+      && List.for_all
+           (fun reg ->
+             same "uses_of_def" uid reg
+               (Reaching.uses_of_def fast ~uid ~reg)
+               (Reaching_ref.uses_of_def slow ~uid ~reg))
+           (Instr.defs i))
+    (instrs cfg)
+
+(* [Symaddr] and the checker's independent [Addrcheck] prove the same
+   delta for every ordered pair of memory accesses. *)
+let symaddr_matches_addrcheck ~stage cfg =
+  let s = Symaddr.compute cfg and c = Gis_check.Addrcheck.compute cfg in
+  let accesses =
+    List.filter_map
+      (fun i ->
+        match Instr.kind i with
+        | Instr.Load _ | Instr.Store _ -> Some (Instr.uid i)
+        | _ -> None)
+      (instrs cfg)
+  in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          Symaddr.delta s ~a ~b = Gis_check.Addrcheck.delta c ~a ~b
+          || QCheck.Test.fail_reportf "%s: delta %d -> %d differs" stage a b)
+        accesses)
+    accesses
+
+let qtest name count prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
+
+let grammars =
+  [ ("default", Gis_workloads.Random_prog.default);
+    ("hardened", Gis_workloads.Random_prog.hardened) ]
 
 let () =
   Alcotest.run "gis_analysis"
@@ -606,7 +727,20 @@ let () =
           Alcotest.test_case "update post-increment" `Quick
             test_symaddr_update_postincrement;
           Alcotest.test_case "join" `Quick test_symaddr_join;
+          Alcotest.test_case "affine slice" `Quick test_symaddr_slice;
           Alcotest.test_case "overclaim hook" `Quick
             test_symaddr_overclaim_hook;
         ] );
+      ( "reference properties",
+        List.concat_map
+          (fun (grammar, params) ->
+            [
+              qtest ("reaching = Int_set reference, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input params seed reaching_matches_reference);
+              qtest ("symaddr delta = addrcheck delta, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input params seed symaddr_matches_addrcheck);
+            ])
+          grammars );
     ]

@@ -93,6 +93,63 @@ let test_int_set_pp () =
   let s = Ints.Int_set.of_list [ 3; 1; 2 ] in
   Alcotest.(check string) "pp" "{1, 2, 3}" (Fmt.str "%a" Ints.pp_int_set s)
 
+(* Bitsets pack [Sys.int_size] (63) bits to a word: 62 is the last bit
+   of word 0, 63 the first of word 1, 126 the first of word 2. *)
+let members s n = List.filter (Bitset.mem s) (List.init n Fun.id)
+
+let test_bitset_word_boundaries () =
+  let n = 127 in
+  let s = Bitset.create n in
+  let edges = [ 0; 62; 63; 125; 126 ] in
+  List.iter (Bitset.add s) edges;
+  check_list "boundary members" edges (members s n);
+  Bitset.remove s 63;
+  check_list "remove one word's first bit" [ 0; 62; 125; 126 ] (members s n);
+  Bitset.clear s;
+  check_list "cleared" [] (members s n);
+  Alcotest.check_raises "past capacity"
+    (Invalid_argument "Bitset: 127 out of bounds [0,127)") (fun () ->
+      ignore (Bitset.mem s 127))
+
+let test_bitset_empty () =
+  let a = Bitset.create 0 and b = Bitset.create 0 in
+  Alcotest.(check bool) "equal" true (Bitset.equal a b);
+  Alcotest.(check bool) "transfer unchanged" false
+    (Bitset.transfer ~dst:a ~gen:b ~kill:b b);
+  Alcotest.check_raises "no element 0"
+    (Invalid_argument "Bitset: 0 out of bounds [0,0)") (fun () ->
+      Bitset.add a 0)
+
+(* Capacity 130 leaves four bits (126..129) in the last word. *)
+let test_bitset_partial_word () =
+  let n = 130 in
+  let of_list l =
+    let s = Bitset.create n in
+    List.iter (Bitset.add s) l;
+    s
+  in
+  let a = of_list [ 5; 129 ] and b = of_list [ 5; 129 ] in
+  Alcotest.(check bool) "equal" true (Bitset.equal a b);
+  Bitset.add b 126;
+  Alcotest.(check bool) "last word differs" false (Bitset.equal a b);
+  Alcotest.(check bool) "assign changes" true (Bitset.assign ~dst:a b);
+  Alcotest.(check bool) "assign idempotent" false (Bitset.assign ~dst:a b);
+  let inn = of_list [ 0; 63; 128; 129 ] in
+  let gen = of_list [ 1; 127 ] and kill = of_list [ 63; 129 ] in
+  let out = Bitset.create n in
+  Alcotest.(check bool) "transfer changes" true
+    (Bitset.transfer ~dst:out ~gen ~kill inn);
+  check_list "gen + (in - kill)" [ 0; 1; 127; 128 ] (members out n);
+  Alcotest.(check bool) "transfer stable" false
+    (Bitset.transfer ~dst:out ~gen ~kill inn);
+  Bitset.union_into ~dst:out kill;
+  check_list "union" [ 0; 1; 63; 127; 128; 129 ] (members out n);
+  ignore (Bitset.transfer ~dst:inn ~gen ~kill inn);
+  check_list "transfer in place" [ 0; 1; 127; 128 ] (members inn n);
+  Alcotest.check_raises "capacity mismatch"
+    (Invalid_argument "Bitset: capacity mismatch") (fun () ->
+      ignore (Bitset.equal a (Bitset.create 129)))
+
 let () =
   Alcotest.run "gis_util"
     [
@@ -111,4 +168,12 @@ let () =
           Alcotest.test_case "worklist" `Quick test_worklist;
         ] );
       ("ints", [ Alcotest.test_case "pp" `Quick test_int_set_pp ]);
+      ( "bitset",
+        [
+          Alcotest.test_case "word boundaries" `Quick
+            test_bitset_word_boundaries;
+          Alcotest.test_case "create 0" `Quick test_bitset_empty;
+          Alcotest.test_case "partial last word" `Quick
+            test_bitset_partial_word;
+        ] );
     ]
