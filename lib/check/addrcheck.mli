@@ -8,14 +8,14 @@
     transfer through [Load_imm]/[Move]/add-sub-with-known-constant
     (including [update] post-increments), fresh instance per opaque
     definition, equality-or-Any join — but from an independent
-    implementation: registers are interned to dense indices, block
-    environments are flat arrays, and the fixpoint runs on a
-    {!Gis_util.Fix.Worklist} instead of repeated layout sweeps. The
-    two must agree in precision (a weaker checker would reject legal
-    schedules); they must never share defect modes (hence no code
-    sharing, and no fault-injection hook on this side — an over-claim
-    injected into [Symaddr] is exactly what this module exists to
-    catch). *)
+    implementation: only the registers of the base slice (see
+    {!compute}) are interned, to dense indices, block environments are
+    flat arrays, and the fixpoint runs on a {!Gis_util.Fix.Worklist}
+    instead of repeated layout sweeps. The two must agree in precision (a weaker
+    checker would reject legal schedules); they must never share defect
+    modes (hence no code sharing, and no fault-injection hook on this
+    side — an over-claim injected into [Symaddr] is exactly what this
+    module exists to catch). *)
 
 type av =
   | Num of int  (** a known constant *)
@@ -33,7 +33,21 @@ type t
 val compute : Gis_ir.Cfg.t -> t
 (** Fixpoint over the CFG, then one recording pass noting the base
     register's abstract value at every [Load]/[Store], before any
-    [update] post-increment. *)
+    [update] post-increment.
+
+    Only the backward affine slice of the load/store bases is tracked:
+    every [Load]/[Store] base register, closed over the source of each
+    [Move] and the register operands of each [Add]/[Sub] that defines
+    a register already in the slice. Any other register reads as [Any]
+    and its definitions are skipped.
+
+    Tracking only the slice is exact. The transfer of a slice register
+    reads only that instruction's [Move] source or [Add]/[Sub]
+    operands, which the closure put in the slice; every other
+    definition of it ([Load_imm], loads, opaque results) reads no
+    register. So the slice registers' values never depend on a
+    register outside the slice, and the fixpoint restricted to them
+    computes the same values as one over every register. *)
 
 val delta : t -> a:int -> b:int -> int option
 (** [Some d] when access [b]'s base provably equals access [a]'s base

@@ -152,14 +152,18 @@ let within_degree rv ~max_degree ~target ~source =
 
 type counters = { mutable deps_checked : int; mutable motions : int }
 
-let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
+(* [ppre], when given, is [pre] already indexed; the indexed [post] is
+   returned with the findings, so a caller can hand it back as the next
+   stage's [ppre]. *)
+let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
   let counters = { deps_checked = 0; motions = 0 } in
   match Validate.check post with
   | Error es ->
       ( List.map
           (fun m -> Diagnostic.error ~rule:"ir.invalid" ~stage m)
           es,
-        counters )
+        counters,
+        None )
   | Ok () ->
       let skind = stage_kind stage in
       let acc = ref [] in
@@ -169,7 +173,8 @@ let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
       let warn ~rule ?uid ?blocks msg =
         acc := Diagnostic.warning ~rule ~stage ?uid ?blocks msg :: !acc
       in
-      let ppre = Deps.of_cfg pre and ppost = Deps.of_cfg post in
+      let ppre = match ppre with Some p -> p | None -> Deps.of_cfg pre in
+      let ppost = Deps.of_cfg post in
       let pre_uids = Deps.uids ppre and post_uids = Deps.uids ppost in
       let created = Ints.Int_set.diff post_uids pre_uids in
       let label_of_pre uid = Deps.block_label_of_uid ppre uid in
@@ -330,30 +335,20 @@ let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
       (match skind with
       | Copying -> ()
       | Global | Local | Regalloc ->
-          List.iter
-            (fun (d : Deps.dep) ->
-              if
-                Ints.Int_set.mem d.Deps.d_src post_uids
-                && Ints.Int_set.mem d.Deps.d_dst post_uids
-              then begin
-                counters.deps_checked <- counters.deps_checked + 1;
-                let active =
-                  match skind with
-                  | Regalloc -> true
-                  | Copying | Global | Local -> (
-                      match
-                        ( Deps.instr ppost d.Deps.d_src,
-                          Deps.instr ppost d.Deps.d_dst )
-                      with
-                      | Some iu, Some iv ->
-                          Deps.still_conflicts d.Deps.d_kind iu iv
-                      | None, _ | _, None -> true)
-                in
-                if
-                  active
-                  && not
-                       (Deps.ordered ppost ~src:d.Deps.d_src ~dst:d.Deps.d_dst)
-                then
+          let dissolve = skind <> Regalloc in
+          let violated = ref false in
+          Deps.iter ppre (fun d ->
+              match Deps.preserved ppost ~dissolve d with
+              | Some held ->
+                  counters.deps_checked <- counters.deps_checked + 1;
+                  if not held then violated := true
+              | None -> ());
+          (* Rare, so only then is the input's dependence list built, to
+             report the violations in {!Deps.reconstruct}'s order. *)
+          if !violated then
+            List.iter
+              (fun (d : Deps.dep) ->
+                if Deps.preserved ppost ~dissolve d = Some false then
                   err ~rule:"dependence.violated" ~uid:d.Deps.d_dst
                     ?blocks:
                       (match
@@ -362,11 +357,10 @@ let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
                        with
                       | Some a, Some b -> Some [ a; b ]
                       | _ -> None)
-                    (Fmt.str "%a dependence of uid %d on uid %d is no longer \
-                              ordered"
-                       Deps.pp_kind d.Deps.d_kind d.Deps.d_dst d.Deps.d_src)
-              end)
-            (Deps.reconstruct ppre));
+                    (Fmt.str
+                       "%a dependence of uid %d on uid %d is no longer ordered"
+                       Deps.pp_kind d.Deps.d_kind d.Deps.d_dst d.Deps.d_src))
+              (Deps.reconstruct ppre));
       (* Use-def chain preservation: a use must read from exactly the
          definition sites it read from before the stage (invariant under
          renaming, which rewrites both sides; duplication may only add
@@ -708,10 +702,13 @@ let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
                     "moved instruction's source or target block does not \
                      exist in the input program")
             moved);
-      (List.rev !acc, counters)
+      (List.rev !acc, counters, Some ppost)
 
 let check_stage ?prov ?max_speculation_degree ~stage ~pre ~post () =
-  fst (run_stage ?prov ?max_speculation_degree ~stage ~pre ~post ())
+  let diags, _, _ =
+    run_stage ?prov ?max_speculation_degree ~stage ~pre ~post ()
+  in
+  diags
 
 (* ---- collector: per-pipeline-run accumulation ---- *)
 
@@ -729,6 +726,9 @@ type collector = {
   mutable c_deps : int;
   mutable c_motions : int;
   mutable c_seconds : float;
+  mutable c_last : (Cfg.t * Deps.program) option;
+      (* the last stage's post CFG and its index, reused when that very
+         CFG comes back as the next stage's pre *)
 }
 
 let collector ?prov ?max_speculation_degree () =
@@ -740,14 +740,21 @@ let collector ?prov ?max_speculation_degree () =
     c_deps = 0;
     c_motions = 0;
     c_seconds = 0.0;
+    c_last = None;
   }
 
 let hook c ~stage ~pre ~post =
   let t0 = Prof.now_ns () in
-  let diags, counters =
-    run_stage ?prov:c.c_prov ?max_speculation_degree:c.c_max_degree ~stage
-      ~pre ~post ()
+  let ppre =
+    match c.c_last with
+    | Some (last, p) when last == pre -> Some p
+    | Some _ | None -> None
   in
+  let diags, counters, ppost =
+    run_stage ?prov:c.c_prov ?max_speculation_degree:c.c_max_degree ?ppre
+      ~stage ~pre ~post ()
+  in
+  c.c_last <- Option.map (fun p -> (post, p)) ppost;
   c.c_results <- (stage, diags) :: c.c_results;
   c.c_stages <- c.c_stages + 1;
   c.c_deps <- c.c_deps + counters.deps_checked;

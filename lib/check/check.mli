@@ -41,7 +41,17 @@ val check_stage :
     ["unroll"]/["rotate"] (copying transforms), ["global-pass1"]/
     ["global-pass2"] (interblock motion), ["local"] (intra-block
     reordering only), ["regalloc"] (register rewriting + spill
-    insertion); any other name gets the conservative motion checks. *)
+    insertion); any other name gets the conservative motion checks.
+
+    Findings come in a fixed order: entry, removed and created
+    instructions, payloads, control structure, [dependence.violated],
+    use-def chains, then motions. The [dependence.violated] findings
+    follow {!Deps.reconstruct}'s order of the input's dependences:
+    inter-block edges first, by descending source block, destination
+    block, source position, destination position and rule, then
+    intra-block edges, blocks descending and each block's newest first.
+    The dependences are streamed unordered to check them; only when one
+    is violated is the ordered list built, to report them. *)
 
 type stats = {
   stages : int;
@@ -57,6 +67,12 @@ val collector :
   ?prov:Gis_obs.Provenance.t -> ?max_speculation_degree:int -> unit -> collector
 
 val hook : collector -> stage:string -> pre:Cfg.t -> post:Cfg.t -> unit
+(** {!check_stage}, accumulated. The collector keeps the last stage's
+    [post] with its index (forward view, sites, reaching definitions);
+    when the next call's [pre] is physically that CFG, as
+    [Gis_core.Pipeline.run] arranges, the index is reused instead of
+    rebuilt. A [post] handed to the hook must therefore not be mutated
+    afterwards if it may come back as a [pre]. *)
 
 val diagnostics : collector -> (string * Diagnostic.t list) list
 (** Stage name and findings, in execution order. *)

@@ -45,22 +45,52 @@ val uids : program -> Gis_util.Ints.Int_set.t
 
 val instr : program -> int -> Instr.t option
 val block_label_of_uid : program -> int -> Label.t option
-val ordered : program -> src:int -> dst:int -> bool
-(** Is [src] guaranteed to execute before [dst] on every forward path
-    where both execute? True when they share a block with [src] earlier,
-    or when [src]'s block strictly reaches [dst]'s block and not vice
-    versa. *)
+val iter : program -> (dep -> unit) -> unit
+(** Every dependence of {!reconstruct}, in no particular order, without
+    building the list. *)
 
 val reconstruct : program -> dep list
 (** All dependences of the program: kill-sensitive intra-block scans
-    plus pairwise inter-block edges over forward-reachable block pairs,
-    with the same memory disambiguation as [Gis_ddg.Ddg] (memory
-    families; same base register with the same scan version or single
-    reaching definition, disjoint ranges; and, when [disambig] is on,
-    {!Addrcheck}'s affine base deltas). *)
+    plus inter-block edges over forward-reachable block pairs, with the
+    same memory disambiguation as [Gis_ddg.Ddg] (memory families; same
+    base register with the same scan version or single reaching
+    definition, disjoint ranges; and, when [disambig] is on,
+    {!Addrcheck}'s affine base deltas).
 
-val still_conflicts : kind -> Instr.t -> Instr.t -> bool
-(** Re-validate a reconstructed dependence against the *transformed*
-    instructions: renaming during speculative motion may dissolve an
-    anti/output/flow dependence, in which case the order need not be
-    preserved. Memory dependences always survive. *)
+    The inter-block edges come from an index join instead of a test of
+    every instruction pair against every register: each register's def
+    and use occurrences are indexed over the entry-reachable blocks,
+    and a source instruction is joined with the occurrences of the
+    registers it defines (flow and output) or uses (anti), keeping
+    those in blocks its own block strictly reaches. Memory accesses are
+    indexed twice, all of them and the stores plus calls; a load is
+    joined with the latter only, so load/load pairs are never
+    enumerated, and a call conflicts with every access.
+
+    The join is not output-sensitive. It enumerates every pair of
+    occurrences that share a register, whether or not their blocks
+    reach, before the reachability test; and the memory join is all
+    accesses × stores and calls before disambiguation, so accesses
+    proved disjoint still cost a pair each. The reachability test reads
+    a matrix quadratic in blocks.
+
+    Order: the inter-block edges first, by descending source block,
+    destination block, source position, destination position and rule
+    (a source's defined registers in order, flow before output, then
+    its used registers, then memory), with blocks in layout order; then
+    the intra-block edges, blocks descending, each block's newest
+    first. That is the reverse of a pairwise scan over every block
+    pair, and the list is the one such a scan builds, element for
+    element. *)
+
+val preserved : program -> dissolve:bool -> dep -> bool option
+(** Does a dependence reconstructed from a stage's input still hold in
+    this program, the stage's output? [None] when either endpoint is
+    missing. Otherwise [true] when the source is guaranteed to execute
+    before the destination on every forward path where both execute
+    (same block with the source earlier, or the source's block strictly
+    reaches the destination's and not vice versa), or, with
+    [dissolve], when renaming dissolved the dependence: the transformed
+    instructions no longer define and read (flow), read and define
+    (anti) or both define (output) a common register. Memory
+    dependences never dissolve. *)

@@ -105,10 +105,12 @@ type t = {
           schedules are byte-identical (pinned test). *)
   check :
     (stage:string -> pre:Gis_ir.Cfg.t -> post:Gis_ir.Cfg.t -> unit) option;
-      (** per-stage verification hook. When set, the pipeline snapshots
-          the CFG before each executed stage ([unroll], [global-pass1],
-          [rotate], [global-pass2], [local], [regalloc]) and calls the
-          hook with the pre/post pair after the stage runs —
+      (** per-stage verification hook. When set, the pipeline calls
+          the hook after each executed stage ([webs], [unroll],
+          [global-pass1], [rotate], [global-pass2], [local],
+          [regalloc]) with snapshots of the CFG before and after it;
+          each stage's [post] snapshot is physically the next stage's
+          [pre], so the hook must not mutate it.
           [Gis_check.Check.hook] is the intended callee. [None] by
           default: no snapshots, no cost. *)
 }

@@ -38,20 +38,29 @@ let run_phases machine (config : Config.t) cfg =
         cfg);
   let global = config.Config.level <> Config.Local in
   (* The one per-stage wrapper: a profiler node named after the stage
-     and, when the stage runs and a check hook is installed, a snapshot
-     of the CFG before it and the hook on the pre/post pair after it. A
-     stage that does not run still records its node (the cost of
-     deciding to skip it), so every profile lists [phase_names]. *)
+     and, when the stage runs and a check hook is installed, the hook on
+     a pre/post pair of CFG snapshots after it. Each post snapshot is
+     the next stage's pre (nothing touches the CFG between stages), so
+     a checker can index each CFG version once. A stage that does not
+     run still records its node (the cost of deciding to skip it), so
+     every profile lists [phase_names]. *)
+  let checked =
+    Option.map (fun hook -> (hook, ref None)) config.Config.check
+  in
   let stage name ~runs ~skipped f =
     Gis_obs.Prof.record prof name (fun () ->
         if not runs then skipped
         else
-          match config.Config.check with
+          match checked with
           | None -> f ()
-          | Some hook ->
-              let pre = Cfg.deep_copy cfg in
+          | Some (hook, snapshot) ->
+              let pre =
+                match !snapshot with Some s -> s | None -> Cfg.deep_copy cfg
+              in
               let v = f () in
-              hook ~stage:name ~pre ~post:cfg;
+              let post = Cfg.deep_copy cfg in
+              snapshot := Some post;
+              hook ~stage:name ~pre ~post;
               v)
   in
   if config.Config.split_webs && global then

@@ -4,7 +4,7 @@ let reg_is cls (r : Reg.t) = r.Reg.cls = cls
 
 let check_kind ~err ~where kind =
   let expect what ok =
-    if not ok then err (Fmt.str "%s: %s" where what)
+    if not ok then err (Fmt.str "%s: %s" (where ()) what)
   in
   match kind with
   | Instr.Load { dst; base; update; _ } ->
@@ -62,19 +62,22 @@ let is_branch_kind = function
   | Instr.Call _ ->
       false
 
+(* [where] locates the instruction in a message; it is a thunk because
+   formatting it costs more than checking, and only a failure needs it. *)
 let check cfg =
   let errors = ref [] in
   let err msg = errors := msg :: !errors in
   let seen_uids = Hashtbl.create 64 in
   let check_instr ~where ~terminator i =
     let u = Instr.uid i in
-    if Hashtbl.mem seen_uids u then err (Fmt.str "%s: duplicate uid %d" where u)
+    if Hashtbl.mem seen_uids u then
+      err (Fmt.str "%s: duplicate uid %d" (where ()) u)
     else Hashtbl.add seen_uids u ();
     let branchy = is_branch_kind (Instr.kind i) in
     if terminator && not branchy then
-      err (Fmt.str "%s: terminator is not a branch" where);
+      err (Fmt.str "%s: terminator is not a branch" (where ()));
     if (not terminator) && branchy then
-      err (Fmt.str "%s: branch in block body" where);
+      err (Fmt.str "%s: branch in block body" (where ()));
     check_kind ~err ~where (Instr.kind i)
   in
   let layout = Cfg.layout cfg in
@@ -92,10 +95,12 @@ let check cfg =
       let label = b.Block.label in
       Vec.iteri
         (fun idx i ->
-          let where = Fmt.str "%a[%d] %a" Label.pp label idx Instr.pp i in
+          let where () = Fmt.str "%a[%d] %a" Label.pp label idx Instr.pp i in
           check_instr ~where ~terminator:false i)
         b.Block.body;
-      let where = Fmt.str "%a[term] %a" Label.pp label Instr.pp b.Block.term in
+      let where () =
+        Fmt.str "%a[term] %a" Label.pp label Instr.pp b.Block.term
+      in
       check_instr ~where ~terminator:true b.Block.term;
       List.iter
         (fun target ->

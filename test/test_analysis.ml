@@ -647,18 +647,19 @@ let reaching_matches_reference ~stage cfg =
            (Instr.defs i))
     (instrs cfg)
 
+let access_uids cfg =
+  List.filter_map
+    (fun i ->
+      match Instr.kind i with
+      | Instr.Load _ | Instr.Store _ -> Some (Instr.uid i)
+      | _ -> None)
+    (instrs cfg)
+
 (* [Symaddr] and the checker's independent [Addrcheck] prove the same
    delta for every ordered pair of memory accesses. *)
 let symaddr_matches_addrcheck ~stage cfg =
   let s = Symaddr.compute cfg and c = Gis_check.Addrcheck.compute cfg in
-  let accesses =
-    List.filter_map
-      (fun i ->
-        match Instr.kind i with
-        | Instr.Load _ | Instr.Store _ -> Some (Instr.uid i)
-        | _ -> None)
-      (instrs cfg)
-  in
+  let accesses = access_uids cfg in
   List.for_all
     (fun a ->
       List.for_all
@@ -667,6 +668,87 @@ let symaddr_matches_addrcheck ~stage cfg =
           || QCheck.Test.fail_reportf "%s: delta %d -> %d differs" stage a b)
         accesses)
     accesses
+
+(* The indexed [Deps.reconstruct] returns the pairwise reference's list,
+   element for element: the same dependence multiset, multiplicity
+   included, in the same order. *)
+let deps_match_reference ~disambig ~stage cfg =
+  let fast = Gis_check.Deps.reconstruct (Gis_check.Deps.of_cfg ~disambig cfg)
+  and slow = Deps_ref.reconstruct ~disambig cfg in
+  let sorted = List.sort compare in
+  if sorted fast <> sorted slow then
+    QCheck.Test.fail_reportf "%s: dependence multiset differs (%d vs %d)" stage
+      (List.length fast) (List.length slow)
+  else
+    fast = slow
+    || QCheck.Test.fail_reportf "%s: dependence order differs" stage
+
+(* Ordered access pairs on which the slice-only [Addrcheck] and the
+   every-register reference prove different deltas. *)
+let addrcheck_disagreements cfg =
+  let fast = Gis_check.Addrcheck.compute cfg
+  and slow = Addrcheck_ref.compute cfg in
+  let accesses = access_uids cfg in
+  List.concat_map
+    (fun a ->
+      List.filter_map
+        (fun b ->
+          if
+            Gis_check.Addrcheck.delta fast ~a ~b
+            = Addrcheck_ref.delta slow ~a ~b
+          then None
+          else Some (a, b))
+        accesses)
+    accesses
+
+let addrcheck_matches_reference ~stage cfg =
+  match addrcheck_disagreements cfg with
+  | [] -> true
+  | (a, b) :: _ ->
+      QCheck.Test.fail_reportf "%s: delta %d -> %d differs" stage a b
+
+(* The slice closes over [Move] sources and [Add] register operands:
+   the [b1]/[b2] deltas need the moved entry value of [p] (a slice
+   without it sees two opaque copies), and the [b1]/[b3] delta needs
+   the constant in [k] (a slice without it sees [b1 + Any]). *)
+let test_addrcheck_slice () =
+  let g = Reg.Gen.create () in
+  let p = Reg.Gen.fresh g Reg.Gpr in
+  let k = Reg.Gen.fresh g Reg.Gpr in
+  let b1 = Reg.Gen.fresh g Reg.Gpr in
+  let b2 = Reg.Gen.fresh g Reg.Gpr in
+  let b3 = Reg.Gen.fresh g Reg.Gpr in
+  let b4 = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "A",
+          [
+            B.li ~dst:x 7;
+            B.li ~dst:k 8;
+            B.mr ~dst:b1 ~src:p;
+            B.mr ~dst:b2 ~src:p;
+            B.add ~dst:b3 ~lhs:b1 ~rhs:k;
+            B.addi ~dst:b4 ~lhs:b2 8;
+            B.store ~src:x ~base:b1 ~offset:0;
+            B.store ~src:x ~base:b2 ~offset:4;
+            B.store ~src:x ~base:b3 ~offset:0;
+            B.store ~src:x ~base:b4 ~offset:4;
+          ],
+          Instr.Halt );
+      ]
+  in
+  Alcotest.(check (list (pair int int))) "the slice agrees" []
+    (addrcheck_disagreements cfg);
+  let t = Gis_check.Addrcheck.compute cfg in
+  let st n = body_uid cfg "A" (6 + n) in
+  Alcotest.(check (option int)) "moves of one source" (Some 0)
+    (Gis_check.Addrcheck.delta t ~a:(st 0) ~b:(st 1));
+  Alcotest.(check (option int)) "add of a register constant" (Some 8)
+    (Gis_check.Addrcheck.delta t ~a:(st 0) ~b:(st 2));
+  Alcotest.(check (option int)) "add of an immediate" (Some 8)
+    (Gis_check.Addrcheck.delta t ~a:(st 1) ~b:(st 3))
 
 let qtest name count prop =
   QCheck_alcotest.to_alcotest
@@ -728,6 +810,7 @@ let () =
             test_symaddr_update_postincrement;
           Alcotest.test_case "join" `Quick test_symaddr_join;
           Alcotest.test_case "affine slice" `Quick test_symaddr_slice;
+          Alcotest.test_case "addrcheck slice" `Quick test_addrcheck_slice;
           Alcotest.test_case "overclaim hook" `Quick
             test_symaddr_overclaim_hook;
         ] );
@@ -741,6 +824,17 @@ let () =
               qtest ("symaddr delta = addrcheck delta, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed symaddr_matches_addrcheck);
+              qtest ("addrcheck = every-register reference, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input params seed addrcheck_matches_reference);
+              qtest ("deps = pairwise reference, disambig, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input params seed
+                    (deps_match_reference ~disambig:true));
+              qtest ("deps = pairwise reference, no disambig, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input params seed
+                    (deps_match_reference ~disambig:false));
             ])
           grammars );
     ]

@@ -98,9 +98,89 @@ let test_accepts_regalloc () =
         6 stats.C.stages)
     workloads
 
-(* ---- mutation rejection ---- *)
-
 let has_rule rule ds = List.exists (fun d -> String.equal d.D.rule rule) ds
+
+(* ---- one index per CFG version ---- *)
+
+(* [Pipeline.run] hands each stage's post snapshot back as the next
+   stage's pre, and the collector then reuses that snapshot's index.
+   Over the pinned programs the collector's findings and counters must
+   equal an independent check of every stage from scratch. *)
+let collector_matches_fresh_checks ~what config cfg0 =
+  let prov = Gis_obs.Provenance.create () in
+  let max_speculation_degree = config.Config.max_speculation_degree in
+  let reusing = C.collector ~prov ~max_speculation_degree () in
+  let fresh = ref [] and stats = ref [] in
+  let hook ~stage ~pre ~post =
+    C.hook reusing ~stage ~pre ~post;
+    fresh :=
+      (stage, C.check_stage ~prov ~max_speculation_degree ~stage ~pre ~post ())
+      :: !fresh;
+    let alone = C.collector ~prov ~max_speculation_degree () in
+    C.hook alone ~stage ~pre ~post;
+    stats := C.stats alone :: !stats
+  in
+  ignore
+    (Pipeline.run machine
+       { config with Config.prov = Some prov; check = Some hook }
+       (Cfg.deep_copy cfg0));
+  Alcotest.(check bool)
+    (what ^ ": diagnostics")
+    true
+    (C.diagnostics reusing = List.rev !fresh);
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 !stats in
+  Alcotest.(check (list int))
+    (what ^ ": stats")
+    [
+      sum (fun s -> s.C.stages);
+      sum (fun s -> s.C.deps_checked);
+      sum (fun s -> s.C.motions_classified);
+    ]
+    (let s = C.stats reusing in
+     [ s.C.stages; s.C.deps_checked; s.C.motions_classified ]);
+  List.concat_map snd (C.diagnostics reusing)
+
+let test_collector_reuse () =
+  let programs = Lazy.force Test_support.pinned_programs in
+  let configs =
+    [
+      ("speculative", Config.speculative);
+      ( "regalloc",
+        { Config.speculative with Config.regalloc = true; regs = Some 8 } );
+      ( "duplication",
+        { Config.speculative with Config.allow_duplication = true } );
+    ]
+  in
+  List.iteri
+    (fun k cfg0 ->
+      List.iter
+        (fun (name, config) ->
+          ignore
+            (collector_matches_fresh_checks
+               ~what:(Fmt.str "program %d, %s" k name)
+               config cfg0))
+        configs)
+    programs;
+  (* A scheduler that drops its memory edges makes violations, so the
+     equality above also covers the reported order of
+     [dependence.violated] findings. *)
+  Gis_ddg.Ddg.drop_mem_edges_for_testing := true;
+  let violations =
+    Fun.protect
+      ~finally:(fun () -> Gis_ddg.Ddg.drop_mem_edges_for_testing := false)
+      (fun () ->
+        List.concat
+          (List.mapi
+             (fun k cfg0 ->
+               collector_matches_fresh_checks
+                 ~what:(Fmt.str "program %d, dropped mem edges" k)
+                 Config.speculative cfg0)
+             programs))
+  in
+  Alcotest.(check bool) "dropped mem edges are caught" true
+    (has_rule "dependence.violated" violations)
+
+(* ---- mutation rejection ---- *)
 
 let fresh_gprs n =
   let g = Reg.Gen.create () in
@@ -578,6 +658,8 @@ let () =
           Alcotest.test_case "workloads x levels" `Quick test_accepts_workloads;
           Alcotest.test_case "workloads under regalloc" `Quick
             test_accepts_regalloc;
+          Alcotest.test_case "collector reuse = fresh check per stage" `Quick
+            test_collector_reuse;
         ] );
       ( "rejection",
         [

@@ -458,18 +458,7 @@ let test_stores_not_speculated () =
 
 (* ---- pinned emitted schedules ---- *)
 
-(* Thirty seed-pinned hardened random programs, compiled with the label
-   counter reset so a seed denotes one exact CFG. *)
-let pinned_programs =
-  lazy
-    (List.init 30 (fun k ->
-         Random_prog.generate_compiled_via
-           ~compile:(fun prog ->
-             Label.reset_fresh_counter ();
-             match Gis_frontend.Codegen.compile prog with
-             | c -> Ok c.Gis_frontend.Codegen.cfg
-             | exception Gis_frontend.Codegen.Error m -> Error m)
-           Random_prog.hardened ~seed:(500 + k)))
+let pinned_programs = Test_support.pinned_programs
 
 (* One digest of the printed assembly per configuration, over every
    pinned program: any change to the order either scheduling pass emits

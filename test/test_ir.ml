@@ -251,6 +251,94 @@ let test_validate_update_alias () =
       B.func ~reg_gen:g
         [ ("A", [ B.load_update ~dst:x ~base:x ~offset:4 ], Instr.Halt) ])
 
+(* Every kind of validator message, byte for byte. The location prefix
+   is formatted only when a check fails, and must read as it always
+   has. *)
+let validate_messages () =
+  let g = Reg.Gen.create () in
+  let r = Reg.Gen.fresh g Reg.Gpr in
+  let f = Reg.Gen.fresh g Reg.Fpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "A",
+          [
+            B.load ~dst:c ~base:r ~offset:0;
+            B.load ~dst:r ~base:f ~offset:0;
+            B.load_update ~dst:f ~base:r ~offset:4;
+            B.load_update ~dst:r ~base:r ~offset:4;
+            B.store ~src:c ~base:r ~offset:0;
+            B.store ~src:r ~base:f ~offset:0;
+            B.li ~dst:f 1;
+            B.mr ~dst:c ~src:c;
+            B.mr ~dst:r ~src:f;
+            B.add ~dst:f ~lhs:r ~rhs:r;
+            B.fbinop Instr.Fadd ~dst:r ~lhs:f ~rhs:f;
+            B.cmp ~dst:r ~lhs:r ~rhs:r;
+            B.cmpi ~dst:c ~lhs:f 0;
+            B.fcmp ~dst:r ~lhs:f ~rhs:f;
+            B.fcmp ~dst:c ~lhs:r ~rhs:f;
+            B.call "f" [ c ];
+            B.call ~ret:c "g" [];
+          ],
+          B.bt ~cr:r ~cond:Instr.Lt ~taken:"B" ~fallthru:"C" );
+        ("B", [ B.li ~dst:r 1 ], B.jmp "NOWHERE");
+        ("C", [], B.jmp "D");
+        ("D", [], B.jmp "E");
+        ("E", [], B.halt);
+      ]
+  in
+  let block l = Cfg.block_of_label cfg l in
+  let a = block "A" and b = block "B" and e = block "E" in
+  Gis_util.Vec.set b.Block.body 0 (Gis_util.Vec.get a.Block.body 0);
+  Gis_util.Vec.push b.Block.body (Cfg.make_instr cfg (B.jmp "C"));
+  e.Block.term <- Cfg.make_instr cfg (B.li ~dst:r 2);
+  Cfg.remove_block cfg (block "D").Block.id;
+  let no_entry =
+    B.func ~reg_gen:g [ ("X", [], B.jmp "Y"); ("Y", [], B.halt) ]
+  in
+  Cfg.remove_block no_entry (Cfg.entry no_entry);
+  List.concat_map
+    (fun c ->
+      match Validate.check c with Ok () -> [ "ok" ] | Error es -> es)
+    [ cfg; no_entry; Cfg.create () ]
+
+let test_validate_messages () =
+  Alcotest.(check (list string))
+    "messages"
+    [
+      "A[0] L     cr2=mem(r0,0): load destination must be gpr or fpr";
+      "A[1] L     r0=mem(f1,0): load base must be gpr";
+      "A[2] LU    f1,r0=mem(r0,4): update load destination must be gpr";
+      "A[3] LU    r0,r0=mem(r0,4): update load with dst = base is ambiguous";
+      "A[4] ST    mem(r0,0)=cr2: store source must be gpr or fpr";
+      "A[5] ST    mem(f1,0)=r0: store base must be gpr";
+      "A[6] LI    f1=1: li destination must be gpr";
+      "A[7] LR    cr2=cr2: move of condition registers is not a machine \
+       instruction";
+      "A[8] LR    r0=f1: move operands must share a class or transfer cr<->gpr";
+      "A[9] A    f1=r0,r0: binop registers must be gpr";
+      "A[10] FA    r0=f1,f1: fbinop registers must be fpr";
+      "A[11] C     r0=r0,r0: compare destination must be cr";
+      "A[12] C     cr2=f1,0: compare operands must be gpr";
+      "A[13] FC    r0=f1,f1: fcompare destination must be cr";
+      "A[14] FC    cr2=r0,f1: fcompare operands must be fpr";
+      "A[15] CALL  f(cr2): call arguments must be gpr or fpr";
+      "A[16] CALL  cr2=g(): call result must be gpr or fpr";
+      "A[term] BT    B,r0,lt: branch must test a condition register";
+      "B[0] L     cr2=mem(r0,0): duplicate uid 5";
+      "B[0] L     cr2=mem(r0,0): load destination must be gpr or fpr";
+      "B[1] B     C: branch in block body";
+      "B: unresolved branch target NOWHERE";
+      "C: branch target D names a detached block";
+      "E[term] LI    r0=2: terminator is not a branch";
+      "Block.successor_labels: non-branch terminator";
+      "entry block is not in the layout";
+      "empty graph";
+    ]
+    (validate_messages ())
+
 let test_builder_rejects_branch_in_body () =
   Alcotest.(check bool) "branch in body" true
     (match
@@ -288,5 +376,6 @@ let () =
           Alcotest.test_case "class-violation" `Quick test_validate_class_violation;
           Alcotest.test_case "update-alias" `Quick test_validate_update_alias;
           Alcotest.test_case "branch-in-body" `Quick test_builder_rejects_branch_in_body;
+          Alcotest.test_case "messages" `Quick test_validate_messages;
         ] );
     ]

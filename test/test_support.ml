@@ -37,3 +37,16 @@ let standard_programs () =
          let compiled = Spec_proxy.compile p in
          (p.Spec_proxy.name, (compiled.Codegen.cfg, p.Spec_proxy.setup compiled)))
        Spec_proxy.all
+
+(* Thirty seed-pinned hardened random programs, compiled with the label
+   counter reset so a seed denotes one exact CFG. *)
+let pinned_programs =
+  lazy
+    (List.init 30 (fun k ->
+         Random_prog.generate_compiled_via
+           ~compile:(fun prog ->
+             Gis_ir.Label.reset_fresh_counter ();
+             match Codegen.compile prog with
+             | c -> Ok c.Codegen.cfg
+             | exception Codegen.Error m -> Error m)
+           Random_prog.hardened ~seed:(500 + k)))
