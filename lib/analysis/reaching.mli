@@ -6,7 +6,19 @@
     Section 5.3 / Figure 6 — `cr6` becomes `cr5` precisely because `I13`
     is reached only by `I12`'s compare). Registers that may be defined
     before the procedure (parameters) get a synthetic {!External}
-    definition site at the entry. *)
+    definition site at the entry.
+
+    Two ways to ask. {!compute} solves the whole procedure at once and
+    answers every chain; the checker ([Deps], [Check]), [Webs] and
+    [Lint] use it. {!Query} answers one use, or one definition's uses,
+    by walking the CFG from it; the scheduler ([Ddg]'s cross-block base
+    proof and [Global_sched]'s rename check) uses it, so the checker
+    shares no reaching-definitions code path with the scheduler.
+
+    Only blocks in {!Gis_ir.Cfg.layout} take part in the dataflow: a
+    definition in a detached block reaches only later uses in its own
+    block, and a use there sees only earlier definitions in its own
+    block. *)
 
 type site =
   | Def of int  (** uid of the defining instruction *)
@@ -33,3 +45,35 @@ val sole_def_of_all_uses : t -> uid:int -> reg:Gis_ir.Reg.t -> int list option
 (** [Some uses] when every use reached by definition [uid] of [reg] has
     that definition as its *only* reaching definition — the renaming
     safety condition; [None] otherwise. *)
+
+(** Demand-driven reaching definitions: each answer walks the CFG from
+    the instruction asked about, reading the blocks' current bodies, and
+    equals (as a set) what {!compute} on the same CFG would answer. *)
+module Query : sig
+  type t
+
+  val create : Gis_ir.Cfg.t -> t
+  (** Records the CFG's edges, layout and block count, which must not
+      change while [t] is in use; instructions may move between bodies
+      freely. *)
+
+  val defs_of_use :
+    t -> block:int -> uid:int -> reg:Gis_ir.Reg.t -> site list
+  (** Definition sites reaching the use of [reg] by instruction [uid] in
+      [block], each once: walks backward to the last definition of
+      [reg] on each path; reaching the entry's top adds {!External}.
+      Raises [Invalid_argument] if [block] holds no instruction [uid] or
+      it does not use [reg]. *)
+
+  val uses_of_def : t -> block:int -> uid:int -> reg:Gis_ir.Reg.t -> int list
+  (** Uids of the instructions whose use of [reg] the definition [uid]
+      in [block] reaches, each once: walks forward to the next
+      definition on each path. Raises [Invalid_argument] if [block]
+      holds no instruction [uid] or it does not define [reg]. *)
+
+  val sole_def_of_all_uses :
+    t -> block:int -> uid:int -> reg:Gis_ir.Reg.t -> (int * int) list option
+  (** {!Reaching.sole_def_of_all_uses} by query, each use paired with
+      the block holding it: the definition's uses forward, then each
+      use's reaching definitions backward. *)
+end

@@ -105,6 +105,24 @@ let region_too_big config cfg (region : Regions.region) =
     Some (Fmt.str "region has %d instructions (limit %d)" instrs config.Config.max_region_instrs)
   else None
 
+(* Whole-procedure dataflow shared by every region of one pass. Motion
+   never changes the CFG's edges, layout or block count, so liveness is
+   computed once, on its first read, and then updated: each mutation
+   records the blocks it rewrote, and the next read re-scans just those
+   ({!Liveness.update}). Reaching definitions are asked one use at a
+   time ({!Reaching.Query}) on the current code, so they never go
+   stale. *)
+type dataflow = {
+  mutable live : Liveness.t option;
+  mutable touched : Ints.Int_set.t;
+      (** blocks rewritten since [live] was last brought up to date *)
+  reach : Reaching.Query.t Lazy.t;
+}
+
+let new_dataflow cfg =
+  { live = None; touched = Ints.Int_set.empty;
+    reach = lazy (Reaching.Query.create cfg) }
+
 (* Scheduling state for one region. *)
 type state = {
   cfg : Cfg.t;
@@ -120,13 +138,7 @@ type state = {
   home : int array;  (** ddg node -> current view node *)
   done_ : bool array;  (** ddg node -> dependences from it are fulfilled *)
   current : Instr.t option array;  (** possibly renamed instruction *)
-  mutable liveness : Liveness.t option;
-      (** computed lazily and invalidated on motion — only the
-          speculative safety rule reads it, so useful-only scheduling
-          never pays for it, and a burst of motions between two safety
-          checks costs one recomputation, not one per motion *)
-  mutable reaching : Reaching.t option;
-      (** computed lazily — only rename-safety checks need it *)
+  df : dataflow;
   mutable moves : move list;
   mutable blocked_log : blocked list;
   pending_copies : (int, Instr.t list) Hashtbl.t;
@@ -141,30 +153,32 @@ let view_label st v =
   | Regions.Block b -> Some (Cfg.block st.cfg b).Block.label
   | Regions.Inner_loop _ -> None
 
-(* Liveness and reaching definitions go stale whenever an instruction
-   moves; mark them dirty and recompute on the next read instead of
-   recomputing eagerly after every motion. *)
-let invalidate_dataflow st =
-  st.liveness <- None;
-  st.reaching <- None
+(* Record that [blocks] were rewritten. Before the first liveness read
+   there is nothing to update: the compute will see the current code. *)
+let touch st blocks =
+  match st.df.live with
+  | None -> ()
+  | Some _ ->
+      st.df.touched <-
+        List.fold_left (fun acc b -> Ints.Int_set.add b acc) st.df.touched blocks
 
+(* Only the speculative safety rule and the pressure term read liveness,
+   so useful-only scheduling never computes it, and a burst of motions
+   between two reads costs one update. *)
 let liveness st =
-  match st.liveness with
-  | Some l -> l
+  match st.df.live with
   | None ->
       let l = Liveness.compute st.cfg in
-      st.liveness <- Some l;
+      st.df.live <- Some l;
+      l
+  | Some l ->
+      if not (Ints.Int_set.is_empty st.df.touched) then begin
+        Liveness.update l st.cfg ~blocks:(Ints.Int_set.elements st.df.touched);
+        st.df.touched <- Ints.Int_set.empty
+      end;
       l
 
-let reaching st =
-  match st.reaching with
-  | Some r -> r
-  | None ->
-      let r = Reaching.compute st.cfg in
-      st.reaching <- Some r;
-      r
-
-let make_state ?sym machine config cfg regions view =
+let make_state ?sym ~df machine config cfg regions view =
   let ddg = Ddg.build ?sym cfg machine regions view in
   let ddg = if config.Config.prune_transitive then Ddg.prune_transitive ddg else ddg in
   let flow = view.Regions.flow in
@@ -212,8 +226,7 @@ let make_state ?sym machine config cfg regions view =
     home = Array.init n (fun i -> (Ddg.node ddg i).Ddg.view_node);
     done_ = Array.make n false;
     current = Array.init n (fun i -> (Ddg.node ddg i).Ddg.instr);
-    liveness = None;
-    reaching = None;
+    df;
     moves = [];
     blocked_log = [];
     pending_copies = Hashtbl.create 4;
@@ -321,7 +334,8 @@ let duplication_sources_ok st ~join i =
 
 type safety =
   | Safe
-  | Safe_with_rename of Reg.t * int list  (** reg to rename, consumer uids *)
+  | Safe_with_rename of Reg.t * (int * int) list
+      (** reg to rename, consumers as (uid, block) *)
   | Unsafe of blocked
 
 let plainly_renameable inst r =
@@ -333,14 +347,15 @@ let plainly_renameable inst r =
       true
   | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> false
 
-let check_speculative st ~target_block inst =
+let check_speculative st ~target_block ~from_block inst =
   let live = Liveness.live_before_terminator (liveness st) st.cfg target_block in
   let clobbered = List.filter (fun r -> Reg.Set.mem r live) (Instr.defs inst) in
   match clobbered with
   | [] -> Safe
   | [ r ] when st.config.Config.rename && plainly_renameable inst r -> (
       match
-        Reaching.sole_def_of_all_uses (reaching st) ~uid:(Instr.uid inst) ~reg:r
+        Reaching.Query.sole_def_of_all_uses (Lazy.force st.df.reach)
+          ~block:from_block ~uid:(Instr.uid inst) ~reg:r
       with
       | Some uses -> Safe_with_rename (r, uses)
       | None ->
@@ -364,11 +379,12 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
   let inst, renamed =
     match rename with
     | None -> (inst, None)
-    | Some (r, consumer_uids) ->
+    | Some (r, consumers) ->
         let r' = Cfg.fresh_reg st.cfg r.Reg.cls in
         let inst' = Instr.rename_def inst ~from_reg:r ~to_reg:r' in
+        touch st (List.map snd consumers);
         List.iter
-          (fun u ->
+          (fun (u, _) ->
             ignore
               (Cfg.update_instr st.cfg ~uid:u
                  ~f:(Instr.rename_uses ~from_reg:r ~to_reg:r'));
@@ -379,7 +395,7 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
                     (Instr.rename_uses ~from_reg:r ~to_reg:r')
                     st.current.(j)
             | None -> ())
-          consumer_uids;
+          consumers;
         (inst', Some (r, r'))
   in
   st.current.(i) <- Some inst;
@@ -408,7 +424,7 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
        Gis_obs.Metrics.incr m_renames;
        emit st (Gis_obs.Sink.Renamed { uid; from_reg; to_reg })
    | None -> ());
-  invalidate_dataflow st;
+  touch st [ from_blk_id; target_blk.Block.id ];
   inst
 
 (* ---- the per-block cycle-by-cycle process (Section 5.1) ---- *)
@@ -559,7 +575,10 @@ let schedule_block st a blk_id =
                   | [] -> assert false);
             }
         else if speculative then
-          check_speculative st ~target_block:blk_id inst
+          match st.view.Regions.nodes.(st.home.(i)) with
+          | Regions.Block from_block ->
+              check_speculative st ~target_block:blk_id ~from_block inst
+          | Regions.Inner_loop _ -> assert false
         else Safe
       in
       let place_copies placed =
@@ -572,6 +591,7 @@ let schedule_block st a blk_id =
                 Gis_obs.Provenance.duplicated st.config.Config.prov
                   ~orig:(Instr.uid placed) ~copy:(Instr.uid copy)
                   ~block:(Cfg.block st.cfg pb).Block.label;
+                touch st [ pb ];
                 if Ints.Int_set.mem p st.processed then
                   Vec.push (Cfg.block st.cfg pb).Block.body copy
                 else
@@ -580,8 +600,7 @@ let schedule_block st a blk_id =
                     :: Option.value ~default:[]
                          (Hashtbl.find_opt st.pending_copies p))
             | Regions.Inner_loop _ -> assert false)
-          copy_hosts;
-        if copy_hosts <> [] then invalidate_dataflow st
+          copy_hosts
       in
       (* Provenance: the committed motion with the heap entry's
          decision-time ranks. Reads the move record [apply_motion]
@@ -669,13 +688,13 @@ let schedule_block st a blk_id =
       Hashtbl.remove st.pending_copies a
   | None -> ());
   st.processed <- Ints.Int_set.add a st.processed;
-  invalidate_dataflow st
+  touch st [ blk_id ]
 
 let note_skip (config : Config.t) region_id reason =
   config.Config.obs.Gis_obs.Sink.emit
     (Gis_obs.Sink.Region_skipped { region_id; reason })
 
-let schedule_region ?sym machine config cfg regions region =
+let schedule_region ?sym ~df machine config cfg regions region =
   let base_report =
     {
       region_id = region.Regions.id;
@@ -700,7 +719,7 @@ let schedule_region ?sym machine config cfg regions region =
         match Regions.view cfg regions region with
         | exception Invalid_argument why -> skipped why
         | view ->
-            let st = make_state ?sym machine config cfg regions view in
+            let st = make_state ?sym ~df machine config cfg regions view in
             let topo = Flow.reverse_postorder view.Regions.flow in
             List.iter
               (fun v ->
@@ -769,6 +788,7 @@ let schedule ?(only = fun _ -> true) ?regions machine config cfg =
     else None
   in
   let inner_level = inner_levels regions in
+  let df = new_dataflow cfg in
   List.map
     (fun region ->
       if not (only region) then begin
@@ -804,10 +824,10 @@ let schedule ?(only = fun _ -> true) ?regions machine config cfg =
            only built when a profiler is attached, so the detached path
            stays allocation-identical. *)
         match config.Config.prof with
-        | None -> schedule_region ?sym machine config cfg regions region
+        | None -> schedule_region ?sym ~df machine config cfg regions region
         | Some _ as prof ->
             Gis_obs.Prof.record prof
               (Fmt.str "region-%d" region.Regions.id)
               (fun () ->
-                schedule_region ?sym machine config cfg regions region))
+                schedule_region ?sym ~df machine config cfg regions region))
     (Regions.regions regions)

@@ -354,16 +354,28 @@ let build ?sym cfg machine regions (view : Regions.view) =
        ~add_edge)
     by_view_node;
   (* Inter-block dependences over reachable view-node pairs. Reaching
-     definitions power the cross-block base-value proof; they are only
-     computed when some memory reference actually needs them. *)
-  let reaching = lazy (Reaching.compute cfg) in
+     definitions power the cross-block base-value proof; each access's
+     base is queried on demand, once, when some pair first needs it. *)
+  let reaching = lazy (Reaching.Query.create cfg) in
+  let base_memo = Array.make (Array.length nodes) None in
   let base_sites idx =
-    match nodes.(idx).instr, mem_access.(idx) with
-    | Some i, Some (Alias.Load_ref ri | Alias.Store_ref ri) ->
-        Some
-          (Reaching.defs_of_use (Lazy.force reaching) ~uid:(Instr.uid i)
-             ~reg:ri.Alias.base)
-    | _, _ -> None
+    match
+      ( base_memo.(idx),
+        nodes.(idx).instr,
+        mem_access.(idx),
+        view.Regions.nodes.(nodes.(idx).view_node) )
+    with
+    | (Some _ as known), _, _, _ -> known
+    | None, Some i, Some (Alias.Load_ref ri | Alias.Store_ref ri), Regions.Block block
+      ->
+        let sites =
+          Some
+            (Reaching.Query.defs_of_use (Lazy.force reaching) ~block
+               ~uid:(Instr.uid i) ~reg:ri.Alias.base)
+        in
+        base_memo.(idx) <- sites;
+        sites
+    | None, _, _, _ -> None
   in
   let reach = Flow.reachable_matrix view.Regions.flow in
   for va = 0 to num_view_nodes - 1 do

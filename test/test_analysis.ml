@@ -592,26 +592,18 @@ let test_symaddr_overclaim_hook () =
 
 (* ---- reference properties over every pipeline stage ---- *)
 
-(* A random program of the given grammar, compiled with the label
-   counter reset so a seed denotes one exact CFG. *)
-let random_cfg params seed =
-  Gis_workloads.Random_prog.generate_compiled_via
-    ~compile:(fun prog ->
-      Label.reset_fresh_counter ();
-      match Gis_frontend.Codegen.compile prog with
-      | c -> Ok c.Gis_frontend.Codegen.cfg
-      | exception Gis_frontend.Codegen.Error m -> Error m)
-    params ~seed
+let random_cfg params seed = Test_support.pinned_cfg params ~seed
 
 (* Run the speculative pipeline and apply [f] to each stage's input CFG
    through the per-stage verification hook; true when [f] holds at
    every stage. *)
-let every_stage_input params seed f =
+let every_stage_input ?(disambiguate = true) params seed f =
   let ok = ref true in
   let config =
     {
       Gis_core.Config.speculative with
-      Gis_core.Config.check =
+      Gis_core.Config.disambiguate;
+      check =
         Some (fun ~stage ~pre ~post:_ -> if not (f ~stage pre) then ok := false);
     }
   in
@@ -750,6 +742,226 @@ let test_addrcheck_slice () =
   Alcotest.(check (option int)) "add of an immediate" (Some 8)
     (Gis_check.Addrcheck.delta t ~a:(st 1) ~b:(st 3))
 
+(* ---- incremental liveness against the whole-procedure reference ---- *)
+
+(* The first block whose [live_in], [live_out] or
+   [live_before_terminator] in [live] differs from a fresh reference
+   compute on [cfg]. *)
+let liveness_mismatch cfg live =
+  let fresh = Liveness_ref.compute cfg in
+  List.find_opt
+    (fun id ->
+      not
+        (Reg.Set.equal (Liveness.live_in live id) (Liveness_ref.live_in fresh id)
+        && Reg.Set.equal (Liveness.live_out live id)
+             (Liveness_ref.live_out fresh id)
+        && Reg.Set.equal
+             (Liveness.live_before_terminator live cfg id)
+             (Liveness_ref.live_before_terminator fresh cfg id)))
+    (List.init (Cfg.num_blocks cfg) Fun.id)
+
+(* One random edit of a kind the global scheduler makes — move a body
+   instruction between layout blocks, rename a definition together with
+   the uses it reaches, or push a copy of an instruction into a block —
+   returning the blocks it rewrote. *)
+let random_edit rng cfg =
+  let module Vec = Gis_util.Vec in
+  let module Prng = Gis_workloads.Prng in
+  let layout = Cfg.layout cfg in
+  let nonempty =
+    List.filter
+      (fun b -> not (Vec.is_empty (Cfg.block cfg b).Block.body))
+      layout
+  in
+  let pick_body () =
+    let b = Prng.pick rng nonempty in
+    let body = (Cfg.block cfg b).Block.body in
+    (b, body, Prng.int rng (Vec.length body))
+  in
+  if nonempty = [] then []
+  else
+    match Prng.int rng 3 with
+    | 0 ->
+        let src, body, k = pick_body () in
+        let i = Vec.remove body k in
+        let dst = Prng.pick rng layout in
+        let dbody = (Cfg.block cfg dst).Block.body in
+        Vec.insert dbody (Prng.int rng (Vec.length dbody + 1)) i;
+        [ src; dst ]
+    | 1 -> (
+        let src, body, k = pick_body () in
+        let i = Vec.get body k in
+        match Instr.defs i with
+        | [] -> []
+        | r :: _ -> (
+            let uses =
+              Reaching.uses_of_def (Reaching.compute cfg) ~uid:(Instr.uid i)
+                ~reg:r
+            in
+            let r' = Cfg.fresh_reg cfg r.Reg.cls in
+            match Instr.rename_def i ~from_reg:r ~to_reg:r' with
+            | exception Invalid_argument _ -> []
+            | i' ->
+                Vec.set body k i';
+                List.iter
+                  (fun u ->
+                    ignore
+                      (Cfg.update_instr cfg ~uid:u
+                         ~f:(Instr.rename_uses ~from_reg:r ~to_reg:r')))
+                  uses;
+                src :: List.filter_map (Cfg.owner_of_uid cfg) uses))
+    | _ ->
+        let _, body, k = pick_body () in
+        let copy = Cfg.copy_instr cfg (Vec.get body k) in
+        let dst = Prng.pick rng layout in
+        Vec.push (Cfg.block cfg dst).Block.body copy;
+        [ dst ]
+
+(* Detach one random non-entry block (half the time), then apply twelve
+   bursts of one to three edits, each followed by one [Liveness.update]
+   over the blocks the burst touched — less the first of them when
+   [omit] is set. [Ok ()] when every update matched a fresh compute. *)
+let liveness_update_run ?(omit = false) params seed =
+  let module Prng = Gis_workloads.Prng in
+  let cfg = random_cfg params seed in
+  let rng = Prng.create ~seed in
+  (match List.filter (fun b -> b <> Cfg.entry cfg) (Cfg.layout cfg) with
+  | _ :: _ as others when Prng.bool rng ->
+      Cfg.remove_block cfg (Prng.pick rng others)
+  | _ -> ());
+  let live = Liveness.compute cfg in
+  let rec go round =
+    if round > 12 then Ok ()
+    else
+      let touched =
+        List.concat (List.init (1 + Prng.int rng 3) (fun _ -> random_edit rng cfg))
+      in
+      let blocks =
+        match touched with _ :: rest when omit -> rest | _ -> touched
+      in
+      Liveness.update live cfg ~blocks;
+      match liveness_mismatch cfg live with
+      | Some id -> Error (round, id)
+      | None -> go (round + 1)
+  in
+  match liveness_mismatch cfg live with
+  | Some id -> Error (0, id)
+  | None -> go 1
+
+let liveness_update_matches_reference params seed =
+  match liveness_update_run params seed with
+  | Ok () -> true
+  | Error (round, id) ->
+      QCheck.Test.fail_reportf "seed %d: block %d differs after edit burst %d"
+        seed id round
+
+(* The property has teeth: leaving a touched block out of the update
+   leaves stale sets that a fresh compute exposes. *)
+let test_liveness_update_omission_caught () =
+  let caught =
+    List.exists
+      (fun seed ->
+        Result.is_error
+          (liveness_update_run ~omit:true Gis_workloads.Random_prog.hardened
+             seed))
+      (List.init 10 (fun k -> k + 1))
+  in
+  Alcotest.(check bool) "an omitted block is caught" true caught
+
+(* ---- demand-driven reaching queries against the full compute ---- *)
+
+(* Every use's and every definition's query answer, in every block
+   (layout and detached), equals the full compute's as a set. *)
+let query_matches_compute ~stage cfg =
+  let full = Reaching.compute cfg and q = Reaching.Query.create cfg in
+  let sorted l = List.sort compare l in
+  let same what uid reg a b =
+    a = b
+    || QCheck.Test.fail_reportf "%s: %s of %a at uid %d differs" stage what
+         Reg.pp reg uid
+  in
+  List.for_all
+    (fun block ->
+      List.for_all
+        (fun i ->
+          let uid = Instr.uid i in
+          List.for_all
+            (fun reg ->
+              same "defs_of_use" uid reg
+                (sorted (Reaching.Query.defs_of_use q ~block ~uid ~reg))
+                (sorted (Reaching.defs_of_use full ~uid ~reg)))
+            (Instr.uses i)
+          && List.for_all
+               (fun reg ->
+                 same "uses_of_def" uid reg
+                   (sorted (Reaching.Query.uses_of_def q ~block ~uid ~reg))
+                   (sorted (Reaching.uses_of_def full ~uid ~reg))
+                 && same "sole_def_of_all_uses" uid reg
+                      (Option.map
+                         (fun l -> sorted (List.map fst l))
+                         (Reaching.Query.sole_def_of_all_uses q ~block ~uid
+                            ~reg))
+                      (Option.map sorted
+                         (Reaching.sole_def_of_all_uses full ~uid ~reg)))
+               (Instr.defs i))
+        (Block.instrs (Cfg.block cfg block)))
+    (List.init (Cfg.num_blocks cfg) Fun.id)
+
+(* The entry block heads a loop: its use of [x] is reached both from
+   before the procedure and around the back edge. *)
+let test_query_entry_on_loop () =
+  let g = Reg.Gen.create () in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let y = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "H",
+          [ B.mr ~dst:y ~src:x; B.cmpi ~dst:c ~lhs:y 10 ],
+          B.bt ~cr:c ~cond:Instr.Lt ~taken:"BODY" ~fallthru:"X" );
+        ("BODY", [ B.addi ~dst:x ~lhs:y 1 ], B.jmp "H");
+        ("X", [ B.call "print_int" [ x ] ], Instr.Halt);
+      ]
+  in
+  let q = Reaching.Query.create cfg in
+  let blk l = (Cfg.block_of_label cfg l).Block.id in
+  let sites =
+    List.sort compare
+      (Reaching.Query.defs_of_use q ~block:(blk "H") ~uid:(body_uid cfg "H" 0)
+         ~reg:x)
+  in
+  Alcotest.(check bool) "external and the back edge's definition" true
+    (sites = List.sort compare [ Reaching.External; Reaching.Def (body_uid cfg "BODY" 0) ]);
+  Alcotest.(check bool) "agrees with the full compute" true
+    (query_matches_compute ~stage:"entry on a loop" cfg)
+
+(* A detached block that defines, uses and branches into the layout:
+   its definitions reach only its own later uses, and nothing reaches
+   into it. [Reaching.compute] used to raise on such a block. *)
+let test_query_detached_block () =
+  let g = Reg.Gen.create () in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let y = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.li ~dst:x 1 ], B.jmp "D");
+        ("D", [ B.mr ~dst:y ~src:x; B.li ~dst:x 2; B.mr ~dst:y ~src:x ], B.jmp "X");
+        ("X", [ B.call "print_int" [ x; y ] ], Instr.Halt);
+      ]
+  in
+  let d = (Cfg.block_of_label cfg "D").Block.id in
+  Cfg.remove_block cfg d;
+  let q = Reaching.Query.create cfg in
+  Alcotest.(check bool) "nothing reaches into a detached block" true
+    (Reaching.Query.defs_of_use q ~block:d ~uid:(body_uid cfg "D" 0) ~reg:x = []);
+  Alcotest.(check bool) "its own earlier definition does" true
+    (Reaching.Query.defs_of_use q ~block:d ~uid:(body_uid cfg "D" 2) ~reg:x
+    = [ Reaching.Def (body_uid cfg "D" 1) ]);
+  Alcotest.(check bool) "agrees with the full compute" true
+    (query_matches_compute ~stage:"detached block" cfg)
+
 let qtest name count prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
@@ -784,9 +996,15 @@ let () =
         [
           Alcotest.test_case "diamond" `Quick test_liveness_diamond;
           Alcotest.test_case "loop-carried" `Quick test_liveness_loop_carried;
+          Alcotest.test_case "update omission caught" `Quick
+            test_liveness_update_omission_caught;
         ] );
       ( "reaching",
         [
+          Alcotest.test_case "query: entry on a loop" `Quick
+            test_query_entry_on_loop;
+          Alcotest.test_case "query: detached block" `Quick
+            test_query_detached_block;
           Alcotest.test_case "sole-def" `Quick test_reaching_sole_def;
           Alcotest.test_case "merge" `Quick test_reaching_merge;
           Alcotest.test_case "external" `Quick test_reaching_external;
@@ -827,6 +1045,14 @@ let () =
               qtest ("addrcheck = every-register reference, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed addrcheck_matches_reference);
+              qtest ("liveness update = fresh reference, " ^ grammar) 25
+                (liveness_update_matches_reference params);
+              qtest ("reaching query = compute, disambig, " ^ grammar) 25
+                (fun seed -> every_stage_input params seed query_matches_compute);
+              qtest ("reaching query = compute, no disambig, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input ~disambiguate:false params seed
+                    query_matches_compute);
               qtest ("deps = pairwise reference, disambig, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed

@@ -503,21 +503,52 @@ let pinned_digests =
       "ab3952d9e605c90ba04991ae5bac04d6" );
   ]
 
+let digest_schedules programs (name, m, config, expected) =
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun cfg0 ->
+           let cfg = Cfg.deep_copy cfg0 in
+           ignore (Pipeline.run m config cfg);
+           Asm.print cfg)
+         programs)
+  in
+  Alcotest.(check string) name expected (Digest.to_hex (Digest.string text))
+
 let test_pinned_schedules () =
-  let programs = Lazy.force pinned_programs in
+  List.iter (digest_schedules (Lazy.force pinned_programs)) pinned_digests
+
+(* Ladder scale: three hardened [body_len = 64] programs of 128 or more
+   blocks, where one pass schedules dozens of regions against the same
+   procedure-wide liveness and reaching definitions. *)
+let ladder_seeds = [ 2; 10; 11 ]
+
+let ladder_programs =
+  lazy
+    (List.map
+       (fun seed ->
+         Test_support.pinned_cfg
+           { Random_prog.hardened with Random_prog.body_len = 64 }
+           ~seed)
+       ladder_seeds)
+
+let ladder_digests =
+  let spec = Config.speculative in
+  [
+    ("ladder speculative rs6k", machine, spec, "ddb130d4503dc7a7802aba49c1934aed");
+    ( "ladder pressure-aware, 6 registers",
+      machine,
+      { spec with Config.pressure_aware = true; regs = Some 6 },
+      "af8cd7f8fee5cd28db652ac38ad4ef42" );
+  ]
+
+let test_pinned_ladder () =
+  let programs = Lazy.force ladder_programs in
   List.iter
-    (fun (name, m, config, expected) ->
-      let text =
-        String.concat "\n"
-          (List.map
-             (fun cfg0 ->
-               let cfg = Cfg.deep_copy cfg0 in
-               ignore (Pipeline.run m config cfg);
-               Asm.print cfg)
-             programs)
-      in
-      Alcotest.(check string) name expected (Digest.to_hex (Digest.string text)))
-    pinned_digests
+    (fun cfg ->
+      Alcotest.(check bool) "at least 128 blocks" true (Cfg.num_blocks cfg >= 128))
+    programs;
+  List.iter (digest_schedules programs) ladder_digests
 
 let () =
   Alcotest.run "gis_core"
@@ -550,5 +581,8 @@ let () =
       ( "figures",
         [ Alcotest.test_case "cycle bands" `Quick test_levels_improve_minmax ] );
       ( "pinned",
-        [ Alcotest.test_case "emitted schedules" `Quick test_pinned_schedules ] );
+        [
+          Alcotest.test_case "emitted schedules" `Quick test_pinned_schedules;
+          Alcotest.test_case "ladder-scale schedules" `Quick test_pinned_ladder;
+        ] );
     ]

@@ -38,15 +38,17 @@ let standard_programs () =
          (p.Spec_proxy.name, (compiled.Codegen.cfg, p.Spec_proxy.setup compiled)))
        Spec_proxy.all
 
-(* Thirty seed-pinned hardened random programs, compiled with the label
+(* A random program of the given grammar, compiled with the label
    counter reset so a seed denotes one exact CFG. *)
+let pinned_cfg params ~seed =
+  Random_prog.generate_compiled_via
+    ~compile:(fun prog ->
+      Gis_ir.Label.reset_fresh_counter ();
+      match Codegen.compile prog with
+      | c -> Ok c.Codegen.cfg
+      | exception Codegen.Error m -> Error m)
+    params ~seed
+
+(* Thirty seed-pinned hardened random programs. *)
 let pinned_programs =
-  lazy
-    (List.init 30 (fun k ->
-         Random_prog.generate_compiled_via
-           ~compile:(fun prog ->
-             Gis_ir.Label.reset_fresh_counter ();
-             match Codegen.compile prog with
-             | c -> Ok c.Codegen.cfg
-             | exception Codegen.Error m -> Error m)
-           Random_prog.hardened ~seed:(500 + k)))
+  lazy (List.init 30 (fun k -> pinned_cfg Random_prog.hardened ~seed:(500 + k)))
