@@ -25,34 +25,13 @@ let pp_value ppf = function
   | Top -> Fmt.string ppf "top"
 
 let equal_value a b =
+  a == b
+  ||
   match a, b with
   | Const x, Const y -> x = y
   | Sym x, Sym y -> equal_origin x.origin y.origin && x.offset = y.offset
   | Top, Top -> true
   | (Const _ | Sym _ | Top), _ -> false
-
-(* Environments map the register keys of the slice (see [slice] below)
-   to values. A register absent from the map reads as [Top]: a slice
-   register is absent only in unreachable blocks, because the entry
-   environment seeds each with its own entry origin, and any other
-   register is read only to define a register outside the slice, a
-   definition [set] drops. *)
-type env = value Ints.Int_map.t
-
-let lookup env r =
-  Option.value ~default:Top (Ints.Int_map.find_opt (Reg.hash r) env)
-
-let join_value a b = if equal_value a b then a else Top
-
-let join_env (a : env) (b : env) : env =
-  Ints.Int_map.merge
-    (fun _ va vb ->
-      match va, vb with
-      | Some x, Some y -> Some (join_value x y)
-      | Some _, None | None, Some _ | None, None -> Some Top)
-    a b
-
-let equal_env (a : env) (b : env) = Ints.Int_map.equal equal_value a b
 
 (* Affine shift; [None] when the input is [Top] (the caller then starts
    a fresh origin, which is always a sound description of a def). *)
@@ -64,40 +43,36 @@ let shift v k =
 
 let fresh uid (r : Reg.t) = Sym { origin = { o_uid = uid; o_reg = Reg.hash r }; offset = 0 }
 
-(* Only slice registers are tracked: a definition of any other register
-   leaves the environment unchanged. *)
-let set ~slice env (r : Reg.t) v =
-  let k = Reg.hash r in
-  if Ints.Int_set.mem k slice then Ints.Int_map.add k v env else env
-
-(* Transfer of one instruction. [record] is called with the base value
-   of a load/store before the [update] post-increment — the simulator
-   computes the effective address from the old base, then writes the
-   destination, then updates the base (so on [LU rT,rT] the update
-   wins, mirrored by the [set] order below). *)
-let transfer ~slice ~record env i =
+(* Transfer of one instruction over an environment read through
+   [lookup] and written through [set]; [set] drops a register outside
+   the slice (see [slice] below), and [lookup] reads such a register as
+   [Top]. [record] is called with the base value of a load/store before
+   the [update] post-increment — the simulator computes the effective
+   address from the old base, then writes the destination, then updates
+   the base (so on [LU rT,rT] the update wins, mirrored by the [set]
+   order below). *)
+let transfer ~lookup ~set ~record i =
   let uid = Instr.uid i in
-  let set = set ~slice in
-  let opaque env r = set env r (fresh uid r) in
+  let opaque r = set r (fresh uid r) in
   match Instr.kind i with
-  | Instr.Load_imm { dst; value } -> set env dst (Const value)
+  | Instr.Load_imm { dst; value } -> set dst (Const value)
   | Instr.Move { dst; src } -> (
-      match lookup env src with
-      | Top -> opaque env dst
-      | v -> set env dst v)
+      match lookup src with
+      | Top -> opaque dst
+      | v -> set dst v)
   | Instr.Binop { op; dst; lhs; rhs } -> (
       let affine =
         match op, rhs with
-        | Instr.Add, Instr.Imm k -> shift (lookup env lhs) k
-        | Instr.Sub, Instr.Imm k -> shift (lookup env lhs) (-k)
+        | Instr.Add, Instr.Imm k -> shift (lookup lhs) k
+        | Instr.Sub, Instr.Imm k -> shift (lookup lhs) (-k)
         | Instr.Add, Instr.Reg r -> (
-            match lookup env lhs, lookup env r with
+            match lookup lhs, lookup r with
             | Const a, Const b -> Some (Const (a + b))
             | vl, Const k -> shift vl k
             | Const k, vr -> shift vr k
             | (Sym _ | Top), (Sym _ | Top) -> None)
         | Instr.Sub, Instr.Reg r -> (
-            match lookup env lhs, lookup env r with
+            match lookup lhs, lookup r with
             | Const a, Const b -> Some (Const (a - b))
             | vl, Const k -> shift vl (-k)
             | (Const _ | Sym _ | Top), (Sym _ | Top) -> None)
@@ -106,25 +81,21 @@ let transfer ~slice ~record env i =
             _ ) ->
             None
       in
-      match affine with Some v -> set env dst v | None -> opaque env dst)
+      match affine with Some v -> set dst v | None -> opaque dst)
   | Instr.Load { dst; base; offset; update } ->
-      let bv = lookup env base in
+      let bv = lookup base in
       record uid bv;
-      let env = opaque env dst in
+      opaque dst;
       if update then
-        set env base
-          (Option.value ~default:(fresh uid base) (shift bv offset))
-      else env
+        set base (Option.value ~default:(fresh uid base) (shift bv offset))
   | Instr.Store { src = _; base; offset; update } ->
-      let bv = lookup env base in
+      let bv = lookup base in
       record uid bv;
       if update then
-        set env base
-          (Option.value ~default:(fresh uid base) (shift bv offset))
-      else env
+        set base (Option.value ~default:(fresh uid base) (shift bv offset))
   | Instr.Compare _ | Instr.Fcompare _ | Instr.Fbinop _ | Instr.Call _ ->
-      List.fold_left opaque env (Instr.defs i)
-  | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> env
+      List.iter opaque (Instr.defs i)
+  | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> ()
 
 type t = { base_values : (int, value) Hashtbl.t }
 
@@ -166,63 +137,197 @@ let slice cfg =
   in
   close Ints.Int_set.empty !bases
 
+let no_record _ _ = ()
+
 let compute cfg =
   let n = Cfg.num_blocks cfg in
-  let slice = slice cfg in
+  (* Dense positions: slice register key [keys.(p)] lives at position
+     [p] of every environment array. *)
+  let keys = Array.of_list (Ints.Int_set.elements (slice cfg)) in
+  let m = Array.length keys in
+  let pos_of = Array.make (if m = 0 then 0 else keys.(m - 1) + 1) (-1) in
+  Array.iteri (fun p k -> pos_of.(k) <- p) keys;
+  let position r =
+    let k = Reg.hash r in
+    if k < Array.length pos_of then pos_of.(k) else -1
+  in
+  (* [run ~record inn id] transfers block [id]'s instructions from the
+     entry environment [inn] without copying it: the registers the block
+     defines are written to the scratch [cur], stamped with this run's
+     [epoch], and listed in [touched]; the entry positions it reads
+     before defining them are listed in [exposed]. Neither list depends
+     on the values, only on the instructions. *)
+  let cur = Array.make m Top and stamp = Array.make m 0 in
+  let epoch = ref 0 and touched = ref [] and exposed = ref [] in
+  let run ~record inn id =
+    incr epoch;
+    touched := [];
+    exposed := [];
+    let e = !epoch in
+    let lookup r =
+      let p = position r in
+      if p < 0 then Top
+      else if stamp.(p) = e then cur.(p)
+      else begin
+        exposed := p :: !exposed;
+        inn.(p)
+      end
+    in
+    let set r v =
+      let p = position r in
+      if p >= 0 then begin
+        if stamp.(p) <> e then begin
+          stamp.(p) <- e;
+          touched := p :: !touched
+        end;
+        cur.(p) <- v
+      end
+    in
+    let b = Cfg.block cfg id in
+    Vec.iter (transfer ~lookup ~set ~record) b.Block.body;
+    transfer ~lookup ~set ~record b.Block.term
+  in
   (* Entry environment: every slice register starts at its own entry
      origin, so a merge of "defined in the loop" with "still the entry
      value" joins two different origins to [Top] instead of spuriously
      claiming them equal. *)
   let entry_env =
-    Ints.Int_set.fold
-      (fun k acc ->
-        Ints.Int_map.add k (Sym { origin = { o_uid = -1; o_reg = k }; offset = 0 }) acc)
-      slice Ints.Int_map.empty
+    Array.map (fun k -> Sym { origin = { o_uid = -1; o_reg = k }; offset = 0 }) keys
   in
-  (* Block-entry environments, swept in layout order until a sweep
-     changes nothing: [None] is bottom (block not yet reached), the
-     neutral element of the join. The transfer is not monotone — a
+  (* Block-entry and block-exit environments, swept in layout order
+     until a sweep changes nothing; a block not yet [reached] is bottom,
+     the neutral element of the join. The transfer is not monotone — a
      [Top] operand opens a fresh origin — so an entry can change from
-     one value to a different one without passing through [Top]. So
-     the sweeps stay in layout order: a worklist in another order is not
-     obviously the same fixpoint. *)
-  let in_ : env option array = Array.make n None in
-  let out : env option array = Array.make n None in
+     one value to a different one without passing through [Top]. So the
+     sweeps stay in layout order: a worklist in another order is not
+     obviously the same fixpoint.
+
+     Each sweep skips only evaluations that cannot change anything. A
+     predecessor's exit change at position [p] is pushed onto the
+     successor's [dirty] list, and a predecessor's first reach sets the
+     successor's [full] flag. A visit re-joins only the dirty positions
+     (all of them when [full]): at any other position every reached
+     predecessor's exit is what the last visit joined, so the join
+     would return the entry value already there. When the entry
+     changes, the body is re-transferred only if it reads a changed
+     position before defining it (the values it defines are a function
+     of those reads alone), a changed position it does not define
+     passes to the exit as is, and only the positions whose exit
+     changed are pushed on. Every value computed is the one the full
+     re-join and re-transfer of every block at every sweep computes at
+     the same step, so the sweeps, and the fixpoint, are the same. *)
+  let reached = Array.make n false in
+  let in_ = Array.make n [||] and out = Array.make n [||] in
+  let full = Array.make n false in
+  let dirty = Array.init n (fun _ -> Vec.create ()) in
+  (* Per reached block: the positions it defines and its exposed reads. *)
+  let defs = Array.make n [] and reads = Array.make n [] in
   let preds = Cfg.predecessors cfg in
+  let succs = Array.make n [] in
+  Array.iteri (fun b ps -> List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps) preds;
+  let succs = Array.map Array.of_list succs in
   let entry = Cfg.entry cfg in
-  let no_record _ _ = () in
+  full.(entry) <- true;
+  (* [srcs.(0 .. !nsrc - 1)] are the environments the join at the
+     visited block reads: each reached predecessor's exit, and the entry
+     environment at the entry. *)
+  let srcs = Array.make (Array.fold_left (fun a ps -> max a (List.length ps)) 0 preds + 1) [||] in
+  let nsrc = ref 0 in
+  let gather id =
+    nsrc := 0;
+    let add env =
+      srcs.(!nsrc) <- env;
+      incr nsrc
+    in
+    if id = entry then add entry_env;
+    List.iter (fun p -> if reached.(p) then add out.(p)) preds.(id)
+  in
+  (* The pointwise join at [p]: the common value when every source
+     agrees, [Top] otherwise. *)
+  let join p =
+    let v = srcs.(0).(p) and i = ref 1 in
+    while !i < !nsrc && equal_value srcs.(!i).(p) v do incr i done;
+    if !i < !nsrc then Top else v
+  in
+  (* Stamps of the current visit: positions re-joined, changed, and
+     defined by the visited block. *)
+  let seen = Array.make m 0 and changed_at = Array.make m 0 in
+  let defined_at = Array.make m 0 and visit = ref 0 in
+  let layout = Cfg.layout cfg in
+  let first_reach id =
+    let inn =
+      if !nsrc = 1 then Array.copy srcs.(0)
+      else begin
+        let a = Array.make m Top in
+        for p = 0 to m - 1 do a.(p) <- join p done;
+        a
+      end
+    in
+    run ~record:no_record inn id;
+    let o = Array.copy inn in
+    List.iter (fun p -> o.(p) <- cur.(p)) !touched;
+    in_.(id) <- inn;
+    out.(id) <- o;
+    defs.(id) <- !touched;
+    reads.(id) <- !exposed;
+    reached.(id) <- true;
+    Array.iter (fun s -> full.(s) <- true) succs.(id)
+  in
+  (* Re-join the dirty positions of reached block [id] (every position
+     when [was_full]); [true] when its entry changed. *)
+  let revisit id ~was_full =
+    let inn = in_.(id) and d = dirty.(id) in
+    incr visit;
+    let v = !visit in
+    let changed_in = ref [] in
+    let rejoin p =
+      if seen.(p) <> v then begin
+        seen.(p) <- v;
+        let x = join p in
+        if not (equal_value x inn.(p)) then begin
+          inn.(p) <- x;
+          changed_at.(p) <- v;
+          changed_in := p :: !changed_in
+        end
+      end
+    in
+    if was_full then for p = 0 to m - 1 do rejoin p done
+    else for j = 0 to Vec.length d - 1 do rejoin (Vec.get d j) done;
+    Vec.clear d;
+    if !changed_in = [] then false
+    else begin
+      let o = out.(id) and ss = succs.(id) in
+      let update p x =
+        if not (equal_value x o.(p)) then begin
+          o.(p) <- x;
+          for j = 0 to Array.length ss - 1 do Vec.push dirty.(ss.(j)) p done
+        end
+      in
+      if List.exists (fun p -> changed_at.(p) = v) reads.(id) then begin
+        run ~record:no_record inn id;
+        List.iter (fun p -> update p cur.(p)) !touched
+      end;
+      List.iter (fun p -> defined_at.(p) <- v) defs.(id);
+      List.iter (fun p -> if defined_at.(p) <> v then update p inn.(p)) !changed_in;
+      true
+    end
+  in
   let step () =
     let changed = ref false in
     List.iter
       (fun id ->
-        let inn =
-          List.fold_left
-            (fun acc p ->
-              match acc, out.(p) with
-              | None, o -> o
-              | o, None -> o
-              | Some a, Some b -> Some (join_env a b))
-            (if id = entry then Some entry_env else None)
-            preds.(id)
-        in
-        match inn with
-        | None -> ()
-        | Some inn ->
-            let stale =
-              match in_.(id) with
-              | None -> true
-              | Some old -> not (equal_env old inn)
-            in
-            if stale then begin
-              in_.(id) <- Some inn;
-              let o =
-                List.fold_left (transfer ~slice ~record:no_record) inn
-                  (Block.instrs (Cfg.block cfg id))
-              in
-              out.(id) <- Some o;
-              changed := true
-            end)
-      (Cfg.layout cfg);
+        let was_full = full.(id) in
+        if was_full || not (Vec.is_empty dirty.(id)) then begin
+          full.(id) <- false;
+          gather id;
+          if not reached.(id) then begin
+            Vec.clear dirty.(id);
+            first_reach id;
+            changed := true
+          end
+          else if revisit id ~was_full then changed := true
+        end)
+      layout;
     !changed
   in
   ignore (Fix.iterate step);
@@ -230,15 +335,7 @@ let compute cfg =
      every access's own program point. *)
   let base_values = Hashtbl.create 64 in
   let record uid v = Hashtbl.replace base_values uid v in
-  Array.iteri
-    (fun id inn ->
-      match inn with
-      | None -> ()
-      | Some env ->
-          ignore
-            (List.fold_left (transfer ~slice ~record) env
-               (Block.instrs (Cfg.block cfg id))))
-    in_;
+  Array.iteri (fun id r -> if r then run ~record in_.(id) id) reached;
   { base_values }
 
 let base_value t uid = Option.value ~default:Top (Hashtbl.find_opt t.base_values uid)

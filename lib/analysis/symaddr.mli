@@ -18,6 +18,19 @@
     the load/store bases are tracked; no other register can change a
     base value.
 
+    The fixpoint sweeps the block layout in order until a sweep changes
+    no block entry, as a full re-join and re-transfer of every block at
+    every sweep would; each sweep only skips the evaluations that cannot
+    change anything. Environments are arrays indexed by a dense position
+    per slice register. A block's entry is re-joined only at the
+    positions where some predecessor's exit changed since the block's
+    last visit (at every position when a predecessor was reached for the
+    first time), its body is re-transferred only when a position it
+    reads before defining changed, and only the exit positions that
+    changed are passed to its successors. Every value the sweep computes
+    is the one the full re-join computes at the same step, so the
+    layout-order fixpoint of the non-monotone transfer is unchanged.
+
     Soundness of origin comparison: a point maps a register to
     [Sym (o, k)] only when {e every} path to it passes through [o] with
     only affine adjustments since. Two accesses inside one traversal of

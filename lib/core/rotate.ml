@@ -59,31 +59,17 @@ let rotate_small_inner_loops ?prov ~max_blocks cfg =
   let info = Loops.compute cfg in
   if not (Loops.reducible info) then 0
   else begin
+    (* One forest serves the whole stage. The targets are innermost,
+       so they are disjoint; rotating one adds a block only to it and
+       its ancestors, and [Cfg.insert_block_after] leaves every
+       existing block id alone. So every other target's header, blocks
+       and back edges are still those of its record. *)
     let targets =
-      List.filter_map
+      List.filter
         (fun (l : Loops.loop) ->
-          if
-            l.Loops.children = []
-            && Int_set.cardinal l.Loops.blocks <= max_blocks
-          then Some (Cfg.block cfg l.Loops.header).Block.label
-          else None)
+          l.Loops.children = [] && Int_set.cardinal l.Loops.blocks <= max_blocks)
         (Loops.innermost_first info)
     in
-    let count = ref 0 in
-    List.iter
-      (fun header_label ->
-        let info = Loops.compute cfg in
-        match
-          List.find_opt
-            (fun (l : Loops.loop) ->
-              Label.equal (Cfg.block cfg l.Loops.header).Block.label
-                header_label)
-            (Array.to_list (Loops.loops info))
-        with
-        | Some l ->
-            ignore (rotate ?prov cfg l);
-            incr count
-        | None -> ())
-      targets;
-    !count
+    List.iter (fun l -> ignore (rotate ?prov cfg l)) targets;
+    List.length targets
   end

@@ -10,6 +10,7 @@
 val unroll_small_inner_loops :
   ?prov:Gis_obs.Provenance.t -> max_blocks:int -> Gis_ir.Cfg.t -> int
 (** Unroll every innermost loop with at most [max_blocks] blocks;
-    returns how many loops were unrolled. Loop analysis is recomputed
-    internally after each unroll. With [prov], every fresh copy is
-    recorded one copy generation deeper than its source. *)
+    returns how many loops were unrolled. The loop forest is computed
+    once, before the first unroll, and the targets are fixed from it.
+    With [prov], every fresh copy is recorded one copy generation deeper
+    than its source. *)

@@ -128,7 +128,9 @@ let tokenize src =
       | c when is_digit c ->
           let rec span j = if j < n && is_digit src.[j] then span (j + 1) else j in
           let j = span i in
-          emit (INT (int_of_string (String.sub src i (j - i))));
+          (match int_of_string_opt (String.sub src i (j - i)) with
+          | Some k -> emit (INT k)
+          | None -> fail i "integer literal out of range");
           go j
       | c when is_ident_start c ->
           let rec span j = if j < n && is_ident src.[j] then span (j + 1) else j in

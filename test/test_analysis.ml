@@ -590,6 +590,179 @@ let test_symaddr_overclaim_hook () =
       Alcotest.(check bool) "hook fabricates a delta" true
         (Symaddr.delta t ~a:u0 ~b:u1 <> None))
 
+(* ---- change-driven sweeps against the layout-sweep reference ---- *)
+
+(* [Symaddr] and the [Int_map] reference record the same base value
+   for each access in [uids], compared printed (printing is injective
+   on values). *)
+let check_reference cfg uids =
+  let fast = Symaddr.compute cfg and slow = Symaddr_ref.compute cfg in
+  List.iter
+    (fun uid ->
+      Alcotest.(check string) (Printf.sprintf "uid %d = reference" uid)
+        (Fmt.str "%a" Symaddr_ref.pp_value (Symaddr_ref.base_value slow uid))
+        (Fmt.str "%a" Symaddr.pp_value (Symaddr.base_value fast uid)))
+    uids
+
+(* A block that is its own only predecessor besides an earlier block:
+   on its first reach the join must read the earlier block's exit
+   alone, not its own exit, which does not exist yet. [q] is loop
+   invariant; [p] steps around the back edge and joins to [Top]. *)
+let test_symaddr_self_loop () =
+  let g = Reg.Gen.create () in
+  let p = Reg.Gen.fresh g Reg.Gpr in
+  let q = Reg.Gen.fresh g Reg.Gpr in
+  let i = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.li ~dst:i 0 ], B.jmp "L");
+        ( "L",
+          [
+            B.store ~src:x ~base:q ~offset:0;
+            B.store ~src:x ~base:p ~offset:0;
+            B.addi ~dst:p ~lhs:p 4;
+            B.addi ~dst:i ~lhs:i 1;
+            B.cmpi ~dst:c ~lhs:i 10;
+          ],
+          B.bt ~cr:c ~cond:Instr.Lt ~taken:"L" ~fallthru:"X" );
+        ("X", [ B.store ~src:x ~base:q ~offset:4 ], Instr.Halt);
+      ]
+  in
+  let t = Symaddr.compute cfg in
+  let l0 = body_uid cfg "L" 0 and l1 = body_uid cfg "L" 1 in
+  let x0 = body_uid cfg "X" 0 in
+  Alcotest.(check (option int)) "invariant base" (Some 0)
+    (Symaddr.delta t ~a:l0 ~b:x0);
+  Alcotest.(check (option int)) "stepped base is Top" None
+    (Symaddr.delta t ~a:l1 ~b:l1);
+  check_reference cfg [ l0; l1; x0 ]
+
+(* [B]'s only reached predecessor, [C], comes later in layout, so [B]
+   is first reached on the second sweep; its other predecessor [D] is
+   never reached and must not take part in the join. *)
+let test_symaddr_later_predecessor () =
+  let g = Reg.Gen.create () in
+  let q = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.store ~src:x ~base:q ~offset:0 ], B.jmp "C");
+        ("B", [ B.store ~src:x ~base:q ~offset:0 ], B.jmp "X");
+        ("C", [ B.addi ~dst:q ~lhs:q 8 ], B.jmp "B");
+        ("D", [ B.li ~dst:q 64 ], B.jmp "B");
+        ("X", [ B.store ~src:x ~base:q ~offset:0 ], Instr.Halt);
+      ]
+  in
+  let t = Symaddr.compute cfg in
+  let a0 = body_uid cfg "A" 0 and b0 = body_uid cfg "B" 0 in
+  let x0 = body_uid cfg "X" 0 in
+  Alcotest.(check (option int)) "reached through the later block" (Some 8)
+    (Symaddr.delta t ~a:a0 ~b:b0);
+  Alcotest.(check (option int)) "and on to its successor" (Some 8)
+    (Symaddr.delta t ~a:a0 ~b:x0);
+  check_reference cfg [ a0; b0; x0 ]
+
+(* A detached block is never reached: its access reads [Top], and its
+   branch into the layout does not join into its target. *)
+let test_symaddr_detached_block () =
+  let g = Reg.Gen.create () in
+  let q = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.store ~src:x ~base:q ~offset:0 ], B.jmp "X");
+        ("D", [ B.li ~dst:q 64; B.store ~src:x ~base:q ~offset:0 ], B.jmp "X");
+        ("X", [ B.store ~src:x ~base:q ~offset:4 ], Instr.Halt);
+      ]
+  in
+  Cfg.remove_block cfg (Cfg.block_of_label cfg "D").Block.id;
+  let t = Symaddr.compute cfg in
+  let a0 = body_uid cfg "A" 0 and d1 = body_uid cfg "D" 1 in
+  let x0 = body_uid cfg "X" 0 in
+  Alcotest.(check (option int)) "detached edge ignored" (Some 0)
+    (Symaddr.delta t ~a:a0 ~b:x0);
+  Alcotest.(check string) "detached access is Top" "top"
+    (Fmt.str "%a" Symaddr.pp_value (Symaddr.base_value t d1));
+  check_reference cfg [ a0; d1; x0 ]
+
+(* Changes found on a later sweep must travel on: the back edge turns
+   [q] and [p] to [Top] at [H]; [p] passes unchanged through [B1],
+   which does not define it, to [B1] and [X] alike, and [B2] must be
+   re-transferred because it reads [q] before defining [r], so that [r]
+   in turn joins to [Top] at [H]. *)
+let test_symaddr_late_changes () =
+  let g = Reg.Gen.create () in
+  let p = Reg.Gen.fresh g Reg.Gpr in
+  let q = Reg.Gen.fresh g Reg.Gpr in
+  let r = Reg.Gen.fresh g Reg.Gpr in
+  let i = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.addi ~dst:r ~lhs:q 8; B.store ~src:x ~base:r ~offset:0 ], B.jmp "H");
+        ( "H",
+          [
+            B.store ~src:x ~base:r ~offset:0;
+            B.store ~src:x ~base:p ~offset:0;
+            B.cmpi ~dst:c ~lhs:i 10;
+          ],
+          B.bt ~cr:c ~cond:Instr.Lt ~taken:"B1" ~fallthru:"X" );
+        ("B1", [ B.store ~src:x ~base:p ~offset:0 ], B.jmp "B2");
+        ( "B2",
+          [ B.addi ~dst:r ~lhs:q 8; B.addi ~dst:q ~lhs:q 4; B.addi ~dst:p ~lhs:p 4 ],
+          B.jmp "H" );
+        ( "X",
+          [ B.store ~src:x ~base:p ~offset:0; B.store ~src:x ~base:r ~offset:0 ],
+          Instr.Halt );
+      ]
+  in
+  let t = Symaddr.compute cfg in
+  let a1 = body_uid cfg "A" 1 and h0 = body_uid cfg "H" 0 in
+  let h1 = body_uid cfg "H" 1 and b0 = body_uid cfg "B1" 0 in
+  let x0 = body_uid cfg "X" 0 and x1 = body_uid cfg "X" 1 in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check (option int)) what None (Symaddr.delta t ~a ~b))
+    [
+      ("r joins to Top at the header", a1, h0);
+      ("and at the exit", a1, x1);
+      ("p reaches the body through the header", h1, b0);
+      ("and the exit", h1, x0);
+    ];
+  check_reference cfg [ a1; h0; h1; b0; x0; x1 ]
+
+(* No load or store, so the slice is empty: the sweeps run over empty
+   environments and every uid reads [Top]. *)
+let test_symaddr_empty_slice () =
+  let g = Reg.Gen.create () in
+  let i = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.li ~dst:i 0 ], B.jmp "L");
+        ( "L",
+          [ B.addi ~dst:i ~lhs:i 1; B.cmpi ~dst:c ~lhs:i 10 ],
+          B.bt ~cr:c ~cond:Instr.Lt ~taken:"L" ~fallthru:"X" );
+        ("X", [ B.call "print_int" [ i ] ], Instr.Halt);
+      ]
+  in
+  let uids = List.map Instr.uid (Cfg.all_instrs cfg) in
+  let t = Symaddr.compute cfg in
+  List.iter
+    (fun uid ->
+      Alcotest.(check string) "no base value" "top"
+        (Fmt.str "%a" Symaddr.pp_value (Symaddr.base_value t uid)))
+    uids;
+  check_reference cfg uids
+
 (* ---- reference properties over every pipeline stage ---- *)
 
 let random_cfg params seed = Test_support.pinned_cfg params ~seed
@@ -646,6 +819,19 @@ let access_uids cfg =
       | Instr.Load _ | Instr.Store _ -> Some (Instr.uid i)
       | _ -> None)
     (instrs cfg)
+
+(* [Symaddr] records the same base value as the layout-sweep reference
+   at every load and store. *)
+let symaddr_matches_reference ~stage cfg =
+  let fast = Symaddr.compute cfg and slow = Symaddr_ref.compute cfg in
+  List.for_all
+    (fun uid ->
+      let a = Fmt.str "%a" Symaddr.pp_value (Symaddr.base_value fast uid)
+      and b = Fmt.str "%a" Symaddr_ref.pp_value (Symaddr_ref.base_value slow uid) in
+      a = b
+      || QCheck.Test.fail_reportf "%s: base value at uid %d is %s, reference %s"
+           stage uid a b)
+    (access_uids cfg)
 
 (* [Symaddr] and the checker's independent [Addrcheck] prove the same
    delta for every ordered pair of memory accesses. *)
@@ -1031,6 +1217,14 @@ let () =
           Alcotest.test_case "addrcheck slice" `Quick test_addrcheck_slice;
           Alcotest.test_case "overclaim hook" `Quick
             test_symaddr_overclaim_hook;
+          Alcotest.test_case "self loop on first reach" `Quick
+            test_symaddr_self_loop;
+          Alcotest.test_case "later predecessor" `Quick
+            test_symaddr_later_predecessor;
+          Alcotest.test_case "detached block" `Quick test_symaddr_detached_block;
+          Alcotest.test_case "empty slice" `Quick test_symaddr_empty_slice;
+          Alcotest.test_case "late changes travel on" `Quick
+            test_symaddr_late_changes;
         ] );
       ( "reference properties",
         List.concat_map
@@ -1039,6 +1233,9 @@ let () =
               qtest ("reaching = Int_set reference, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed reaching_matches_reference);
+              qtest ("symaddr = layout-sweep reference, " ^ grammar) 25
+                (fun seed ->
+                  every_stage_input params seed symaddr_matches_reference);
               qtest ("symaddr delta = addrcheck delta, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed symaddr_matches_addrcheck);

@@ -399,6 +399,73 @@ let test_unroll_then_rotate_then_schedule () =
   Alcotest.(check int) "rotated" 1 stats.Pipeline.rotated;
   Alcotest.(check (list string)) "same output" expected (run_out cfg)
 
+(* Three small inner loops inside one outer loop, then a second outer
+   loop around one more: every transform stage has several disjoint
+   targets, each transformed against the forest computed at the start
+   of the stage. *)
+let nested_loops_source =
+  {|int a[64];
+int n;
+int i;
+int j;
+int s;
+int t;
+s = 0;
+t = 0;
+i = 0;
+while (i < n) {
+  j = 0;
+  while (j < 4) {
+    s = s + a[j];
+    j = j + 1;
+  }
+  j = 0;
+  while (j < 3) {
+    if (a[j] > s) {
+      t = t + 1;
+    }
+    j = j + 1;
+  }
+  j = 0;
+  while (j < 2) {
+    a[j + 4] = s;
+    j = j + 1;
+  }
+  i = i + 1;
+}
+i = 0;
+while (i < n) {
+  j = 0;
+  while (j < i) {
+    t = t - a[j];
+    j = j + 1;
+  }
+  i = i + 1;
+}
+print(s);
+print(t);
+|}
+
+(* The printed CFG after one transform stage, with the fresh-label
+   counter reset first so the digest does not depend on test order. *)
+let transformed_digest transform =
+  Label.reset_fresh_counter ();
+  let cfg = (Gis_frontend.Codegen.compile_string nested_loops_source).cfg in
+  let n = transform ~max_blocks:4 cfg in
+  Validate.check_exn cfg;
+  (n, Digest.to_hex (Digest.string (Asm.print cfg)))
+
+let test_pinned_loop_transforms () =
+  let check name transform (count, digest) =
+    let n, d = transformed_digest transform in
+    Alcotest.(check int) (name ^ " targets") count n;
+    Alcotest.(check string) name digest d
+  in
+  check "unroll" (Unroll.unroll_small_inner_loops ?prov:None)
+    (4, "0a2acd4598d4a61a99276e9ea2ac8256");
+  check "rotate" (Rotate.rotate_small_inner_loops ?prov:None)
+    (4, "7e77fcc121faba978b8af95503cc531b")
+
 (* ---- level monotonicity on minmax ---- *)
 
 let cycles cfg (t : Minmax.t) elements =
@@ -584,5 +651,6 @@ let () =
         [
           Alcotest.test_case "emitted schedules" `Quick test_pinned_schedules;
           Alcotest.test_case "ladder-scale schedules" `Quick test_pinned_ladder;
+          Alcotest.test_case "loop transforms" `Quick test_pinned_loop_transforms;
         ] );
     ]

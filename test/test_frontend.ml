@@ -31,6 +31,17 @@ let test_lexer_error () =
     | exception Lexer.Error _ -> true
     | _ -> false)
 
+(* A literal past [max_int] is a lexer error, not an [int_of_string]
+   failure escaping as an internal error. *)
+let test_lexer_int_overflow () =
+  Alcotest.(check bool) "max_int lexed" true
+    (List.mem (Lexer.INT max_int) (List.map fst (Lexer.tokenize (string_of_int max_int))));
+  Alcotest.(check (option string)) "out of range"
+    (Some "line 2 (offset 11): integer literal out of range")
+    (match Lexer.tokenize "int x;\nx = 99999999999999999999999999;" with
+    | exception Lexer.Error m -> Some m
+    | _ -> None)
+
 (* ---- parser ---- *)
 
 let test_parser_shapes () =
@@ -225,6 +236,7 @@ let () =
           Alcotest.test_case "tokens" `Quick test_lexer_tokens;
           Alcotest.test_case "comments" `Quick test_lexer_comments_and_lines;
           Alcotest.test_case "errors" `Quick test_lexer_error;
+          Alcotest.test_case "integer overflow" `Quick test_lexer_int_overflow;
         ] );
       ( "parser",
         [
