@@ -294,11 +294,7 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
          post-allocation verifier. Observables compare exactly —
          spill storage is disjoint by construction. *)
       let sched_input, frame =
-        match stats.Pipeline.regalloc with
-        | Some alloc ->
-            ( Gis_regalloc.Regalloc.remap_input alloc input,
-              alloc.Gis_regalloc.Regalloc.frame )
-        | None -> (input, None)
+        Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc input
       in
       Option.iter
         (fun alloc ->
@@ -518,11 +514,7 @@ let run_bound s elements seed top_k json_file =
   Validate.check_exn cfg;
   let input = Driver.default_input compiled ~elements ~seed in
   let sched_input, frame =
-    match stats.Pipeline.regalloc with
-    | Some alloc ->
-        ( Gis_regalloc.Regalloc.remap_input alloc input,
-          alloc.Gis_regalloc.Regalloc.frame )
-    | None -> (input, None)
+    Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc input
   in
   let os = Simulator.run ?frame machine cfg sched_input in
   let bounds =

@@ -89,3 +89,8 @@ let pp ppf c =
     Fmt.(list ~sep:comma Priority_rule.pp)
     c.rules c.max_region_blocks c.max_region_instrs c.max_nesting_levels
     c.unroll_small_loops c.rotate_small_loops c.local_post_pass
+
+let emit c e =
+  c.obs.Gis_obs.Sink.emit e;
+  Gis_obs.Provenance.observe c.prov e;
+  Gis_obs.Sink.count e

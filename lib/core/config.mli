@@ -128,3 +128,8 @@ val of_level : level -> t
 (** [base], [useful_only] or [speculative]. *)
 
 val pp : t Fmt.t
+
+val emit : t -> Gis_obs.Sink.sched_event -> unit
+(** The global scheduler's one decision channel: hands the event to
+    [obs], to the provenance fold {!Gis_obs.Provenance.observe} on
+    [prov], and to the [sched.*] counter fold {!Gis_obs.Sink.count}. *)

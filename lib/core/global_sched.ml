@@ -52,15 +52,12 @@ let src = Logs.Src.create "gis.global" ~doc:"global instruction scheduler"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Process-wide metrics (no-ops until Gis_obs.Metrics.enable). *)
-let m_moves_useful = Gis_obs.Metrics.counter "sched.moves_useful_total"
-
-let m_moves_speculative =
-  Gis_obs.Metrics.counter "sched.moves_speculative_total"
-
-let m_renames = Gis_obs.Metrics.counter "sched.renames_total"
-let m_dup_copies = Gis_obs.Metrics.counter "sched.duplication_copies_total"
-let m_blocked = Gis_obs.Metrics.counter "sched.blocked_motions_total"
+(* Every decision (a candidate, a motion with its duplication copies, a
+   rename, a blocked motion, a skipped region) is written once, as one
+   [Config.emit] event; provenance and the per-decision [sched.*]
+   counters are folds over that stream. The two region counters below
+   have no event behind them and are bumped where a region's outcome is
+   decided (no-ops until Gis_obs.Metrics.enable). *)
 let m_regions_scheduled = Gis_obs.Metrics.counter "sched.regions_scheduled_total"
 let m_regions_skipped = Gis_obs.Metrics.counter "sched.regions_skipped_total"
 
@@ -146,12 +143,15 @@ type state = {
   mutable processed : Ints.Int_set.t;  (** view nodes already scheduled *)
 }
 
-let emit st e = st.config.Config.obs.Gis_obs.Sink.emit e
-
 let view_label st v =
   match st.view.Regions.nodes.(v) with
   | Regions.Block b -> Some (Cfg.block st.cfg b).Block.label
   | Regions.Inner_loop _ -> None
+
+let is_block st v =
+  match st.view.Regions.nodes.(v) with
+  | Regions.Block _ -> true
+  | Regions.Inner_loop _ -> false
 
 (* Record that [blocks] were rewritten. Before the first liveness read
    there is nothing to update: the compute will see the current code. *)
@@ -237,10 +237,7 @@ let equiv_blocks st a =
   let flow = st.view.Regions.flow in
   List.filter
     (fun e ->
-      e <> a
-      && (match st.view.Regions.nodes.(e) with
-         | Regions.Block _ -> true
-         | Regions.Inner_loop _ -> false)
+      e <> a && is_block st e
       && Dominance.equivalent st.dom st.post a e)
     (List.init flow.Flow.num_nodes Fun.id)
 
@@ -261,16 +258,11 @@ let speculative_blocks st a equiv =
         | None -> false)
       u_of_a
   in
-  let label_of v =
-    match st.view.Regions.nodes.(v) with
-    | Regions.Block blk -> Some (Cfg.block st.cfg blk).Block.label
-    | Regions.Inner_loop _ -> None
-  in
   let likely_enough b =
     match st.config.Config.profile with
     | None -> true
     | Some counts -> (
-        match label_of a, label_of b with
+        match view_label st a, view_label st b with
         | Some la, Some lb ->
             let ca = counts la and cb = counts lb in
             ca = 0
@@ -281,9 +273,7 @@ let speculative_blocks st a equiv =
   List.init st.view.Regions.flow.Flow.num_nodes Fun.id
   |> List.filter (fun b ->
          (not (List.mem b u_of_a))
-         && (match st.view.Regions.nodes.(b) with
-            | Regions.Block _ -> true
-            | Regions.Inner_loop _ -> false)
+         && is_block st b
          && Dominance.dominates st.dom a b
          && within_degree b
          && likely_enough b)
@@ -305,17 +295,13 @@ let duplication_blocks st a equiv =
     |> List.filter (fun b ->
            (not (List.mem b u_of_a))
            && b <> flow.Flow.entry
-           && (match st.view.Regions.nodes.(b) with
-              | Regions.Block _ -> true
-              | Regions.Inner_loop _ -> false)
+           && is_block st b
            && (not (Dominance.dominates st.dom a b))
            && List.mem a flow.Flow.pred.(b)
            && List.for_all
                 (fun p ->
                   p = a
-                  || (match st.view.Regions.nodes.(p) with
-                     | Regions.Block _ -> true
-                     | Regions.Inner_loop _ -> false)
+                  || is_block st p
                      && flow.Flow.succ.(p) = [ b ]
                      && not (List.mem p flow.Flow.extra_exits))
                 flow.Flow.pred.(b))
@@ -364,8 +350,9 @@ let check_speculative st ~target_block ~from_block inst =
 
 (* Physically move node [i] into [target]: detach from its current
    block, apply renaming if required, append to the target body (final
-   order is rewritten when the block pass finishes). *)
-let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
+   order is rewritten when the block pass finishes). Returns the placed
+   instruction, the label it left and the renaming applied. *)
+let apply_motion st ~node:i ~target_blk ~rename =
   let inst =
     match st.current.(i) with Some x -> x | None -> assert false
   in
@@ -400,32 +387,8 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
   in
   st.current.(i) <- Some inst;
   Vec.push target_blk.Block.body inst;
-  st.moves <-
-    {
-      uid = Instr.uid inst;
-      from_label = from_blk.Block.label;
-      to_label = target_blk.Block.label;
-      speculative;
-      renamed;
-      duplicated_into;
-    }
-    :: st.moves;
-  (let uid = Instr.uid inst
-   and from_block = from_blk.Block.label
-   and to_block = target_blk.Block.label in
-   Gis_obs.Metrics.incr
-     (if speculative then m_moves_speculative else m_moves_useful);
-   emit st
-     (if speculative then
-        Gis_obs.Sink.Moved_speculative { uid; from_block; to_block }
-      else Gis_obs.Sink.Moved_useful { uid; from_block; to_block });
-   match renamed with
-   | Some (from_reg, to_reg) ->
-       Gis_obs.Metrics.incr m_renames;
-       emit st (Gis_obs.Sink.Renamed { uid; from_reg; to_reg })
-   | None -> ());
   touch st [ from_blk_id; target_blk.Block.id ];
-  inst
+  (inst, from_blk.Block.label, renamed)
 
 (* ---- the per-block cycle-by-cycle process (Section 5.1) ---- *)
 
@@ -470,7 +433,7 @@ let schedule_block st a blk_id =
               imports := i :: !imports;
               match st.current.(i) with
               | Some inst ->
-                  emit st
+                  Config.emit st.config
                     (Gis_obs.Sink.Candidate_considered
                        {
                          uid = Instr.uid inst;
@@ -581,63 +544,56 @@ let schedule_block st a blk_id =
           | Regions.Inner_loop _ -> assert false
         else Safe
       in
+      (* Returns each copy as (copy uid, host label), in host order. *)
       let place_copies placed =
-        List.iter
+        List.map
           (fun p ->
             match st.view.Regions.nodes.(p) with
             | Regions.Block pb ->
+                let host = Cfg.block st.cfg pb in
                 let copy = Cfg.copy_instr st.cfg placed in
-                Gis_obs.Metrics.incr m_dup_copies;
-                Gis_obs.Provenance.duplicated st.config.Config.prov
-                  ~orig:(Instr.uid placed) ~copy:(Instr.uid copy)
-                  ~block:(Cfg.block st.cfg pb).Block.label;
                 touch st [ pb ];
                 if Ints.Int_set.mem p st.processed then
-                  Vec.push (Cfg.block st.cfg pb).Block.body copy
+                  Vec.push host.Block.body copy
                 else
                   Hashtbl.replace st.pending_copies p
                     (copy
                     :: Option.value ~default:[]
-                         (Hashtbl.find_opt st.pending_copies p))
+                         (Hashtbl.find_opt st.pending_copies p));
+                (Instr.uid copy, host.Block.label)
             | Regions.Inner_loop _ -> assert false)
           copy_hosts
       in
-      (* Provenance: the committed motion with the heap entry's
-         decision-time ranks. Reads the move record [apply_motion]
-         just pushed, so rename and duplication details are exact. *)
-      let record_motion () =
-        match st.config.Config.prov, st.moves with
-        | None, _ | _, [] -> ()
-        | (Some _ as prov), m :: _ ->
-            Gis_obs.Provenance.moved prov ~uid:m.uid
-              ~kind:
-                (if needs_duplication then Gis_obs.Provenance.Duplicated
-                 else if speculative then Gis_obs.Provenance.Speculative
-                 else Gis_obs.Provenance.Useful)
-              ~scores:
-                {
-                  Gis_obs.Provenance.d = it.Priority.d;
-                  cp = it.Priority.cp;
-                  order = it.Priority.order;
-                  pressure = it.Priority.pressure;
-                }
-              ~renamed:(m.renamed <> None) ~from:m.from_label ()
-      in
-      let hosts_labels =
-        List.filter_map
-          (fun p ->
-            match st.view.Regions.nodes.(p) with
-            | Regions.Block pb -> Some (Cfg.block st.cfg pb).Block.label
-            | Regions.Inner_loop _ -> None)
-          copy_hosts
-      in
+      (* One event per motion, with the heap entry's decision-time ranks
+         and the copies, then one for its renaming. *)
       let move rename =
-        let placed =
-          apply_motion st ~node:i ~target_blk:blk ~speculative ~rename
-            ~duplicated_into:hosts_labels
+        let placed, from_block, renamed =
+          apply_motion st ~node:i ~target_blk:blk ~rename
         in
-        record_motion ();
-        place_copies placed;
+        let copies = place_copies placed in
+        let uid = Instr.uid placed and to_block = blk.Block.label
+        and scores = Priority.scores it in
+        st.moves <-
+          {
+            uid;
+            from_label = from_block;
+            to_label = to_block;
+            speculative;
+            renamed;
+            duplicated_into = List.map snd copies;
+          }
+          :: st.moves;
+        Config.emit st.config
+          (if speculative then
+             Gis_obs.Sink.Moved_speculative
+               { uid; from_block; to_block; scores; copies }
+           else
+             Gis_obs.Sink.Moved_useful
+               { uid; from_block; to_block; scores; copies });
+        Option.iter
+          (fun (from_reg, to_reg) ->
+            Config.emit st.config (Gis_obs.Sink.Renamed { uid; from_reg; to_reg }))
+          renamed;
         st.home.(i) <- a;
         if st.config.Config.pressure_aware then List_sched.Accept_rekeyed
         else List_sched.Accept
@@ -646,9 +602,8 @@ let schedule_block st a blk_id =
       | Safe -> move None
       | Safe_with_rename (r, uses) -> move (Some (r, uses))
       | Unsafe b ->
-          Gis_obs.Metrics.incr m_blocked;
           st.blocked_log <- b :: st.blocked_log;
-          emit st
+          Config.emit st.config
             (Gis_obs.Sink.Blocked
                { uid = b.blocked_uid; reason = blocked_reason b.reason });
           List_sched.Reject
@@ -690,25 +645,23 @@ let schedule_block st a blk_id =
   st.processed <- Ints.Int_set.add a st.processed;
   touch st [ blk_id ]
 
-let note_skip (config : Config.t) region_id reason =
-  config.Config.obs.Gis_obs.Sink.emit
-    (Gis_obs.Sink.Region_skipped { region_id; reason })
+(* A region left alone: the report and the stream both say why. *)
+let skip config (region : Regions.region) why =
+  Config.emit config
+    (Gis_obs.Sink.Region_skipped { region_id = region.Regions.id; reason = why });
+  {
+    region_id = region.Regions.id;
+    nesting = region.Regions.nesting;
+    scheduled = false;
+    skip_reason = Some why;
+    moves = [];
+    blocked = [];
+  }
 
 let schedule_region ?sym ~df machine config cfg regions region =
-  let base_report =
-    {
-      region_id = region.Regions.id;
-      nesting = region.Regions.nesting;
-      scheduled = false;
-      skip_reason = None;
-      moves = [];
-      blocked = [];
-    }
-  in
   let skipped why =
     Gis_obs.Metrics.incr m_regions_skipped;
-    note_skip config region.Regions.id why;
-    { base_report with skip_reason = Some why }
+    skip config region why
   in
   if config.Config.level = Config.Local then
     skipped "local-only configuration"
@@ -735,8 +688,10 @@ let schedule_region ?sym ~df machine config cfg regions region =
             Log.debug (fun m ->
                 m "region %d: %d moves" region.Regions.id (List.length st.moves));
             {
-              base_report with
+              region_id = region.Regions.id;
+              nesting = region.Regions.nesting;
               scheduled = true;
+              skip_reason = None;
               moves = List.rev st.moves;
               blocked = List.rev st.blocked_log;
             })
@@ -791,33 +746,12 @@ let schedule ?(only = fun _ -> true) ?regions machine config cfg =
   let df = new_dataflow cfg in
   List.map
     (fun region ->
-      if not (only region) then begin
-        note_skip config region.Regions.id "filtered out for this pass";
-        {
-          region_id = region.Regions.id;
-          nesting = region.Regions.nesting;
-          scheduled = false;
-          skip_reason = Some "filtered out for this pass";
-          moves = [];
-          blocked = [];
-        }
-      end
-      else if inner_level region > config.Config.max_nesting_levels then begin
-        let why =
-          Fmt.str "nesting: inner level %d exceeds limit %d"
-            (inner_level region)
-            config.Config.max_nesting_levels
-        in
-        note_skip config region.Regions.id why;
-        {
-          region_id = region.Regions.id;
-          nesting = region.Regions.nesting;
-          scheduled = false;
-          skip_reason = Some why;
-          moves = [];
-          blocked = [];
-        }
-      end
+      if not (only region) then skip config region "filtered out for this pass"
+      else if inner_level region > config.Config.max_nesting_levels then
+        skip config region
+          (Fmt.str "nesting: inner level %d exceeds limit %d"
+             (inner_level region)
+             config.Config.max_nesting_levels)
       else
         (* Per-region attribution: each scheduled region becomes a
            profile node under the enclosing global pass. The name is

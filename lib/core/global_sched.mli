@@ -12,7 +12,9 @@
 
     Invariants maintained (Section 5.1): instructions never cross region
     boundaries; all motion is upward; branch order is preserved (branches
-    never move); no duplication; no new basic blocks. *)
+    never move); no duplication unless [Config.allow_duplication]; no new
+    basic blocks. Every decision is reported once, through
+    {!Config.emit}. *)
 
 type move = {
   uid : int;

@@ -34,15 +34,8 @@ let schedule_block ?(rules = Priority_rule.paper_order) ?prov ?sym machine
   | Some _ ->
       List.iter
         (fun i ->
-          let it = item i in
           Gis_obs.Provenance.scored prov ~uid:(Instr.uid (instr_of i))
-            ~scores:
-              {
-                Gis_obs.Provenance.d = it.Priority.d;
-                cp = it.Priority.cp;
-                order = it.Priority.order;
-                pressure = it.Priority.pressure;
-              })
+            ~scores:(Priority.scores (item i)))
         order);
   let body_order = List.filter (fun i -> i <> n - 1) order in
   Vec.clear b.Block.body;

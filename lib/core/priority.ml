@@ -7,6 +7,9 @@ type item = {
   pressure : int;
 }
 
+let scores it =
+  { Gis_obs.Sink.d = it.d; cp = it.cp; order = it.order; pressure = it.pressure }
+
 let apply_rule rule a b =
   match rule with
   | Priority_rule.Useful_first -> Bool.compare b.useful a.useful

@@ -16,6 +16,9 @@ type item = {
           exceed it. Smaller wins under [Min_pressure]. *)
 }
 
+val scores : item -> Gis_obs.Sink.scores
+(** The ranks a decision event and a provenance record carry. *)
+
 val compare : rules:Priority_rule.t list -> item -> item -> int
 (** Negative when the first item should be scheduled first. Rules are
     applied in the given order; items equal under every rule compare by

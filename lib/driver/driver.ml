@@ -189,11 +189,8 @@ let run_task machine config ~simulate ~elements ~seed task =
                simulator's dedicated spill segment — so observables
                compare exactly, no filtering. *)
             let sched_input, frame =
-              match stats.Pipeline.regalloc with
-              | Some alloc ->
-                  ( Gis_regalloc.Regalloc.remap_input alloc input,
-                    alloc.Gis_regalloc.Regalloc.frame )
-              | None -> (input, None)
+              Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc
+                input
             in
             let ob = Simulator.run machine baseline input in
             let os = Simulator.run ?frame machine cfg sched_input in

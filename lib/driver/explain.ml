@@ -81,11 +81,7 @@ let explain ?(elements = 128) ?(seed = 3) ?(trace = false) machine
               Driver.default_input compiled ~elements ~seed
         in
         let sched_input, frame =
-          match stats.Pipeline.regalloc with
-          | Some alloc ->
-              ( Gis_regalloc.Regalloc.remap_input alloc input,
-                alloc.Gis_regalloc.Regalloc.frame )
-          | None -> (input, None)
+          Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc input
         in
         let ob = Simulator.run ~trace machine baseline input in
         let os = Simulator.run ~trace ?frame machine cfg sched_input in

@@ -25,9 +25,7 @@ let kind_name = function
 
 let pp_kind ppf k = Fmt.string ppf (kind_name k)
 
-(* The Section 5.2 priority ranks of the winning heap entry at the
-   moment the scheduler committed to the motion. *)
-type scores = { d : int; cp : int; order : int; pressure : int }
+type scores = Sink.scores = { d : int; cp : int; order : int; pressure : int }
 
 type record = {
   uid : int;
@@ -43,9 +41,13 @@ type t = {
   tbl : (int, record) Hashtbl.t;
   (* uid -> (block, position) in the final CFG; filled by [finalize] *)
   final : (int, Label.t * int) Hashtbl.t;
+  (* the copies of the last motion, which its [Renamed] event (if any)
+     marks along with the moved instruction *)
+  mutable last_copies : int list;
 }
 
-let create () = { tbl = Hashtbl.create 256; final = Hashtbl.create 256 }
+let create () =
+  { tbl = Hashtbl.create 256; final = Hashtbl.create 256; last_copies = [] }
 
 let find t uid = Hashtbl.find_opt t.tbl uid
 
@@ -88,55 +90,53 @@ let copied prov ~orig ~copy ~block =
       in
       Hashtbl.replace t.tbl copy r
 
-let moved prov ~uid ~kind ?scores ?(renamed = false) ~from () =
-  match prov with
-  | None -> ()
-  | Some t -> (
-      match Hashtbl.find_opt t.tbl uid with
-      | Some r ->
-          Hashtbl.replace t.tbl uid
-            {
-              r with
-              kind;
-              scores = (match scores with Some _ -> scores | None -> r.scores);
-              renamed = r.renamed || renamed;
-              moved_from = Some from;
-            }
-      | None ->
-          Hashtbl.replace t.tbl uid
-            {
-              uid;
-              origin = from;
-              kind;
-              scores;
-              copy_index = 0;
-              renamed;
-              moved_from = Some from;
-            })
-
-(* Duplication places a fresh copy of a moved instruction in the other
-   predecessors; the copy shares the original's provenance but is its
-   own Duplicated record in the block it landed in. *)
-let duplicated prov ~orig ~copy ~block =
-  match prov with
-  | None -> ()
-  | Some t ->
-      let base =
-        match Hashtbl.find_opt t.tbl orig with
-        | Some r -> r
-        | None ->
-            {
-              uid = copy;
-              origin = block;
-              kind = Duplicated;
-              scores = None;
-              copy_index = 0;
-              renamed = false;
-              moved_from = None;
-            }
-      in
+(* A committed motion updates the moved instruction's record (one is
+   started for an untracked instruction). Duplication places a fresh
+   copy in each other predecessor; a copy shares the original's
+   provenance but is its own Duplicated record in the block it landed
+   in. *)
+let moved t ~uid ~kind ~scores ~from ~copies =
+  let kind = if copies = [] then kind else Duplicated in
+  let r =
+    match Hashtbl.find_opt t.tbl uid with
+    | Some r -> { r with kind; scores = Some scores; moved_from = Some from }
+    | None ->
+        {
+          uid;
+          origin = from;
+          kind;
+          scores = Some scores;
+          copy_index = 0;
+          renamed = false;
+          moved_from = Some from;
+        }
+  in
+  Hashtbl.replace t.tbl uid r;
+  List.iter
+    (fun (copy, _host) ->
       Hashtbl.replace t.tbl copy
-        { base with uid = copy; kind = Duplicated; moved_from = Some base.origin }
+        { r with uid = copy; moved_from = Some r.origin })
+    copies;
+  t.last_copies <- List.map fst copies
+
+let mark_renamed t uid =
+  match Hashtbl.find_opt t.tbl uid with
+  | Some r -> Hashtbl.replace t.tbl uid { r with renamed = true }
+  | None -> ()
+
+let observe prov (e : Sink.sched_event) =
+  match prov, e with
+  | None, _ -> ()
+  | Some t, Sink.Moved_useful { uid; from_block; scores; copies; _ } ->
+      moved t ~uid ~kind:Useful ~scores ~from:from_block ~copies
+  | Some t, Sink.Moved_speculative { uid; from_block; scores; copies; _ } ->
+      moved t ~uid ~kind:Speculative ~scores ~from:from_block ~copies
+  | Some t, Sink.Renamed { uid; _ } ->
+      List.iter (mark_renamed t) (uid :: t.last_copies)
+  | ( Some _,
+      ( Sink.Candidate_considered _ | Sink.Blocked _ | Sink.Region_skipped _
+      | Sink.Block_scheduled _ ) ) ->
+      ()
 
 let spill prov ~uid ~block =
   match prov with

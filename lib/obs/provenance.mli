@@ -9,17 +9,17 @@
 
     Recording functions take [t option] and are no-ops on [None], so
     passes thread [Config.prov] through unconditionally; with
-    provenance off the schedule is byte-identical (pinned test). *)
+    provenance off the schedule is byte-identical (pinned test). The
+    global scheduler's motions arrive as {!Sink} events through
+    {!observe}; seeds, unroll/rotate copies, spill code and local ranks
+    are still recorded by direct calls. *)
 
 type kind = Unmoved | Useful | Speculative | Duplicated | Spill_inserted
 
 val kind_name : kind -> string
 val pp_kind : kind Fmt.t
 
-(** Priority ranks of the winning heap entry when the scheduler
-    committed (paper Section 5.2): delay, critical path, source order,
-    pressure rank. *)
-type scores = { d : int; cp : int; order : int; pressure : int }
+type scores = Sink.scores = { d : int; cp : int; order : int; pressure : int }
 
 type record = {
   uid : int;
@@ -43,20 +43,13 @@ val copied : t option -> orig:int -> copy:int -> block:Gis_ir.Label.t -> unit
 (** An unroll/rotate copy: inherits [orig]'s record one copy generation
     deeper. *)
 
-val moved :
-  t option ->
-  uid:int ->
-  kind:kind ->
-  ?scores:scores ->
-  ?renamed:bool ->
-  from:Gis_ir.Label.t ->
-  unit ->
-  unit
-(** The global scheduler committed a motion of [uid] out of [from]. *)
-
-val duplicated :
-  t option -> orig:int -> copy:int -> block:Gis_ir.Label.t -> unit
-(** A duplication copy placed in predecessor [block]. *)
+val observe : t option -> Sink.sched_event -> unit
+(** The motion fold over the global scheduler's decision stream: a
+    [Moved_*] event records its kind ([Duplicated] when it carries
+    copies), decision-time scores and source block, and gives each copy
+    a [Duplicated] record inheriting the moved instruction's; the
+    [Renamed] event that follows marks the instruction and those copies
+    renamed. Other events are ignored. *)
 
 val spill : t option -> uid:int -> block:Gis_ir.Label.t -> unit
 (** Allocator-inserted spill code (loads, stores, slot-base setup). *)

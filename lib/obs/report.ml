@@ -152,6 +152,3 @@ let pp_summary ppf (s : Trace.summary) =
       Fmt.pf ppf "  block %-8s: %6d entries, %6d instrs, %6d stall cycles@."
         b.Trace.block b.Trace.entries b.Trace.instrs b.Trace.stall_cycles)
     s.Trace.blocks
-
-let pp_sched_log ppf events =
-  List.iter (fun e -> Fmt.pf ppf "  %a@." Sink.pp_event e) events

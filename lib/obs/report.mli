@@ -23,6 +23,3 @@ val pp_pipeline : ?max_cycles:int -> Format.formatter -> Trace.summary -> unit
     [max_cycles] (default 120) columns. *)
 
 val pp_summary : Format.formatter -> Trace.summary -> unit
-
-val pp_sched_log : Format.formatter -> Sink.sched_event list -> unit
-(** The scheduler decision log, one event per line. *)

@@ -1,5 +1,7 @@
 open Gis_ir
 
+type scores = { d : int; cp : int; order : int; pressure : int }
+
 type sched_event =
   | Candidate_considered of {
       uid : int;
@@ -7,8 +9,20 @@ type sched_event =
       into_block : Label.t;
       speculative : bool;
     }
-  | Moved_useful of { uid : int; from_block : Label.t; to_block : Label.t }
-  | Moved_speculative of { uid : int; from_block : Label.t; to_block : Label.t }
+  | Moved_useful of {
+      uid : int;
+      from_block : Label.t;
+      to_block : Label.t;
+      scores : scores;
+      copies : (int * Label.t) list;
+    }
+  | Moved_speculative of {
+      uid : int;
+      from_block : Label.t;
+      to_block : Label.t;
+      scores : scores;
+      copies : (int * Label.t) list;
+    }
   | Renamed of { uid : int; from_reg : Reg.t; to_reg : Reg.t }
   | Blocked of { uid : int; reason : string }
   | Region_skipped of { region_id : int; reason : string }
@@ -25,6 +39,24 @@ let memory () =
 
 let tee a b = { emit = (fun e -> a.emit e; b.emit e) }
 
+(* Process-wide metrics (no-ops until Metrics.enable). *)
+let m_moves_useful = Metrics.counter "sched.moves_useful_total"
+let m_moves_speculative = Metrics.counter "sched.moves_speculative_total"
+let m_renames = Metrics.counter "sched.renames_total"
+let m_dup_copies = Metrics.counter "sched.duplication_copies_total"
+let m_blocked = Metrics.counter "sched.blocked_motions_total"
+
+let count = function
+  | Moved_useful { copies; _ } ->
+      Metrics.incr m_moves_useful;
+      Metrics.incr ~by:(List.length copies) m_dup_copies
+  | Moved_speculative { copies; _ } ->
+      Metrics.incr m_moves_speculative;
+      Metrics.incr ~by:(List.length copies) m_dup_copies
+  | Renamed _ -> Metrics.incr m_renames
+  | Blocked _ -> Metrics.incr m_blocked
+  | Candidate_considered _ | Region_skipped _ | Block_scheduled _ -> ()
+
 let event_to_json = function
   | Candidate_considered { uid; from_block; into_block; speculative } ->
       Json.Obj
@@ -35,7 +67,7 @@ let event_to_json = function
           ("into", Json.String into_block);
           ("speculative", Json.Bool speculative);
         ]
-  | Moved_useful { uid; from_block; to_block } ->
+  | Moved_useful { uid; from_block; to_block; _ } ->
       Json.Obj
         [
           ("event", Json.String "moved_useful");
@@ -43,7 +75,7 @@ let event_to_json = function
           ("from", Json.String from_block);
           ("to", Json.String to_block);
         ]
-  | Moved_speculative { uid; from_block; to_block } ->
+  | Moved_speculative { uid; from_block; to_block; _ } ->
       Json.Obj
         [
           ("event", Json.String "moved_speculative");
@@ -86,10 +118,10 @@ let pp_event ppf = function
       Fmt.pf ppf "candidate #%d %a -> %a%s" uid Label.pp from_block Label.pp
         into_block
         (if speculative then " (speculative)" else "")
-  | Moved_useful { uid; from_block; to_block } ->
+  | Moved_useful { uid; from_block; to_block; _ } ->
       Fmt.pf ppf "moved #%d %a -> %a (useful)" uid Label.pp from_block Label.pp
         to_block
-  | Moved_speculative { uid; from_block; to_block } ->
+  | Moved_speculative { uid; from_block; to_block; _ } ->
       Fmt.pf ppf "moved #%d %a -> %a (speculative)" uid Label.pp from_block
         Label.pp to_block
   | Renamed { uid; from_reg; to_reg } ->

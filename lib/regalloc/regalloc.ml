@@ -577,6 +577,11 @@ let remap_input t (input : Simulator.input) =
       input.Simulator.spill_float_memory @ List.rev extra_fmem;
   }
 
+let remap_with_frame alloc input =
+  match alloc with
+  | Some t -> (remap_input t input, t.frame)
+  | None -> (input, None)
+
 (* ---- verification ---- *)
 
 let verify ?gprs ?fprs ~machine ~baseline ~allocated t input =

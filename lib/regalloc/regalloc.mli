@@ -111,6 +111,14 @@ val remap_input : t -> Gis_sim.Simulator.input -> Gis_sim.Simulator.input
     the procedure never read at entry are dropped (their physical home
     may be shared with a register that {e is} live). *)
 
+val remap_with_frame :
+  t option ->
+  Gis_sim.Simulator.input ->
+  Gis_sim.Simulator.input * Gis_ir.Reg.t option
+(** The input and spill frame to simulate a pipeline's output with:
+    {!remap_input} and {!field-frame} after an allocation, the input
+    unchanged and no frame without one. *)
+
 val verify :
   ?gprs:int ->
   ?fprs:int ->

@@ -770,7 +770,7 @@ let random_cfg params seed = Test_support.pinned_cfg params ~seed
 (* Run the speculative pipeline and apply [f] to each stage's input CFG
    through the per-stage verification hook; true when [f] holds at
    every stage. *)
-let every_stage_input ?(disambiguate = true) params seed f =
+let every_stage_of ?(disambiguate = true) cfg f =
   let ok = ref true in
   let config =
     {
@@ -780,8 +780,77 @@ let every_stage_input ?(disambiguate = true) params seed f =
         Some (fun ~stage ~pre ~post:_ -> if not (f ~stage pre) then ok := false);
     }
   in
-  ignore (Gis_core.Pipeline.run Gis_machine.Machine.rs6k config (random_cfg params seed));
+  ignore (Gis_core.Pipeline.run Gis_machine.Machine.rs6k config cfg);
   !ok
+
+let every_stage_input ?disambiguate params seed f =
+  every_stage_of ?disambiguate (random_cfg params seed) f
+
+(* Loops that carry affine bases around their back edge, which neither
+   Tiny-C grammar produces (every compiled address is an opaque base
+   plus a shifted index, formed right before its access). Each pointer
+   is stepped by an immediate add or an update-form access in the
+   latch or on one arm of a diamond, or not at all; the header derives
+   further bases from the pointers; and every block after the header
+   accesses memory through both kinds. So a change found at the back
+   edge has to be re-joined at the header, re-transferred into what the
+   header derives, copied through blocks that do not define it, and
+   pushed to each successor. The exit sits right after the header or
+   last in layout. *)
+let pointer_loop_cfg seed =
+  let module Prng = Gis_workloads.Prng in
+  let rng = Prng.create ~seed in
+  let g = Reg.Gen.create () in
+  let gpr () = Reg.Gen.fresh g Reg.Gpr in
+  let ptrs = List.init (1 + Prng.int rng 3) (fun _ -> gpr ()) in
+  let derived = List.init (Prng.int rng 3) (fun _ -> gpr ()) in
+  let i = gpr () and x = gpr () in
+  let c = Reg.Gen.fresh g Reg.Cr and c2 = Reg.Gen.fresh g Reg.Cr in
+  let offset () = 4 * (Prng.int rng 5 - 2) in
+  let accesses bases =
+    List.init (Prng.int rng 3) (fun _ ->
+        let base = Prng.pick rng bases in
+        if Prng.bool rng then B.load ~dst:x ~base ~offset:(offset ())
+        else B.store ~src:x ~base ~offset:(offset ()))
+  in
+  let steps () =
+    List.concat_map
+      (fun p ->
+        match Prng.int rng 4 with
+        | 0 -> [ B.addi ~dst:p ~lhs:p (4 * (1 + Prng.int rng 3)) ]
+        | 1 -> [ B.load_update ~dst:x ~base:p ~offset:(offset ()) ]
+        | 2 -> [ B.store_update ~src:x ~base:p ~offset:(offset ()) ]
+        | _ -> [])
+      ptrs
+  in
+  let derive d =
+    let p = Prng.pick rng ptrs in
+    if Prng.bool rng then B.mr ~dst:d ~src:p else B.addi ~dst:d ~lhs:p (offset ())
+  in
+  let all = ptrs @ derived in
+  let header =
+    ( "H",
+      List.map derive derived @ accesses ptrs @ [ B.cmpi ~dst:c ~lhs:i 10 ],
+      B.bt ~cr:c ~cond:Instr.Lt ~taken:"T" ~fallthru:"X" )
+  in
+  let exit = ("X", accesses all @ accesses ptrs, Instr.Halt) in
+  let body =
+    [
+      ( "T",
+        accesses all @ [ B.cmpi ~dst:c2 ~lhs:x 0 ],
+        B.bt ~cr:c2 ~cond:Instr.Gt ~taken:"A" ~fallthru:"B" );
+      ("A", accesses all @ steps (), B.jmp "L");
+      ("B", accesses all @ steps (), B.jmp "L");
+      ("L", accesses all @ steps () @ [ B.addi ~dst:i ~lhs:i 1 ], B.jmp "H");
+    ]
+  in
+  let cfg =
+    B.func ~reg_gen:g
+      ((("E", [ B.li ~dst:i 0 ], B.jmp "H") :: header
+       :: (if Prng.bool rng then exit :: body else body @ [ exit ])))
+  in
+  Validate.check_exn cfg;
+  cfg
 
 let instrs cfg =
   List.concat_map (fun id -> Block.instrs (Cfg.block cfg id)) (Cfg.layout cfg)
@@ -1259,5 +1328,13 @@ let () =
                   every_stage_input params seed
                     (deps_match_reference ~disambig:false));
             ])
-          grammars );
+          grammars
+        @ [
+            qtest "symaddr = layout-sweep reference, pointer loops" 50
+              (fun seed ->
+                every_stage_of (pointer_loop_cfg seed) symaddr_matches_reference);
+            qtest "symaddr delta = addrcheck delta, pointer loops" 50
+              (fun seed ->
+                every_stage_of (pointer_loop_cfg seed) symaddr_matches_addrcheck);
+          ] );
     ]

@@ -527,60 +527,121 @@ let test_stores_not_speculated () =
 
 let pinned_programs = Test_support.pinned_programs
 
-(* One digest of the printed assembly per configuration, over every
-   pinned program: any change to the order either scheduling pass emits
-   in any block moves a digest. The paper rule order is the
-   [speculative rs6k] row; the other A2 orders get a row each. *)
+(* Two digests per configuration, over every pinned program. The first
+   is of the printed assembly: any change to the order either
+   scheduling pass emits in any block moves it. The second is of the
+   decision stream of a second run with every observer attached: each
+   [Sink] event as JSON, the finalized provenance table, and the deltas
+   of the seven [sched.*] counters, so a change to what the scheduler
+   reports about its motions moves it even when the schedule stays put.
+   The paper rule order is the [speculative rs6k] row; the other A2
+   orders get a row each. *)
 let pinned_digests =
   let ss4 = Machine.superscalar ~width:4 in
   let spec = Config.speculative in
   let rules r = { spec with Config.rules = r } in
   [
-    ("local rs6k", machine, Config.base, "c15e627d61746697555253fd0c56d351");
-    ("local width-4", ss4, Config.base, "5e41c3a1603de588fb4574c808d9b386");
-    ("speculative rs6k", machine, spec, "ca182dc41b5aeeb4d7fbade1c012a96b");
-    ("speculative width-4", ss4, spec, "fde951888e0aa5d547574de292d0c58e");
+    ( "local rs6k",
+      machine,
+      Config.base,
+      ("c15e627d61746697555253fd0c56d351",
+       "f633c9b38744315b31a8b38cc273699f") );
+    ( "local width-4",
+      ss4,
+      Config.base,
+      ("5e41c3a1603de588fb4574c808d9b386",
+       "ec77fb6e3695ed2003473939ad0b5a41") );
+    ( "speculative rs6k",
+      machine,
+      spec,
+      ("ca182dc41b5aeeb4d7fbade1c012a96b",
+       "af8eaec9a2286d0e0c7d88070fa4c97c") );
+    ( "speculative width-4",
+      ss4,
+      spec,
+      ("fde951888e0aa5d547574de292d0c58e",
+       "0e808681c75be2d730fd9605b26efd26") );
     ( "detailed local machine",
       machine,
       { spec with Config.local_machine = Some Machine.rs6k_detailed },
-      "434c72ea8ac16b23e81c9ce1c819fd2c" );
+      ("434c72ea8ac16b23e81c9ce1c819fd2c",
+       "3b3870d6e8448118610cb499ad6b3935") );
     ( "no delay heuristic",
       machine,
       rules Priority_rule.[ Useful_first; Max_critical_path; Program_order ],
-      "f0a90206b3ec3b50d194fe472f7a3a0a" );
+      ("f0a90206b3ec3b50d194fe472f7a3a0a",
+       "90043b148cea81ddb467baafb79c125b") );
     ( "no critical path",
       machine,
       rules Priority_rule.[ Useful_first; Max_delay; Program_order ],
-      "419ac30385ae754917cebee5486fa45a" );
+      ("419ac30385ae754917cebee5486fa45a",
+       "0fc86f52789d3b069a88a7f55c882c66") );
     ( "program order only",
       machine,
       rules Priority_rule.[ Useful_first; Program_order ],
-      "856d8ae0d04e0cf2193bb068e3f6598a" );
+      ("856d8ae0d04e0cf2193bb068e3f6598a",
+       "520afcaac625064634f067ce8cb60614") );
     ( "speculative first",
       machine,
       rules Priority_rule.[ Max_delay; Max_critical_path; Program_order ],
-      "d3529cabe90daee0eccac559f4868918" );
+      ("d3529cabe90daee0eccac559f4868918",
+       "3b6c35bfb5030a6c8013f158a915e38b") );
     ( "pressure-aware, 6 registers",
       machine,
       { spec with Config.pressure_aware = true; regs = Some 6 },
-      "6d16d1ad04126aab33df51966739fc25" );
+      ("6d16d1ad04126aab33df51966739fc25",
+       "42a498a00033001f4494f9669348322f") );
     ( "duplication",
       machine,
       { spec with Config.allow_duplication = true },
-      "ab3952d9e605c90ba04991ae5bac04d6" );
+      ("ab3952d9e605c90ba04991ae5bac04d6",
+       "8c9717d30722d6c746afb7adfe3a26cd") );
   ]
 
-let digest_schedules programs (name, m, config, expected) =
-  let text =
-    String.concat "\n"
-      (List.map
-         (fun cfg0 ->
-           let cfg = Cfg.deep_copy cfg0 in
-           ignore (Pipeline.run m config cfg);
-           Asm.print cfg)
-         programs)
+let sched_counters =
+  [ "moves_useful"; "moves_speculative"; "renames"; "duplication_copies";
+    "blocked_motions"; "regions_scheduled"; "regions_skipped" ]
+  |> List.map (fun c -> "sched." ^ c ^ "_total")
+
+let decision_stream m config cfg =
+  let module Obs = Gis_obs in
+  let sink, events = Obs.Sink.memory () in
+  let prov = Obs.Provenance.create () in
+  let read () =
+    List.map
+      (fun c -> Option.value ~default:0 (Obs.Metrics.find_counter c))
+      sched_counters
   in
-  Alcotest.(check string) name expected (Digest.to_hex (Digest.string text))
+  let was_enabled = Obs.Metrics.is_enabled () in
+  Obs.Metrics.enable ();
+  let before = read () in
+  ignore
+    (Pipeline.run m { config with Config.obs = sink; prov = Some prov } cfg);
+  let deltas = List.map2 ( - ) (read ()) before in
+  if not was_enabled then Obs.Metrics.disable ();
+  String.concat "\n"
+    (List.map
+       (fun e -> Obs.Json.to_string ~minify:true (Obs.Sink.event_to_json e))
+       (events ())
+    @ [ Obs.Json.to_string ~minify:true (Obs.Provenance.to_json prov);
+        String.concat " " (List.map string_of_int deltas) ])
+
+let digest_schedules programs (name, m, config, (schedules, decisions)) =
+  let digest f =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map (fun cfg0 -> f (Cfg.deep_copy cfg0)) programs)))
+  in
+  let printed cfg =
+    ignore (Pipeline.run m config cfg);
+    Asm.print cfg
+  in
+  Alcotest.(check string) name schedules (digest printed);
+  (* In a domain of its own: fresh labels come from a domain-local
+     counter, which the schedule digests of later rows depend on. *)
+  Alcotest.(check string) (name ^ " decisions") decisions
+    (Domain.join (Domain.spawn (fun () -> digest (decision_stream m config))))
 
 let test_pinned_schedules () =
   List.iter (digest_schedules (Lazy.force pinned_programs)) pinned_digests
@@ -602,11 +663,16 @@ let ladder_programs =
 let ladder_digests =
   let spec = Config.speculative in
   [
-    ("ladder speculative rs6k", machine, spec, "ddb130d4503dc7a7802aba49c1934aed");
+    ( "ladder speculative rs6k",
+      machine,
+      spec,
+      ("ddb130d4503dc7a7802aba49c1934aed",
+       "87915da70f8d15a91c01086dac9bb17c") );
     ( "ladder pressure-aware, 6 registers",
       machine,
       { spec with Config.pressure_aware = true; regs = Some 6 },
-      "af8cd7f8fee5cd28db652ac38ad4ef42" );
+      ("af8cd7f8fee5cd28db652ac38ad4ef42",
+       "eb7114bbf700685fe8225624ddc03bc7") );
   ]
 
 let test_pinned_ladder () =

@@ -316,6 +316,72 @@ let test_duplication_blocked_cases () =
        (fun (m : Global_sched.move) -> m.Global_sched.from_label <> "J")
        moves)
 
+(* A duplication motion whose definition is live on the target's other
+   exit: it is renamed, and the provenance fold marks both the moved
+   instruction and its copy as renamed duplications. *)
+let test_renamed_duplication () =
+  let g = Reg.Gen.create () in
+  let p = Reg.Gen.fresh g Reg.Gpr in
+  let q = Reg.Gen.fresh g Reg.Gpr in
+  let m = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let c2 = Reg.Gen.fresh g Reg.Cr in
+  let t = Reg.Gen.fresh g Reg.Gpr in
+  let u = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "E",
+          [ B.binop Instr.Div ~dst:m ~lhs:p ~rhs:(Instr.Imm 3);
+            B.cmpi ~dst:c ~lhs:p 0 ],
+          B.bt ~cr:c ~cond:Instr.Gt ~taken:"A" ~fallthru:"R" );
+        ( "A", [ B.cmpi ~dst:c2 ~lhs:q 0 ],
+          B.bt ~cr:c2 ~cond:Instr.Gt ~taken:"J" ~fallthru:"X" );
+        ("R", [ B.addi ~dst:u ~lhs:q 2 ], B.jmp "J");
+        ( "J",
+          [ B.add ~dst:t ~lhs:m ~rhs:q; B.add ~dst:u ~lhs:t ~rhs:u;
+            B.call "print_int" [ u ] ],
+          Instr.Halt );
+        ("X", [ B.call "print_int" [ t ] ], Instr.Halt);
+      ]
+  in
+  Validate.check_exn cfg;
+  let prov = Gis_obs.Provenance.create () in
+  let config =
+    {
+      Config.speculative with
+      Config.allow_duplication = true;
+      unroll_small_loops = false;
+      rotate_small_loops = false;
+      prov = Some prov;
+    }
+  in
+  let reports = Global_sched.schedule machine config cfg in
+  Validate.check_exn cfg;
+  Gis_obs.Provenance.finalize (Some prov) cfg;
+  match
+    List.find_opt
+      (fun (m : Global_sched.move) ->
+        m.Global_sched.duplicated_into <> [] && m.Global_sched.renamed <> None)
+      (List.concat_map (fun r -> r.Global_sched.moves) reports)
+  with
+  | None -> Alcotest.fail "expected a renamed duplication out of J"
+  | Some mv ->
+      let copies =
+        List.filter_map
+          (fun (e : Gis_obs.Provenance.entry) ->
+            let r = e.Gis_obs.Provenance.record in
+            if r.Gis_obs.Provenance.kind = Gis_obs.Provenance.Duplicated then
+              Some (r.Gis_obs.Provenance.uid, r.Gis_obs.Provenance.renamed)
+            else None)
+          (Gis_obs.Provenance.entries prov)
+      in
+      Alcotest.(check int) "moved instruction and one copy" 2
+        (List.length copies);
+      Alcotest.(check bool) "the moved instruction is one of them" true
+        (List.mem_assoc mv.Global_sched.uid copies);
+      Alcotest.(check bool) "both renamed" true (List.for_all snd copies)
+
 (* ---- profile-guided speculation ---- *)
 
 let hot_cold_cfg () =
@@ -437,6 +503,7 @@ let () =
         [
           Alcotest.test_case "join motion" `Quick test_duplication_motion;
           Alcotest.test_case "blocked cases" `Quick test_duplication_blocked_cases;
+          Alcotest.test_case "renamed copy" `Quick test_renamed_duplication;
         ] );
       ( "profile-guided",
         [

@@ -401,9 +401,9 @@ let test_decision_trace_replays_moves () =
       let traced =
         List.filter_map
           (function
-            | Sink.Moved_useful { uid; from_block; to_block } ->
+            | Sink.Moved_useful { uid; from_block; to_block; _ } ->
                 Some (uid, from_block, to_block, false)
-            | Sink.Moved_speculative { uid; from_block; to_block } ->
+            | Sink.Moved_speculative { uid; from_block; to_block; _ } ->
                 Some (uid, from_block, to_block, true)
             | _ -> None)
           events
