@@ -100,42 +100,93 @@ let transfer ~lookup ~set ~record i =
 type t = { base_values : (int, value) Hashtbl.t }
 
 (* The backward affine slice: the register keys whose values can reach a
-   load or store base. It starts from every base register and closes
-   over the operands the affine transfer reads when it defines a slice
-   register — a [Move]'s source and an [Add]/[Sub]'s operands. Every
-   other definition is opaque, so no other register can influence a
-   base value, and tracking the slice alone reproduces every base value
-   the whole-register analysis computes. *)
+   load or store base, in increasing order. It starts from every base
+   register and closes over the operands the affine transfer reads when
+   it defines a slice register — a [Move]'s source and an [Add]/[Sub]'s
+   operands. Every other definition is opaque, so no other register can
+   influence a base value, and tracking the slice alone reproduces every
+   base value the whole-register analysis computes.
+
+   No hashing: a first pass sizes the arrays, a second lists each
+   defined key's sources as a chain through [head]/[next]/[src] (indexed
+   by register key and by edge) and pushes every base on a work stack,
+   and the closure pops keys off that stack. A key's sources are pushed
+   only when it is first marked, so the stack never holds more than the
+   bases and the edges. *)
 let slice cfg =
-  let sources = Hashtbl.create 64 in (* dst key -> source keys *)
-  let bases = ref [] in
-  let note dst srcs =
-    List.iter (fun s -> Hashtbl.add sources (Reg.hash dst) (Reg.hash s)) srcs
+  (* [scan ~edge ~base] calls [edge dst src] for every affine source and
+     [base r] for every load or store base. *)
+  let scan ~edge ~base =
+    let visit i =
+      match Instr.kind i with
+      | Instr.Move { dst; src } -> edge dst src
+      | Instr.Binop { op = Instr.Add | Instr.Sub; dst; lhs; rhs } -> (
+          edge dst lhs;
+          match rhs with Instr.Reg r -> edge dst r | Instr.Imm _ -> ())
+      | Instr.Load { base = b; _ } | Instr.Store { base = b; _ } -> base b
+      | Instr.Load_imm _ | Instr.Binop _ | Instr.Compare _ | Instr.Fcompare _
+      | Instr.Fbinop _ | Instr.Call _ | Instr.Branch_cond _ | Instr.Jump _
+      | Instr.Halt ->
+          ()
+    in
+    Cfg.iter_blocks
+      (fun b ->
+        Vec.iter visit b.Block.body;
+        visit b.Block.term)
+      cfg
   in
-  Cfg.iter_blocks
-    (fun b ->
-      List.iter
-        (fun i ->
-          match Instr.kind i with
-          | Instr.Move { dst; src } -> note dst [ src ]
-          | Instr.Binop { op = Instr.Add | Instr.Sub; dst; lhs; rhs } ->
-              note dst
-                (lhs :: (match rhs with Instr.Reg r -> [ r ] | Instr.Imm _ -> []))
-          | Instr.Load { base; _ } | Instr.Store { base; _ } ->
-              bases := Reg.hash base :: !bases
-          | Instr.Load_imm _ | Instr.Binop _ | Instr.Compare _
-          | Instr.Fcompare _ | Instr.Fbinop _ | Instr.Call _
-          | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt ->
-              ())
-        (Block.instrs b))
-    cfg;
-  let rec close acc = function
-    | [] -> acc
-    | k :: rest when Ints.Int_set.mem k acc -> close acc rest
-    | k :: rest ->
-        close (Ints.Int_set.add k acc) (Hashtbl.find_all sources k @ rest)
+  let top = ref (-1) and edges = ref 0 and bases = ref 0 in
+  let see r =
+    let k = Reg.hash r in
+    if k > !top then top := k
   in
-  close Ints.Int_set.empty !bases
+  scan
+    ~edge:(fun dst s ->
+      see dst;
+      see s;
+      incr edges)
+    ~base:(fun b ->
+      see b;
+      incr bases);
+  let head = Array.make (!top + 1) (-1) in
+  let next = Array.make !edges 0 and src = Array.make !edges 0 in
+  let stack = Array.make (!edges + !bases) 0 in
+  let e = ref 0 and sp = ref 0 in
+  let push k =
+    stack.(!sp) <- k;
+    incr sp
+  in
+  scan
+    ~edge:(fun dst s ->
+      let d = Reg.hash dst in
+      src.(!e) <- Reg.hash s;
+      next.(!e) <- head.(d);
+      head.(d) <- !e;
+      incr e)
+    ~base:(fun b -> push (Reg.hash b));
+  let marked = Bytes.make (!top + 1) '\000' and size = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let k = stack.(!sp) in
+    if Bytes.get marked k = '\000' then begin
+      Bytes.set marked k '\001';
+      incr size;
+      let e = ref head.(k) in
+      while !e >= 0 do
+        push src.(!e);
+        e := next.(!e)
+      done
+    end
+  done;
+  let keys = Array.make !size 0 and j = ref 0 in
+  Bytes.iteri
+    (fun k m ->
+      if m <> '\000' then begin
+        keys.(!j) <- k;
+        incr j
+      end)
+    marked;
+  keys
 
 let no_record _ _ = ()
 
@@ -143,7 +194,7 @@ let compute cfg =
   let n = Cfg.num_blocks cfg in
   (* Dense positions: slice register key [keys.(p)] lives at position
      [p] of every environment array. *)
-  let keys = Array.of_list (Ints.Int_set.elements (slice cfg)) in
+  let keys = slice cfg in
   let m = Array.length keys in
   let pos_of = Array.make (if m = 0 then 0 else keys.(m - 1) + 1) (-1) in
   Array.iteri (fun p k -> pos_of.(k) <- p) keys;

@@ -360,6 +360,194 @@ let test_observables_stable () =
     [ Fmt.str "print_int(%d)" min_v; Fmt.str "print_int(%d)" max_v ]
     a.Simulator.output
 
+(* A machine with no floating-point unit: [Machine.make] accepts it, and
+   a float operation can then never issue. *)
+let test_zero_unit_traps () =
+  let g = Reg.Gen.create () in
+  let a = Reg.Gen.fresh g Reg.Gpr in
+  let fa = Reg.Gen.fresh g Reg.Fpr in
+  let m =
+    Machine.make ~name:"no-float" ~fixed_units:1 ~float_units:0 ~branch_units:1 ()
+  in
+  let cfg =
+    straight_line [ B.li ~dst:a 1; B.fbinop Instr.Fadd ~dst:fa ~lhs:fa ~rhs:fa ]
+  in
+  let o = Simulator.run m cfg Simulator.no_input in
+  Alcotest.(check string) "trap" "trap: no float unit"
+    (Fmt.str "%a" Simulator.pp_stop_reason o.Simulator.stop);
+  Alcotest.(check int) "only the load-immediate issued" 1 o.Simulator.instructions;
+  (* Integer code never asks for the missing unit. *)
+  let o = Simulator.run m (straight_line [ B.li ~dst:a 1 ]) Simulator.no_input in
+  Alcotest.(check bool) "integer code halts" true
+    (o.Simulator.stop = Simulator.Halted)
+
+(* Register files grow with the registers a run names, not with the
+   largest register id: an assembly input may name any. *)
+let test_sparse_register_ids () =
+  let g = Reg.Gen.create () in
+  let far = Reg.Gen.reserve g Reg.Gpr 1_000_000 in
+  let cfg = straight_line [ B.li ~dst:far 7; B.call "print_int" [ far ] ] in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let o = run cfg in
+  let allocated = words () -. before in
+  Alcotest.(check (list string)) "output" [ "print_int(7)" ] o.Simulator.output;
+  Alcotest.(check (option int)) "read back" (Some 7) (o.Simulator.read_int far);
+  Alcotest.(check bool)
+    (Fmt.str "allocation (%.0f words) independent of the id" allocated)
+    true (allocated < 100_000.)
+
+(* ---- the decoded simulator against the reference ---- *)
+
+let registers cfg =
+  List.sort_uniq Reg.compare
+    (List.concat_map (fun i -> Instr.defs i @ Instr.uses i) (Cfg.all_instrs cfg))
+
+(* Every field of the two outcomes, with the full event log, and the
+   final value of every register the program names. [compare] rather
+   than [=], so a NaN in memory equals itself. *)
+let same_outcome ?frame ~what m cfg input =
+  let a = Simulator.run ~trace:true ?frame m cfg input in
+  let b = Simulator_ref.run ~trace:true ?frame m cfg input in
+  let same x y = compare x y = 0 in
+  let fields =
+    [
+      ("stop", same a.Simulator.stop b.Simulator.stop);
+      ("cycles", a.Simulator.cycles = b.Simulator.cycles);
+      ("instructions", a.Simulator.instructions = b.Simulator.instructions);
+      ("output", same a.Simulator.output b.Simulator.output);
+      ("memory", same a.Simulator.final_memory b.Simulator.final_memory);
+      ( "float memory",
+        same a.Simulator.final_float_memory b.Simulator.final_float_memory );
+      ( "spill memory",
+        same a.Simulator.final_spill_memory b.Simulator.final_spill_memory );
+      ( "spill float memory",
+        same a.Simulator.final_spill_float_memory
+          b.Simulator.final_spill_float_memory );
+      ("block counts", same a.Simulator.block_counts b.Simulator.block_counts);
+      ("telemetry", same a.Simulator.telemetry b.Simulator.telemetry);
+      ( "registers",
+        List.for_all
+          (fun r -> a.Simulator.read_int r = b.Simulator.read_int r)
+          (registers cfg) );
+    ]
+  in
+  match List.filter (fun (_, ok) -> not ok) fields with
+  | [] -> true
+  | bad ->
+      QCheck.Test.fail_reportf "%s on %s: %s differ" what (Machine.name m)
+        (String.concat ", " (List.map fst bad))
+
+(* The post CFG of every stage of the speculative pipeline, on each of
+   the fuzzer's eight machine cells; an allocated cell contributes its
+   allocated code, run with the spill frame on the remapped input. *)
+let stages_match_reference source input =
+  List.for_all
+    (fun (cell : Gis_fuzz.Fuzz.cell) ->
+      let posts = ref [] in
+      let config =
+        {
+          (Gis_core.Config.of_level cell.Gis_fuzz.Fuzz.level) with
+          Gis_core.Config.regalloc = cell.Gis_fuzz.Fuzz.regalloc;
+          regs =
+            (if cell.Gis_fuzz.Fuzz.regalloc then Some Gis_fuzz.Fuzz.regalloc_regs
+             else None);
+          check =
+            Some (fun ~stage ~pre:_ ~post -> posts := (stage, post) :: !posts);
+        }
+      in
+      let m = cell.Gis_fuzz.Fuzz.machine in
+      match Gis_core.Pipeline.run m config (Cfg.deep_copy source) with
+      | exception Gis_regalloc.Regalloc.Infeasible _ -> true
+      | { Gis_core.Pipeline.regalloc = Some alloc; _ } ->
+          same_outcome ?frame:alloc.Gis_regalloc.Regalloc.frame ~what:"regalloc"
+            m (List.assoc "regalloc" !posts)
+            (Gis_regalloc.Regalloc.remap_input alloc input)
+      | { Gis_core.Pipeline.regalloc = None; _ } ->
+          List.for_all (fun (what, post) -> same_outcome ~what m post input) !posts)
+    (List.filter
+       (fun (c : Gis_fuzz.Fuzz.cell) ->
+         c.Gis_fuzz.Fuzz.level = Gis_core.Config.Speculative)
+       Gis_fuzz.Fuzz.cells)
+
+let matches_reference params seed =
+  let compiled = Test_support.pinned_compiled params ~seed in
+  let input = Gis_workloads.Random_prog.random_input ~seed compiled in
+  let source = compiled.Gis_frontend.Codegen.cfg in
+  (* The most entered block, as a loop header. *)
+  let per_iteration run =
+    match
+      List.sort
+        (fun (_, a) (_, b) -> compare b a)
+        (Simulator.run machine source input).Simulator.block_counts
+    with
+    | (header, _) :: _ -> (
+        match run machine source ~header input with
+        | v -> Some v
+        | exception Failure _ -> None)
+    | [] -> None
+  in
+  same_outcome ~what:"source" machine source input
+  && per_iteration (Simulator.cycles_per_iteration ?fuel:None)
+     = per_iteration (Simulator_ref.cycles_per_iteration ?fuel:None)
+  && stages_match_reference source input
+
+(* The paper's workloads add what Tiny-C never emits: the update-form
+   loads of Figure 2, whose base register is a second definition. *)
+let test_workloads_match_reference () =
+  List.iter
+    (fun (name, (cfg, input)) ->
+      Alcotest.(check bool) name true (stages_match_reference cfg input))
+    (Test_support.standard_programs ())
+
+(* What a well-formed CFG never holds: a branch to a label naming no
+   block raises [Cfg.block_of_label]'s error when it is taken; a
+   non-branch terminator traps; a branch in a body is only evaluated. *)
+let test_malformed_match_reference () =
+  let g = Reg.Gen.create () in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let outcome run cfg =
+    match run cfg with
+    | o -> Ok (Fmt.str "%a" Simulator.pp_stop_reason o.Simulator.stop)
+    | exception Invalid_argument m -> Error m
+  in
+  let both cfg =
+    Alcotest.(check (result string string))
+      "same as the reference"
+      (outcome (fun cfg -> Simulator_ref.run machine cfg Simulator.no_input) cfg)
+      (outcome (fun cfg -> run cfg) cfg)
+  in
+  let branch_to taken =
+    B.func ~reg_gen:g
+      [
+        ( "A",
+          [ B.li ~dst:x 1; B.cmpi ~dst:c ~lhs:x 0 ],
+          B.bt ~cr:c ~cond:Instr.Gt ~taken ~fallthru:"B" );
+        ("B", [], Instr.Halt);
+      ]
+  in
+  both (branch_to "Z");
+  Alcotest.(check bool) "raises" true
+    (Result.is_error (outcome (fun cfg -> run cfg) (branch_to "Z")));
+  let cfg = branch_to "B" in
+  let a = Cfg.block cfg (Cfg.entry cfg) in
+  Gis_util.Vec.push a.Block.body (Cfg.make_instr cfg (B.jmp "Z"));
+  both cfg;
+  a.Block.term <- Cfg.make_instr cfg (B.li ~dst:x 2);
+  both cfg;
+  Alcotest.(check bool) "traps" true
+    (match (run cfg).Simulator.stop with
+    | Simulator.Trap _ -> true
+    | Simulator.Halted | Simulator.Out_of_fuel -> false)
+
+let qtest name count prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
+
 let () =
   Alcotest.run "gis_sim"
     [
@@ -371,6 +559,8 @@ let () =
           Alcotest.test_case "branches" `Quick test_branches;
           Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "floats" `Quick test_float_path;
+          Alcotest.test_case "zero-unit machine traps" `Quick test_zero_unit_traps;
+          Alcotest.test_case "sparse register ids" `Quick test_sparse_register_ids;
         ] );
       ( "timing",
         [
@@ -389,4 +579,15 @@ let () =
           Alcotest.test_case "cycles-per-iteration errors" `Quick
             test_cycles_per_iteration_errors;
         ] );
+      ( "reference properties",
+        Alcotest.test_case "paper workloads" `Quick test_workloads_match_reference
+        :: Alcotest.test_case "malformed CFGs" `Quick test_malformed_match_reference
+        :: List.map
+          (fun (grammar, params) ->
+            qtest ("simulator = hash-table reference, " ^ grammar) 25
+              (matches_reference params))
+          [
+            ("default", Gis_workloads.Random_prog.default);
+            ("hardened", Gis_workloads.Random_prog.hardened);
+          ] );
     ]

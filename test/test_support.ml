@@ -40,14 +40,16 @@ let standard_programs () =
 
 (* A random program of the given grammar, compiled with the label
    counter reset so a seed denotes one exact CFG. *)
-let pinned_cfg params ~seed =
+let pinned_compiled params ~seed =
   Random_prog.generate_compiled_via
     ~compile:(fun prog ->
       Gis_ir.Label.reset_fresh_counter ();
       match Codegen.compile prog with
-      | c -> Ok c.Codegen.cfg
+      | c -> Ok c
       | exception Codegen.Error m -> Error m)
     params ~seed
+
+let pinned_cfg params ~seed = (pinned_compiled params ~seed).Codegen.cfg
 
 (* Thirty seed-pinned hardened random programs. *)
 let pinned_programs =
