@@ -127,6 +127,19 @@ let reachable_matrix t =
   done;
   m
 
+let reachable_rows t =
+  let n = t.num_nodes in
+  Array.init n (fun src ->
+      let row = Bitset.create n in
+      let rec go v =
+        if not (Bitset.mem row v) then begin
+          Bitset.add row v;
+          List.iter go t.succ.(v)
+        end
+      in
+      go src;
+      row)
+
 let is_acyclic t =
   (* White/grey/black DFS over every node. *)
   let color = Array.make t.num_nodes 0 in

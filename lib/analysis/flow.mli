@@ -58,6 +58,11 @@ val reachable_matrix : t -> bool array array
     ([a] reaches itself). O(V·E) — views are small by the paper's
     region-size limits. *)
 
+val reachable_rows : t -> Gis_util.Bitset.t array
+(** {!reachable_matrix} with each row a bitset: [Bitset.mem r.(a) b]
+    iff [b] is reachable from [a]. One bit a cell instead of a word, for
+    views as large as a whole procedure. *)
+
 val is_acyclic : t -> bool
 
 val pp : t Fmt.t

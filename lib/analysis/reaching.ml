@@ -13,93 +13,177 @@ let equal_site a b =
   | External, External -> true
   | Def _, External | External, Def _ -> false
 
-(* Sites are interned to dense indices so the dataflow runs on dense
-   bitsets ({!Gis_util.Bitset}), one bit per site. [Reg.hash] is
-   injective, so it serves as a register key. *)
+(* Everything is numbered densely per call, so no array is sized by a
+   uid or a [Reg.hash]. Instructions are numbered in visiting order:
+   the layout blocks in layout order, then the detached blocks by id.
+   Registers are numbered by first mention. Each instruction's use and
+   def operands are slots in flat arrays: instruction [k]'s uses are
+   slots [use_off.(k)] to [use_off.(k + 1) - 1], in [Instr.uses] order,
+   and likewise its defs.
+
+   Definition sites, one bit each in the dataflow's bitsets, are
+   grouped by register: each register's sites take one contiguous
+   range, so a definition's kill is a range and a use's chain is a scan
+   of its register's range. Within a range the sites run newest first
+   in interning order, where a register's definitions in the layout
+   come first, then its [External] site (when the layout mentions it),
+   then its definitions in detached blocks. Chains read off a range in
+   order, so they list sites in that order. *)
 type t = {
-  use_chains : (int * int, site list) Hashtbl.t;  (* (uid, reg key) -> sites *)
-  def_chains : (int * int, int list) Hashtbl.t;   (* (uid, reg key) -> use uids *)
+  dense : Ints.Int_table.t;  (* uid -> instruction number *)
+  reg_num : Ints.Int_table.t;  (* [Reg.hash] -> register number *)
+  use_off : int array;
+  use_reg : int array;  (* use slot -> register number *)
+  use_chain : site list array;  (* use slot -> reaching sites *)
+  def_off : int array;
+  def_reg : int array;
+  def_site : int array;  (* def slot -> site *)
+  def_chain : int list array;  (* site -> uids of the uses it reaches *)
 }
 
-let reg_key r = Reg.hash r
-
 let compute cfg =
-  (* 1. Enumerate definition sites. *)
-  let site_of = Hashtbl.create 64 in (* (sitekind, regkey) -> index *)
-  let sites = Vec.create () in       (* index -> (site, reg) *)
-  let sites_of_reg = Hashtbl.create 64 in (* regkey -> index list *)
-  (* Interning a site for the first time also prepends it to its
-     register's list, so each list holds distinct indices, newest
-     first. *)
-  let intern site reg =
-    let key = ((match site with Def u -> u | External -> -1), reg_key reg) in
-    match Hashtbl.find_opt site_of key with
-    | Some idx -> idx
-    | None ->
-        let idx = Vec.length sites in
-        Vec.push sites (site, reg);
-        Hashtbl.add site_of key idx;
-        let k = reg_key reg in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt sites_of_reg k) in
-        Hashtbl.replace sites_of_reg k (idx :: cur);
-        idx
+  let nb = Cfg.num_blocks cfg in
+  let layout = Cfg.layout cfg in
+  let in_layout = Array.make nb false in
+  List.iter (fun id -> in_layout.(id) <- true) layout;
+  (* Blocks in numbering order: the layout, then the detached ones. *)
+  let each_block f =
+    List.iter f layout;
+    for id = 0 to nb - 1 do
+      if not in_layout.(id) then f id
+    done
   in
-  let all_regs = ref Reg.Set.empty in
-  Cfg.iter_blocks
-    (fun b ->
-      List.iter
+  (* 1. Count, then number, the instructions, their operand slots and
+     the registers; [lo.(id)] and [hi.(id)] bound block [id]'s
+     instruction numbers, and the layout's operands come first, up to
+     [layout_uses] and [layout_defs]. *)
+  let n = ref 0 and nuses = ref 0 and ndefs = ref 0 in
+  each_block (fun id ->
+      Block.iter
         (fun i ->
-          List.iter (fun r -> all_regs := Reg.Set.add r !all_regs) (Instr.uses i);
+          incr n;
+          nuses := !nuses + List.length (Instr.uses i);
+          ndefs := !ndefs + List.length (Instr.defs i))
+        (Cfg.block cfg id));
+  let n = !n in
+  let dense = Ints.Int_table.create n in
+  let reg_num = Ints.Int_table.create n in
+  let nregs = ref 0 in
+  let number r =
+    let h = Reg.hash r in
+    let x = Ints.Int_table.find reg_num h in
+    if x >= 0 then x
+    else begin
+      Ints.Int_table.replace reg_num h !nregs;
+      incr nregs;
+      !nregs - 1
+    end
+  in
+  let uid_of = Array.make n 0 in
+  let use_off = Array.make (n + 1) 0 and use_reg = Array.make !nuses 0 in
+  let def_off = Array.make (n + 1) 0 and def_reg = Array.make !ndefs 0 in
+  let lo = Array.make nb 0 and hi = Array.make nb 0 in
+  let k = ref 0 and nu = ref 0 and nd = ref 0 in
+  let layout_uses = ref 0 and layout_defs = ref 0 in
+  each_block (fun id ->
+      lo.(id) <- !k;
+      Block.iter
+        (fun i ->
+          Ints.Int_table.replace dense (Instr.uid i) !k;
+          uid_of.(!k) <- Instr.uid i;
+          use_off.(!k) <- !nu;
+          def_off.(!k) <- !nd;
           List.iter
             (fun r ->
-              all_regs := Reg.Set.add r !all_regs;
-              ignore (intern (Def (Instr.uid i)) r))
-            (Instr.defs i))
-        (Block.instrs b))
-    cfg;
-  let external_idx =
-    List.map (fun r -> intern External r) (Reg.Set.elements !all_regs)
-  in
-  (* Definitions in detached blocks are sites too: they reach later uses
-     in their own block, though no dataflow reaches into or out of it. *)
-  for id = 0 to Cfg.num_blocks cfg - 1 do
-    List.iter
-      (fun i ->
-        List.iter (fun r -> ignore (intern (Def (Instr.uid i)) r)) (Instr.defs i))
-      (Block.instrs (Cfg.block cfg id))
+              use_reg.(!nu) <- number r;
+              incr nu)
+            (Instr.uses i);
+          List.iter
+            (fun r ->
+              def_reg.(!nd) <- number r;
+              incr nd)
+            (Instr.defs i);
+          incr k)
+        (Cfg.block cfg id);
+      hi.(id) <- !k;
+      if in_layout.(id) then begin
+        layout_uses := !nu;
+        layout_defs := !nd
+      end);
+  use_off.(n) <- !nu;
+  def_off.(n) <- !nd;
+  let nregs = !nregs and ndefs = !ndefs in
+  let layout_uses = !layout_uses and layout_defs = !layout_defs in
+  (* 2. Lay out the site ranges: [layout_defs_of], [external_of] and
+     [detached_defs_of] count each register's sites by kind. *)
+  let layout_defs_of = Array.make nregs 0 in
+  let external_of = Array.make nregs 0 in
+  let detached_defs_of = Array.make nregs 0 in
+  for j = 0 to layout_uses - 1 do
+    external_of.(use_reg.(j)) <- 1
   done;
-  let nsites = Vec.length sites in
+  for j = 0 to ndefs - 1 do
+    let r = def_reg.(j) in
+    if j < layout_defs then begin
+      external_of.(r) <- 1;
+      layout_defs_of.(r) <- layout_defs_of.(r) + 1
+    end
+    else detached_defs_of.(r) <- detached_defs_of.(r) + 1
+  done;
+  let start = Array.make (nregs + 1) 0 in
+  for r = 0 to nregs - 1 do
+    start.(r + 1) <-
+      start.(r) + layout_defs_of.(r) + external_of.(r) + detached_defs_of.(r)
+  done;
+  let nsites = start.(nregs) in
+  (* The site of interning rank [rank] among register [r]'s. *)
+  let site_at r rank = start.(r + 1) - 1 - rank in
+  let site_val = Array.make nsites External in
+  let def_site = Array.make ndefs 0 in
+  let rank = Array.make nregs 0 in
+  for k = 0 to n - 1 do
+    for j = def_off.(k) to def_off.(k + 1) - 1 do
+      let r = def_reg.(j) in
+      let s =
+        if j < layout_defs then site_at r rank.(r)
+        else site_at r (rank.(r) + external_of.(r))
+      in
+      rank.(r) <- rank.(r) + 1;
+      def_site.(j) <- s;
+      site_val.(s) <- Def uid_of.(k)
+    done
+  done;
+  (* [define running j]: def slot [j]'s site replaces every other site
+     of its register in [running]. *)
+  let define running j =
+    let r = def_reg.(j) in
+    Bitset.remove_range running start.(r) start.(r + 1);
+    Bitset.add running def_site.(j)
+  in
+  (* 3. gen/kill per layout block; a detached block's [out] stays the
+     shared empty set. *)
+  let empty = Bitset.create nsites in
+  let fresh () = Bitset.create nsites in
+  let gen = Array.make nb empty and kill = Array.make nb empty in
+  let in_ = Array.make nb empty and out = Array.make nb empty in
+  List.iter
+    (fun id ->
+      gen.(id) <- fresh ();
+      kill.(id) <- fresh ();
+      in_.(id) <- fresh ();
+      out.(id) <- fresh ();
+      for j = def_off.(lo.(id)) to def_off.(hi.(id)) - 1 do
+        let r = def_reg.(j) in
+        define gen.(id) j;
+        Bitset.add_range kill.(id) start.(r) start.(r + 1)
+      done)
+    layout;
+  (* 4. Forward dataflow. *)
   let external_sites = Bitset.create nsites in
-  List.iter (Bitset.add external_sites) external_idx;
-  let indices_of_reg r =
-    Option.value ~default:[] (Hashtbl.find_opt sites_of_reg (reg_key r))
-  in
-  (* [define running r own]: the definition [own] of [r] replaces every
-     other site of [r] in [running]. *)
-  let define running r own =
-    List.iter (Bitset.remove running) (indices_of_reg r);
-    Bitset.add running own
-  in
-  (* 2. gen/kill per block. *)
-  let n = Cfg.num_blocks cfg in
-  let gen = Array.init n (fun _ -> Bitset.create nsites) in
-  let kill = Array.init n (fun _ -> Bitset.create nsites) in
-  for id = 0 to n - 1 do
-    List.iter
-      (fun i ->
-        List.iter
-          (fun r ->
-            let own = intern (Def (Instr.uid i)) r in
-            define gen.(id) r own;
-            List.iter
-              (fun s -> if s <> own then Bitset.add kill.(id) s)
-              (indices_of_reg r))
-          (Instr.defs i))
-      (Block.instrs (Cfg.block cfg id))
+  for r = 0 to nregs - 1 do
+    if external_of.(r) = 1 then
+      Bitset.add external_sites (site_at r layout_defs_of.(r))
   done;
-  (* 3. Forward dataflow. *)
-  let in_ = Array.init n (fun _ -> Bitset.create nsites) in
-  let out = Array.init n (fun _ -> Bitset.create nsites) in
   let preds = Cfg.predecessors cfg in
   let entry = Cfg.entry cfg in
   let inn = Bitset.create nsites in
@@ -115,53 +199,75 @@ let compute cfg =
           Bitset.transfer ~dst:out.(id) ~gen:gen.(id) ~kill:kill.(id) inn
         in
         if in_changed || out_changed then changed := true)
-      (Cfg.layout cfg);
+      layout;
     !changed
   in
   ignore (Fix.iterate step);
-  (* 4. Walk each block once more to record use-def / def-use chains. *)
-  let use_chains = Hashtbl.create 64 in
-  let def_chains = Hashtbl.create 64 in
-  let add_def_use duid reg use_uid =
-    let key = (duid, reg_key reg) in
-    let cur = Option.value ~default:[] (Hashtbl.find_opt def_chains key) in
-    if not (List.mem use_uid cur) then
-      Hashtbl.replace def_chains key (use_uid :: cur)
-  in
-  for id = 0 to n - 1 do
-    let running = in_.(id) in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun r ->
-            let reaching =
-              List.filter (Bitset.mem running) (indices_of_reg r)
-              |> List.map (fun s -> fst (Vec.get sites s))
-            in
-            Hashtbl.replace use_chains (Instr.uid i, reg_key r) reaching;
-            List.iter
-              (function
-                | Def duid -> add_def_use duid r (Instr.uid i)
-                | External -> ())
-              reaching)
-          (Instr.uses i);
-        List.iter
-          (fun r -> define running r (intern (Def (Instr.uid i)) r))
-          (Instr.defs i))
-      (Block.instrs (Cfg.block cfg id))
+  (* 5. Walk each block once more, by id, to record the chains. A use's
+     chain reads its register's range in order; each definition in it
+     gets the use prepended, once even when the instruction reads the
+     register twice. *)
+  let use_chain = Array.make (Array.length use_reg) [] in
+  let def_chain = Array.make nsites [] in
+  let running = inn in
+  for id = 0 to nb - 1 do
+    ignore (Bitset.assign ~dst:running in_.(id));
+    for k = lo.(id) to hi.(id) - 1 do
+      let uid = uid_of.(k) in
+      for j = use_off.(k) to use_off.(k + 1) - 1 do
+        let r = use_reg.(j) in
+        let chain = ref [] in
+        for s = start.(r + 1) - 1 downto start.(r) do
+          if Bitset.mem running s then begin
+            chain := site_val.(s) :: !chain;
+            match site_val.(s), def_chain.(s) with
+            | External, _ -> ()
+            | Def _, u :: _ when u = uid -> ()
+            | Def _, uses -> def_chain.(s) <- uid :: uses
+          end
+        done;
+        use_chain.(j) <- !chain
+      done;
+      for j = def_off.(k) to def_off.(k + 1) - 1 do
+        define running j
+      done
+    done
   done;
-  { use_chains; def_chains }
+  {
+    dense;
+    reg_num;
+    use_off;
+    use_reg;
+    use_chain;
+    def_off;
+    def_reg;
+    def_site;
+    def_chain;
+  }
+
+(* The first of instruction [uid]'s operand slots in [off]/[regs] that
+   names [reg], or [-1]. *)
+let slot t off regs ~uid ~reg =
+  let k = Ints.Int_table.find t.dense uid in
+  let x = Ints.Int_table.find t.reg_num (Reg.hash reg) in
+  if k < 0 || x < 0 then -1
+  else
+    let rec go j =
+      if j >= off.(k + 1) then -1 else if regs.(j) = x then j else go (j + 1)
+    in
+    go off.(k)
 
 let defs_of_use t ~uid ~reg =
-  match Hashtbl.find_opt t.use_chains (uid, reg_key reg) with
-  | Some sites -> sites
-  | None ->
-      invalid_arg
-        (Fmt.str "Reaching.defs_of_use: instruction %d has no use of %a" uid
-           Reg.pp reg)
+  let j = slot t t.use_off t.use_reg ~uid ~reg in
+  if j < 0 then
+    invalid_arg
+      (Fmt.str "Reaching.defs_of_use: instruction %d has no use of %a" uid
+         Reg.pp reg)
+  else t.use_chain.(j)
 
 let uses_of_def t ~uid ~reg =
-  Option.value ~default:[] (Hashtbl.find_opt t.def_chains (uid, reg_key reg))
+  let j = slot t t.def_off t.def_reg ~uid ~reg in
+  if j < 0 then [] else t.def_chain.(t.def_site.(j))
 
 let sole_def_of_all_uses t ~uid ~reg =
   let uses = uses_of_def t ~uid ~reg in

@@ -18,7 +18,8 @@
     Only blocks in {!Gis_ir.Cfg.layout} take part in the dataflow: a
     definition in a detached block reaches only later uses in its own
     block, and a use there sees only earlier definitions in its own
-    block. *)
+    block. As {!Gis_ir.Validate} checks, uids are assumed distinct and
+    no instruction defines a register twice. *)
 
 type site =
   | Def of int  (** uid of the defining instruction *)
@@ -31,15 +32,29 @@ type t
 
 val compute : Gis_ir.Cfg.t -> t
 (** Forward iterative dataflow over all definition sites; back edges
-    included, so definitions reaching around a loop are visible. *)
+    included, so definitions reaching around a loop are visible.
+
+    Allocates in proportion to the CFG's instructions, operands and
+    definition sites, never to its uids or register ids: instructions,
+    operand slots and registers are numbered densely per call, with one
+    uid -> number table for the queries below. Each register's
+    definition sites take one contiguous range of the dataflow bitsets,
+    so a definition kills a range and a use's chain is a scan of its
+    register's range. The chains are recorded in arrays indexed by
+    operand slot (uses) and by site (definitions). *)
 
 val defs_of_use : t -> uid:int -> reg:Gis_ir.Reg.t -> site list
-(** Definition sites reaching the given use operand. Raises
-    [Invalid_argument] if the instruction does not use [reg]. *)
+(** Definition sites reaching the given use operand, each once. Within
+    the list, a register's definitions in layout blocks come last, the
+    latest-visited first (layout order, then position); its
+    {!External} site comes before them, and its definitions in detached
+    blocks before that. Raises [Invalid_argument] if the instruction
+    does not use [reg]. *)
 
 val uses_of_def : t -> uid:int -> reg:Gis_ir.Reg.t -> int list
 (** Uids of instructions with a use of [reg] reached by this
-    definition. *)
+    definition, each once, the last found first: the uses are visited
+    by block id, then position. *)
 
 val sole_def_of_all_uses : t -> uid:int -> reg:Gis_ir.Reg.t -> int list option
 (** [Some uses] when every use reached by definition [uid] of [reg] has

@@ -22,6 +22,21 @@ let equal_kind_modulo_targets k1 k2 =
   | Instr.Jump _, Instr.Jump _ -> true
   | _, _ -> Instr.equal_kind k1 k2
 
+(* A kind with its branch and jump targets blanked: two kinds are
+   [equal_kind_modulo_targets] exactly when their blanked kinds are
+   equal. *)
+let without_targets = function
+  | Instr.Branch_cond b -> Instr.Branch_cond { b with taken = ""; fallthru = "" }
+  | Instr.Jump _ -> Instr.Jump { target = "" }
+  | k -> k
+
+module Kind_set = Hashtbl.Make (struct
+  type t = Instr.kind
+
+  let equal = Instr.equal_kind
+  let hash = Hashtbl.hash
+end)
+
 (* Kind equality ignoring register names: scheduling may rename a
    destination (and the uses it reaches) and allocation rewrites every
    register, but opcodes, immediates, offsets and control targets must
@@ -79,7 +94,7 @@ type region_view = {
   rv_dom : Dominance.t;
   rv_post : Dominance.Post.post;
   rv_cdg : Cdg.t;
-  rv_reach : bool array array;
+  rv_reach : Bitset.t array;
 }
 
 type classifier = {
@@ -122,7 +137,7 @@ let view_of cl (r : Regions.region) =
                 rv_cdg =
                   Cdg.compute ~edge_label:view.Regions.edge_label
                     view.Regions.flow;
-                rv_reach = Flow.reachable_matrix view.Regions.flow;
+                rv_reach = Flow.reachable_rows view.Regions.flow;
               }
       in
       Hashtbl.replace cl.cl_views r.Regions.id v;
@@ -175,8 +190,14 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
       in
       let ppre = match ppre with Some p -> p | None -> Deps.of_cfg pre in
       let ppost = Deps.of_cfg post in
-      let pre_uids = Deps.uids ppre and post_uids = Deps.uids ppost in
-      let created = Ints.Int_set.diff post_uids pre_uids in
+      (* The uids of [p], ascending, that [q] has or lacks. *)
+      let uids_of p ~in_:q has =
+        Array.fold_right
+          (fun u acc -> if Deps.mem q u = has then u :: acc else acc)
+          (Deps.uids p) []
+      in
+      let created = uids_of ppost ~in_:ppre false in
+      let is_created u = Deps.mem ppost u && not (Deps.mem ppre u) in
       let label_of_pre uid = Deps.block_label_of_uid ppre uid in
       let label_of_post uid = Deps.block_label_of_uid ppost uid in
       (* Entry stability: no stage may change which block the procedure
@@ -188,34 +209,42 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
           "entry block changed across the stage";
       (* Conservation: nothing vanishes; everything that appears is an
          accounted-for copy, duplicate, or spill. *)
-      Ints.Int_set.iter
+      List.iter
         (fun uid ->
           err ~rule:"conservation.removed" ~uid
             ?blocks:(Option.map (fun l -> [ l ]) (label_of_pre uid))
             "instruction present before the stage is gone after it")
-        (Ints.Int_set.diff pre_uids post_uids);
-      Ints.Int_set.iter
+        (uids_of ppre ~in_:ppost false);
+      (* The input's kinds, built once for the stage: blanked targets
+         for a copying stage, whose copies are retargeted. *)
+      let key = if skind = Copying then without_targets else Fun.id in
+      let pre_kinds =
+        lazy
+          (let t = Kind_set.create 64 in
+           List.iter
+             (fun i -> Kind_set.replace t (key (Instr.kind i)) ())
+             (Cfg.all_instrs pre);
+           t)
+      in
+      List.iter
         (fun uid ->
           let blocks = Option.map (fun l -> [ l ]) (label_of_post uid) in
           let record = Option.bind prov (fun p -> Provenance.find p uid) in
-          let faithful_copy modulo_targets =
+          let faithful_copy () =
             match Deps.instr ppost uid with
             | None -> ()
             | Some i ->
-                let k = Instr.kind i in
-                let matches j =
-                  if modulo_targets then
-                    equal_kind_modulo_targets (Instr.kind j) k
-                  else Instr.equal_kind (Instr.kind j) k
-                in
-                if not (List.exists matches (Cfg.all_instrs pre)) then
+                if
+                  not
+                    (Kind_set.mem (Lazy.force pre_kinds) (key (Instr.kind i)))
+                then
                   err ~rule:"transform.unfaithful-copy" ~uid ?blocks
                     "created instruction matches no instruction of the input \
                      program"
           in
           match skind with
           | Copying -> (
-              faithful_copy true;
+              faithful_copy ();
               match prov, record with
               | None, _ -> ()
               | Some _, Some r when r.Provenance.copy_index >= 1 -> ()
@@ -226,7 +255,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                   err ~rule:"provenance.missing" ~uid ?blocks
                     "created instruction has no provenance record")
           | Global -> (
-              faithful_copy false;
+              faithful_copy ();
               match prov, record with
               | None, _ -> ()
               | Some _, Some { Provenance.kind = Provenance.Duplicated; _ } ->
@@ -271,9 +300,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                   err ~rule:"provenance.missing" ~uid ?blocks
                     "created instruction has no provenance record"))
         created;
-      let common =
-        Ints.Int_set.elements (Ints.Int_set.inter pre_uids post_uids)
-      in
+      let common = uids_of ppre ~in_:ppost true in
       (* Per-instruction payload stability. *)
       List.iter
         (fun uid ->
@@ -336,19 +363,14 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
       | Copying -> ()
       | Global | Local | Regalloc ->
           let dissolve = skind <> Regalloc in
-          let violated = ref false in
-          Deps.iter ppre (fun d ->
-              match Deps.preserved ppost ~dissolve d with
-              | Some held ->
-                  counters.deps_checked <- counters.deps_checked + 1;
-                  if not held then violated := true
-              | None -> ());
+          let checked, violated = Deps.check ppre ~post:ppost ~dissolve in
+          counters.deps_checked <- counters.deps_checked + checked;
           (* Rare, so only then is the input's dependence list built, to
              report the violations in {!Deps.reconstruct}'s order. *)
-          if !violated then
+          if violated then
             List.iter
               (fun (d : Deps.dep) ->
-                if Deps.preserved ppost ~dissolve d = Some false then
+                if Deps.verdict ppost ~dissolve d = Deps.Violated then
                   err ~rule:"dependence.violated" ~uid:d.Deps.d_dst
                     ?blocks:
                       (match
@@ -388,8 +410,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                              pre_sites
                         && List.for_all
                              (fun s ->
-                               List.mem s pre_sites
-                               || Ints.Int_set.mem s created)
+                               List.mem s pre_sites || is_created s)
                              post_sites
                       in
                       if not (equal || dup_ok) then
@@ -612,7 +633,9 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                                               rv.rv_view.Regions.block_node s
                                             with
                                             | Some vn ->
-                                                not rv.rv_reach.(vn).(vs)
+                                                not
+                                                  (Bitset.mem rv.rv_reach.(vn)
+                                                     vs)
                                             | None -> true
                                           in
                                           if off_path then
@@ -666,7 +689,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                                    created copies. *)
                                 match kind_claimed with
                                 | Some Provenance.Duplicated ->
-                                    if Ints.Int_set.is_empty created then
+                                    if created = [] then
                                       warn ~rule:"duplication.coverage" ~uid
                                         ~blocks
                                         "duplicated motion but the stage \
@@ -677,7 +700,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                                        dominates the source and the motion \
                                        is not a duplication"
                                 | None ->
-                                    if Ints.Int_set.is_empty created then
+                                    if created = [] then
                                       err ~rule:"motion.not-upward" ~uid
                                         ~blocks
                                         "target neither is equivalent to nor \

@@ -68,7 +68,8 @@ val collector :
 
 val hook : collector -> stage:string -> pre:Cfg.t -> post:Cfg.t -> unit
 (** {!check_stage}, accumulated. The collector keeps the last stage's
-    [post] with its index (forward view, sites, reaching definitions);
+    [post] with its index (forward view, instruction numbering,
+    reaching definitions);
     when the next call's [pre] is physically that CFG, as
     [Gis_core.Pipeline.run] arranges, the index is reused instead of
     rebuilt. A [post] handed to the hook must therefore not be mutated

@@ -15,26 +15,19 @@ let pp_kind ppf k =
 
 type dep = { d_src : int; d_dst : int; d_kind : kind; d_reg : Reg.t option }
 
-(* Per-instruction summary computed once per block scan: the memory
-   access carries the scan-local base version, exactly as in
-   [Ddg.build]'s node table. *)
-type summary = {
-  s_instr : Instr.t;
-  s_defs : Reg.t list;
-  s_uses : Reg.t list;
-  s_mem : Alias.access option;
-  s_base_sites : Reaching.site list Lazy.t;
-      (* definitions reaching a load/store's base register *)
-}
-
-type site = { st_block : int; st_pos : int; st_instr : Instr.t }
-
+(* A program numbers the instructions of its layout blocks densely, in
+   layout order, so a block's instructions are one run of numbers and
+   nothing is indexed by uid; [p_dense] is the one lookup from a uid. *)
 type program = {
   p_cfg : Cfg.t;
   p_node : int array;  (* block id -> forward-view node, or -1 *)
-  p_reach : bool array array;
-  p_sites : site option array;  (* indexed by uid *)
-  p_uids : Ints.Int_set.t;
+  p_reach : Bitset.t array;  (* forward-view node -> the nodes it reaches *)
+  p_dense : Ints.Int_table.t;  (* uid -> instruction number *)
+  p_instr : Instr.t array;  (* instruction number -> instruction *)
+  p_block : int array;  (* instruction number -> block id *)
+  p_pos : int array;  (* instruction number -> position in its block *)
+  p_first : int array;  (* block id -> its first instruction number *)
+  p_uids : int array;  (* ascending *)
   p_reaching : Reaching.t Lazy.t;
   p_addr : Addrcheck.t Lazy.t;
   p_disambig : bool;
@@ -42,6 +35,7 @@ type program = {
 
 let reaching p = Lazy.force p.p_reaching
 let uids p = p.p_uids
+let mem p uid = Ints.Int_table.mem p.p_dense uid
 
 (* DFS back edges from the entry; masking them makes the whole-CFG view
    acyclic on the reachable portion (the forward program of Section 4.1,
@@ -65,35 +59,6 @@ let back_edges cfg =
     !acc
   end
 
-let summarize_block reaching (b : Block.t) =
-  let versions = Hashtbl.create 8 in
-  let version_of (r : Reg.t) =
-    Option.value ~default:(-1) (Hashtbl.find_opt versions (Reg.hash r))
-  in
-  List.map
-    (fun i ->
-      let mem = Alias.access_of_instr ~version_of i in
-      let s =
-        {
-          s_instr = i;
-          s_defs = Instr.defs i;
-          s_uses = Instr.uses i;
-          s_mem = mem;
-          s_base_sites =
-            lazy
-              (match mem with
-              | Some (Alias.Load_ref x | Alias.Store_ref x) ->
-                  Reaching.defs_of_use (Lazy.force reaching) ~uid:(Instr.uid i)
-                    ~reg:x.Alias.base
-              | Some Alias.Call_ref | None -> []);
-        }
-      in
-      List.iter
-        (fun r -> Hashtbl.replace versions (Reg.hash r) (Instr.uid i))
-        s.s_defs;
-      s)
-    (Block.instrs b)
-
 let of_cfg ?(disambig = true) cfg =
   let layout_set =
     List.fold_left
@@ -104,54 +69,67 @@ let of_cfg ?(disambig = true) cfg =
     Gis_analysis.Flow.of_cfg ~blocks:layout_set
       ~masked_edges:(back_edges cfg) ~entry:(Cfg.entry cfg) cfg
   in
-  let node = Array.make (Cfg.num_blocks cfg) (-1) in
+  let nb = Cfg.num_blocks cfg in
+  let node = Array.make nb (-1) in
   Ints.Int_map.iter
     (fun b n -> node.(b) <- n)
     (Gis_analysis.Flow.local_of_block flow);
-  let max_uid =
-    List.fold_left (fun m i -> max m (Instr.uid i)) (-1) (Cfg.all_instrs cfg)
-  in
-  let sites = Array.make (max_uid + 1) None in
-  let uids = ref Ints.Int_set.empty in
+  let instr = Array.of_list (Cfg.all_instrs cfg) in
+  let n = Array.length instr in
+  let dense = Ints.Int_table.create n in
+  let blocks = Array.make n 0 and pos = Array.make n 0 in
+  let first = Array.make nb 0 in
+  let k = ref 0 in
   Cfg.iter_blocks
     (fun b ->
-      List.iteri
-        (fun pos i ->
-          sites.(Instr.uid i) <-
-            Some { st_block = b.Block.id; st_pos = pos; st_instr = i };
-          uids := Ints.Int_set.add (Instr.uid i) !uids)
-        (Block.instrs b))
+      first.(b.Block.id) <- !k;
+      Block.iter
+        (fun i ->
+          Ints.Int_table.replace dense (Instr.uid i) !k;
+          blocks.(!k) <- b.Block.id;
+          pos.(!k) <- !k - first.(b.Block.id);
+          incr k)
+        b)
     cfg;
+  let uids = Array.map Instr.uid instr in
+  Array.stable_sort Int.compare uids;
   {
     p_cfg = cfg;
     p_node = node;
-    p_reach = Gis_analysis.Flow.reachable_matrix flow;
-    p_sites = sites;
-    p_uids = !uids;
+    p_reach = Gis_analysis.Flow.reachable_rows flow;
+    p_dense = dense;
+    p_instr = instr;
+    p_block = blocks;
+    p_pos = pos;
+    p_first = first;
+    p_uids = uids;
     p_reaching = lazy (Reaching.compute cfg);
     p_addr = lazy (Addrcheck.compute cfg);
     p_disambig = disambig;
   }
 
-let site p uid =
-  if uid >= 0 && uid < Array.length p.p_sites then p.p_sites.(uid) else None
+let number p uid = Ints.Int_table.find p.p_dense uid
 
-let instr p uid = Option.map (fun s -> s.st_instr) (site p uid)
+let instr p uid =
+  let k = number p uid in
+  if k < 0 then None else Some p.p_instr.(k)
 
 let block_label_of_uid p uid =
-  Option.map (fun s -> (Cfg.block p.p_cfg s.st_block).Block.label) (site p uid)
+  let k = number p uid in
+  if k < 0 then None else Some (Cfg.block p.p_cfg p.p_block.(k)).Block.label
 
 let block_reaches p a b =
   a = b
   ||
   let na = p.p_node.(a) and nb = p.p_node.(b) in
-  na >= 0 && nb >= 0 && p.p_reach.(na).(nb)
+  na >= 0 && nb >= 0 && Bitset.mem p.p_reach.(na) nb
 
-let sites_ordered p s1 s2 =
-  if s1.st_block = s2.st_block then s1.st_pos < s2.st_pos
-  else
-    block_reaches p s1.st_block s2.st_block
-    && not (block_reaches p s2.st_block s1.st_block)
+(* Do instructions [ks] and [kd] execute in that order on every forward
+   path where both execute? *)
+let ordered p ks kd =
+  let bs = p.p_block.(ks) and bd = p.p_block.(kd) in
+  if bs = bd then p.p_pos.(ks) < p.p_pos.(kd)
+  else block_reaches p bs bd && not (block_reaches p bd bs)
 
 let inter_regs a b = List.exists (fun r -> List.exists (Reg.equal r) b) a
 
@@ -165,99 +143,52 @@ let still_conflicts kind iu iv =
   | Anti -> inter_regs (Instr.uses iu) (Instr.defs iv)
   | Output -> inter_regs (Instr.defs iu) (Instr.defs iv)
 
-let preserved p ~dissolve d =
-  match site p d.d_src, site p d.d_dst with
-  | Some su, Some sv ->
-      Some
-        (sites_ordered p su sv
-        || (dissolve && not (still_conflicts d.d_kind su.st_instr sv.st_instr)))
-  | None, _ | _, None -> None
+type verdict = Held | Violated | Gone
 
-(* Kill-sensitive single-block scan, mirroring [Ddg.intra_block_scan]:
-   flow from the last definition, output over the last definition, anti
-   from uses since the last definition, memory pairwise with scan-local
-   base versions refined by [mem_conflict]. *)
-let intra_deps ~mem_conflict summaries add =
-  let last_def = Hashtbl.create 8 in
-  let uses_since = Hashtbl.create 8 in
-  let mem_before = ref [] in
-  List.iter
-    (fun s ->
-      let u = Instr.uid s.s_instr in
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt last_def (Reg.hash r) with
-          | Some d -> add d u Flow (Some r)
-          | None -> ())
-        s.s_uses;
-      List.iter
-        (fun r ->
-          (match Hashtbl.find_opt last_def (Reg.hash r) with
-          | Some d -> add d u Output (Some r)
-          | None -> ());
-          List.iter
-            (fun x -> add x u Anti (Some r))
-            (Option.value ~default:[]
-               (Hashtbl.find_opt uses_since (Reg.hash r))))
-        s.s_defs;
-      (match s.s_mem with
-      | Some a ->
-          List.iter
-            (fun (m, am) -> if mem_conflict (m, am) (u, a) then add m u Mem None)
-            !mem_before;
-          mem_before := (u, a) :: !mem_before
-      | None -> ());
-      List.iter
-        (fun r ->
-          Hashtbl.replace last_def (Reg.hash r) u;
-          Hashtbl.replace uses_since (Reg.hash r) [])
-        s.s_defs;
-      List.iter
-        (fun r ->
-          let cur =
-            Option.value ~default:[] (Hashtbl.find_opt uses_since (Reg.hash r))
-          in
-          Hashtbl.replace uses_since (Reg.hash r) (u :: cur))
-        s.s_uses)
-    summaries
+(* The verdict on instructions [ks] and [kd] of [p], either [-1] when
+   gone. *)
+let verdict_at p ~dissolve ks kd kind =
+  if ks < 0 || kd < 0 then Gone
+  else if
+    ordered p ks kd
+    || (dissolve && not (still_conflicts kind p.p_instr.(ks) p.p_instr.(kd)))
+  then Held
+  else Violated
+
+let verdict p ~dissolve d =
+  verdict_at p ~dissolve (number p d.d_src) (number p d.d_dst) d.d_kind
 
 (* Inter-block memory disambiguation, mirroring
    [Ddg.interblock_mem_conflict]: scan-local versions mean nothing
    across blocks, so base values are proved equal through a shared
    single reaching definition. *)
-let interblock_mem_conflict sa sb =
-  match sa.s_mem, sb.s_mem with
-  | Some (Alias.Load_ref _), Some (Alias.Load_ref _) -> false
-  | Some Alias.Call_ref, _ | _, Some Alias.Call_ref -> true
-  | ( Some (Alias.Load_ref x | Alias.Store_ref x),
-      Some (Alias.Load_ref y | Alias.Store_ref y) ) -> (
+let interblock_mem_conflict ~base_sites ka a kb b =
+  match a, b with
+  | Alias.Load_ref _, Alias.Load_ref _ -> false
+  | Alias.Call_ref, _ | _, Alias.Call_ref -> true
+  | ( (Alias.Load_ref x | Alias.Store_ref x),
+      (Alias.Load_ref y | Alias.Store_ref y) ) -> (
       if not (Reg.equal x.Alias.base y.Alias.base) then true
       else
-        match Lazy.force sa.s_base_sites, Lazy.force sb.s_base_sites with
+        match base_sites ka x, base_sites kb y with
         | [ a ], [ b ] when Reaching.equal_site a b ->
             not (Alias.ranges_disjoint x y)
         | _, _ -> true)
-  | None, _ | _, None -> false
 
-(* One occurrence of a register (or a memory access) in the inter-block
-   index: the view position and forward-view node of its block, its
-   position in the block, and its summary. *)
-type occ = { o_view : int; o_node : int; o_pos : int; o_sum : summary }
+(* Every dependence, in no particular order, each passed to [emit] as
+   its source and destination instruction numbers, kind and register,
+   with its place in the pairwise scan: [a] and [b] are the view
+   positions of the source and destination blocks; between blocks
+   ([a <> b]) [pa], [pb] and [rule] are the source position,
+   destination position and rule index (a source's defined registers in
+   order, flow then output, then its used registers, then memory);
+   within a block ([a = b]) [pa] is the scan's sequence number and
+   [pb = rule = 0].
 
-(* [regs] without repeats, first occurrences kept in order. *)
-let distinct regs =
-  List.rev
-    (List.fold_left
-       (fun acc r -> if List.exists (Reg.equal r) acc then acc else r :: acc)
-       [] regs)
-
-(* Every dependence, in no particular order, each passed to [emit] with
-   its place in the pairwise scan: [a] and [b] are the view positions of
-   the source and destination blocks; between blocks ([a <> b]) [pa],
-   [pb] and [rule] are the source position, destination position and
-   rule index (a source's defined registers in order, flow then output,
-   then its used registers, then memory); within a block ([a = b]) [pa]
-   is the scan's sequence number and [pb = rule = 0]. *)
+   The scan numbers the registers densely, lays every instruction's
+   operands out as slots of flat arrays, and indexes each register's
+   def and use occurrences as one run of instruction numbers, so it
+   allocates per instruction and register, never per dependence. *)
 let scan p emit =
   (* The symbolic-address refinement: a conflicting-looking pair stays
      a Mem dependence unless the two accesses live in different memory
@@ -289,127 +220,268 @@ let scan p emit =
   (* Entry-reachable blocks only: unreachable code has no forward order
      (its back edges were never masked, so it may be cyclic) and is the
      linter's business, not the order oracle's. *)
+  let cfg = p.p_cfg in
   let entry_node =
-    if Cfg.num_blocks p.p_cfg = 0 then -1 else p.p_node.(Cfg.entry p.p_cfg)
+    if Cfg.num_blocks cfg = 0 then -1 else p.p_node.(Cfg.entry cfg)
   in
   let view =
     Array.of_list
       (List.filter
          (fun id ->
            let n = p.p_node.(id) in
-           entry_node >= 0 && n >= 0 && p.p_reach.(entry_node).(n))
-         (Cfg.layout p.p_cfg))
+           entry_node >= 0 && n >= 0 && Bitset.mem p.p_reach.(entry_node) n)
+         (Cfg.layout cfg))
   in
-  let summaries =
-    Array.map
-      (fun b ->
-        Array.of_list (summarize_block p.p_reaching (Cfg.block p.p_cfg b)))
-      view
+  let last b = p.p_first.(b) + Block.instr_count (Cfg.block cfg b) - 1 in
+  (* Operand slots: instruction [k]'s defined registers are
+     [def_reg.(def_off.(k))] to [def_reg.(def_off.(k + 1) - 1)], in
+     [Instr.defs] order, and likewise its uses. *)
+  let n = Array.length p.p_instr in
+  let nuses = ref 0 and ndefs = ref 0 in
+  Array.iter
+    (fun b ->
+      for k = p.p_first.(b) to last b do
+        let i = p.p_instr.(k) in
+        nuses := !nuses + List.length (Instr.uses i);
+        ndefs := !ndefs + List.length (Instr.defs i)
+      done)
+    view;
+  let reg_num = Ints.Int_table.create n in
+  let regs = Vec.create () in
+  let number r =
+    let h = Reg.hash r in
+    let x = Ints.Int_table.find reg_num h in
+    if x >= 0 then x
+    else begin
+      let x = Vec.length regs in
+      Ints.Int_table.replace reg_num h x;
+      Vec.push regs r;
+      x
+    end
   in
-  (* The inter-block index: every def and use occurrence of each
-     register (one per instruction and register), and the memory
-     accesses split into all of them and the non-loads. *)
-  let defs_of = Hashtbl.create 64 and uses_of = Hashtbl.create 64 in
-  let mem_all = Vec.create () and mem_nonload = Vec.create () in
-  let index tbl (r : Reg.t) o =
-    match Hashtbl.find_opt tbl (Reg.hash r) with
-    | Some v -> Vec.push v o
-    | None -> Hashtbl.add tbl (Reg.hash r) (Vec.of_list [ o ])
-  in
+  let def_off = Array.make (n + 1) 0 and use_off = Array.make (n + 1) 0 in
+  let def_reg = Array.make !ndefs 0 and use_reg = Array.make !nuses 0 in
+  let nd = ref 0 and nu = ref 0 in
+  let view_of = Array.make n (-1) in
+  let mem = Array.make n None in
   Array.iteri
-    (fun vb ss ->
-      Array.iteri
-        (fun pos s ->
-          let o =
-            {
-              o_view = vb;
-              o_node = p.p_node.(view.(vb));
-              o_pos = pos;
-              o_sum = s;
-            }
-          in
-          List.iter (fun r -> index defs_of r o) (distinct s.s_defs);
-          List.iter (fun r -> index uses_of r o) (distinct s.s_uses);
-          match s.s_mem with
-          | Some (Alias.Load_ref _) -> Vec.push mem_all o
-          | Some (Alias.Store_ref _ | Alias.Call_ref) ->
-              Vec.push mem_all o;
-              Vec.push mem_nonload o
-          | None -> ())
-        ss)
-    summaries;
-  let none = Vec.create () in
-  let occs tbl (r : Reg.t) =
-    Option.value ~default:none (Hashtbl.find_opt tbl (Reg.hash r))
+    (fun v b ->
+      for k = p.p_first.(b) to last b do
+        let i = p.p_instr.(k) in
+        view_of.(k) <- v;
+        def_off.(k) <- !nd;
+        List.iter
+          (fun r ->
+            def_reg.(!nd) <- number r;
+            incr nd)
+          (Instr.defs i);
+        use_off.(k) <- !nu;
+        List.iter
+          (fun r ->
+            use_reg.(!nu) <- number r;
+            incr nu)
+          (Instr.uses i);
+        def_off.(k + 1) <- !nd;
+        use_off.(k + 1) <- !nu
+      done)
+    view;
+  let nregs = Vec.length regs in
+  let reg_opt = Array.init nregs (fun x -> Some (Vec.get regs x)) in
+  (* Memory accesses carry the scan-local base version, exactly as in
+     [Ddg.build]'s node table: the uid of the block's last definition of
+     the base so far, [-1] before any. [stamp] marks the registers
+     defined in the current block. *)
+  let stamp = Array.make nregs (-1) and version = Array.make nregs (-1) in
+  Array.iteri
+    (fun v b ->
+      let version_of r =
+        let x = number r in
+        if stamp.(x) = v then version.(x) else -1
+      in
+      for k = p.p_first.(b) to last b do
+        mem.(k) <- Alias.access_of_instr ~version_of p.p_instr.(k);
+        for j = def_off.(k) to def_off.(k + 1) - 1 do
+          stamp.(def_reg.(j)) <- v;
+          version.(def_reg.(j)) <- Instr.uid p.p_instr.(k)
+        done
+      done)
+    view;
+  let uid k = Instr.uid p.p_instr.(k) in
+  (* Definitions reaching a load's or store's base register, asked for
+     on first need. *)
+  let base_memo = Array.make n None in
+  let base_sites k (x : Alias.ref_info) =
+    match base_memo.(k) with
+    | Some sites -> sites
+    | None ->
+        let sites =
+          Reaching.defs_of_use (Lazy.force p.p_reaching) ~uid:(uid k)
+            ~reg:x.Alias.base
+        in
+        base_memo.(k) <- Some sites;
+        sites
   in
+  (* The inter-block index: each register's def and use occurrences
+     (one per instruction and register), each a run of [defs_at] /
+     [uses_at] from [defs_from.(x)] to [defs_from.(x + 1) - 1]; and the
+     memory accesses, all of them and the non-loads. *)
+  let occurrences off regs_of =
+    let from = Array.make (nregs + 1) 0 in
+    let distinct k j =
+      let rec go j' = j' >= j || (regs_of.(j') <> regs_of.(j) && go (j' + 1)) in
+      go off.(k)
+    in
+    let each f =
+      Array.iter
+        (fun b ->
+          for k = p.p_first.(b) to last b do
+            for j = off.(k) to off.(k + 1) - 1 do
+              if distinct k j then f k regs_of.(j)
+            done
+          done)
+        view
+    in
+    each (fun _ x -> from.(x + 1) <- from.(x + 1) + 1);
+    for x = 1 to nregs do
+      from.(x) <- from.(x) + from.(x - 1)
+    done;
+    let at = Array.make from.(nregs) 0 and fill = Array.sub from 0 nregs in
+    each (fun k x ->
+        at.(fill.(x)) <- k;
+        fill.(x) <- fill.(x) + 1);
+    (from, at)
+  in
+  let defs_from, defs_at = occurrences def_off def_reg in
+  let uses_from, uses_at = occurrences use_off use_reg in
+  let mem_all = Vec.create () and mem_nonload = Vec.create () in
+  Array.iter
+    (fun b ->
+      for k = p.p_first.(b) to last b do
+        match mem.(k) with
+        | Some (Alias.Load_ref _) -> Vec.push mem_all k
+        | Some (Alias.Store_ref _ | Alias.Call_ref) ->
+            Vec.push mem_all k;
+            Vec.push mem_nonload k
+        | None -> ()
+      done)
+    view;
   (* Inter-block edges: each source instruction is joined with the
      index entries of its registers and memory family, keeping those
      whose block its own block strictly reaches. *)
   Array.iteri
-    (fun a ss ->
-      let reach = p.p_reach.(p.p_node.(view.(a))) in
-      let join vec f =
-        Vec.iter (fun o -> if o.o_view <> a && reach.(o.o_node) then f o) vec
-      in
-      Array.iteri
-        (fun pa sa ->
-          let ua = Instr.uid sa.s_instr in
-          let edge o rule kind reg =
-            emit a o.o_view pa o.o_pos rule
-              {
-                d_src = ua;
-                d_dst = Instr.uid o.o_sum.s_instr;
-                d_kind = kind;
-                d_reg = reg;
-              }
-          in
-          let nd = List.length sa.s_defs in
-          List.iteri
-            (fun k r ->
-              let reg = Some r in
-              join (occs uses_of r) (fun o -> edge o (2 * k) Flow reg);
-              join (occs defs_of r) (fun o -> edge o ((2 * k) + 1) Output reg))
-            sa.s_defs;
-          List.iteri
-            (fun j r ->
-              let reg = Some r in
-              join (occs defs_of r) (fun o -> edge o ((2 * nd) + j) Anti reg))
-            sa.s_uses;
-          match sa.s_mem with
-          | None -> ()
-          | Some x ->
-              let rule = (2 * nd) + List.length sa.s_uses in
-              join
-                (match x with
-                | Alias.Load_ref _ -> mem_nonload
-                | Alias.Store_ref _ | Alias.Call_ref -> mem_all)
-                (fun o ->
-                  let ub = Instr.uid o.o_sum.s_instr in
-                  match o.o_sum.s_mem with
-                  | Some y
-                    when refine ua x ub y
-                           (interblock_mem_conflict sa o.o_sum)
-                    ->
-                      edge o rule Mem None
-                  | Some _ | None -> ()))
-        ss)
-    summaries;
+    (fun a b ->
+      let reach = p.p_reach.(p.p_node.(b)) in
+      let joins kb = view_of.(kb) <> a && Bitset.mem reach p.p_node.(p.p_block.(kb)) in
+      for ka = p.p_first.(b) to last b do
+        let pa = p.p_pos.(ka) in
+        let join from at x rule kind =
+          for o = from.(x) to from.(x + 1) - 1 do
+            let kb = at.(o) in
+            if joins kb then
+              emit a view_of.(kb) pa p.p_pos.(kb) rule ka kb kind reg_opt.(x)
+          done
+        in
+        let nd = def_off.(ka + 1) - def_off.(ka) in
+        for k = 0 to nd - 1 do
+          let x = def_reg.(def_off.(ka) + k) in
+          join uses_from uses_at x (2 * k) Flow;
+          join defs_from defs_at x ((2 * k) + 1) Output
+        done;
+        for j = 0 to use_off.(ka + 1) - use_off.(ka) - 1 do
+          join defs_from defs_at use_reg.(use_off.(ka) + j) ((2 * nd) + j) Anti
+        done;
+        match mem.(ka) with
+        | None -> ()
+        | Some x ->
+            let rule = (2 * nd) + use_off.(ka + 1) - use_off.(ka) in
+            Vec.iter
+              (fun kb ->
+                match mem.(kb) with
+                | Some y
+                  when joins kb
+                       && refine (uid ka) x (uid kb) y
+                            (interblock_mem_conflict ~base_sites ka x kb y) ->
+                    emit a view_of.(kb) pa p.p_pos.(kb) rule ka kb Mem None
+                | Some _ | None -> ())
+              (match x with
+              | Alias.Load_ref _ -> mem_nonload
+              | Alias.Store_ref _ | Alias.Call_ref -> mem_all)
+      done)
+    view;
+  (* Intra-block edges: a kill-sensitive scan of each block, mirroring
+     [Ddg.intra_block_scan]: flow from the last definition, output over
+     the last definition, anti from uses since the last definition,
+     memory pairwise with scan-local base versions. [stamp] now marks
+     the registers the current block has defined or used. *)
+  Array.fill stamp 0 nregs (-1);
+  let last_def = Array.make nregs (-1) and uses_since = Array.make nregs [] in
   Array.iteri
-    (fun a ss ->
-      let seq = ref 0 in
-      intra_deps
-        ~mem_conflict:(fun (m, am) (u, a) ->
-          refine m am u a (Alias.conflict am a))
-        (Array.to_list ss)
-        (fun src dst kind reg ->
-          if src <> dst then begin
-            emit a a !seq 0 0
-              { d_src = src; d_dst = dst; d_kind = kind; d_reg = reg };
-            incr seq
-          end))
-    summaries
+    (fun a b ->
+      let seq = ref 0 and mem_before = ref [] in
+      let add src dst kind reg =
+        if src <> dst then begin
+          emit a a !seq 0 0 src dst kind reg;
+          incr seq
+        end
+      in
+      let touch x =
+        if stamp.(x) <> a then begin
+          stamp.(x) <- a;
+          last_def.(x) <- -1;
+          uses_since.(x) <- []
+        end
+      in
+      for u = p.p_first.(b) to last b do
+        for j = use_off.(u) to use_off.(u + 1) - 1 do
+          let x = use_reg.(j) in
+          touch x;
+          if last_def.(x) >= 0 then add last_def.(x) u Flow reg_opt.(x)
+        done;
+        for j = def_off.(u) to def_off.(u + 1) - 1 do
+          let x = def_reg.(j) in
+          touch x;
+          if last_def.(x) >= 0 then add last_def.(x) u Output reg_opt.(x);
+          List.iter (fun y -> add y u Anti reg_opt.(x)) uses_since.(x)
+        done;
+        (match mem.(u) with
+        | Some am ->
+            List.iter
+              (fun m ->
+                match mem.(m) with
+                | Some pm when refine (uid m) pm (uid u) am (Alias.conflict pm am)
+                  ->
+                    add m u Mem None
+                | Some _ | None -> ())
+              !mem_before;
+            mem_before := u :: !mem_before
+        | None -> ());
+        for j = def_off.(u) to def_off.(u + 1) - 1 do
+          let x = def_reg.(j) in
+          last_def.(x) <- u;
+          uses_since.(x) <- []
+        done;
+        for j = use_off.(u) to use_off.(u + 1) - 1 do
+          let x = use_reg.(j) in
+          uses_since.(x) <- u :: uses_since.(x)
+        done
+      done)
+    view
 
-let iter p f = scan p (fun _ _ _ _ _ d -> f d)
+let dep p src dst kind reg =
+  { d_src = Instr.uid p.p_instr.(src); d_dst = Instr.uid p.p_instr.(dst);
+    d_kind = kind; d_reg = reg }
+
+let check p ~post ~dissolve =
+  let to_post = Array.map (fun i -> number post (Instr.uid i)) p.p_instr in
+  let checked = ref 0 and violated = ref false in
+  scan p (fun _ _ _ _ _ src dst kind _ ->
+      match verdict_at post ~dissolve to_post.(src) to_post.(dst) kind with
+      | Held -> incr checked
+      | Violated ->
+          incr checked;
+          violated := true
+      | Gone -> ());
+  (!checked, !violated)
 
 (* The reverse of the pairwise scan: inter-block edges by descending
    (source block, destination block, source position, destination
@@ -417,6 +489,6 @@ let iter p f = scan p (fun _ _ _ _ _ d -> f d)
    sequence number). *)
 let reconstruct p =
   let acc = ref [] in
-  scan p (fun a b pa pb rule d ->
-      acc := ((a <> b, a, b, pa, pb, rule), d) :: !acc);
+  scan p (fun a b pa pb rule src dst kind reg ->
+      acc := ((a <> b, a, b, pa, pb, rule), dep p src dst kind reg) :: !acc);
   List.map snd (List.sort (fun (k1, _) (k2, _) -> compare k2 k1) !acc)

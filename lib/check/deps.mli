@@ -22,8 +22,10 @@ type dep = {
 
 type program
 (** A CFG indexed for checking: forward view (back edges masked),
-    view-node reachability, uid -> (block, position) sites, and lazy
-    reaching definitions. *)
+    view-node reachability as bitset rows, the layout's instructions
+    numbered densely in layout order with their blocks and positions,
+    one uid -> number table, and lazy reaching definitions. Nothing in
+    it is sized by a uid or a register id. *)
 
 val of_cfg : ?disambig:bool -> Cfg.t -> program
 (** [disambig] (default [true]) enables the symbolic-address memory
@@ -40,14 +42,39 @@ val back_edges : Cfg.t -> (int * int) list
 
 val reaching : program -> Gis_analysis.Reaching.t
 
-val uids : program -> Gis_util.Ints.Int_set.t
-(** Uids of every instruction in layout blocks (bodies + terminators). *)
+val uids : program -> int array
+(** Uids of every instruction in layout blocks (bodies + terminators),
+    ascending. *)
+
+val mem : program -> int -> bool
+(** Is the uid an instruction of a layout block? *)
 
 val instr : program -> int -> Instr.t option
 val block_label_of_uid : program -> int -> Label.t option
-val iter : program -> (dep -> unit) -> unit
-(** Every dependence of {!reconstruct}, in no particular order, without
-    building the list. *)
+
+type verdict =
+  | Held  (** still ordered, or dissolved by renaming *)
+  | Violated
+  | Gone  (** an endpoint is not in the program *)
+
+val check : program -> post:program -> dissolve:bool -> int * bool
+(** Check every dependence of {!reconstruct}, reconstructed from a
+    stage's input, against [post], the stage's output: the number whose
+    endpoints both survive, and whether any is {!Violated}. The
+    verdicts are taken inside the scan that finds the dependences, on
+    instruction numbers, so no {!dep} is built. *)
+
+val verdict : program -> dissolve:bool -> dep -> verdict
+(** Does a dependence reconstructed from a stage's input still hold in
+    this program, the stage's output? {!Gone} when either endpoint is
+    missing. Otherwise {!Held} when the source is guaranteed to execute
+    before the destination on every forward path where both execute
+    (same block with the source earlier, or the source's block strictly
+    reaches the destination's and not vice versa), or, with
+    [dissolve], when renaming dissolved the dependence: the transformed
+    instructions no longer define and read (flow), read and define
+    (anti) or both define (output) a common register. Memory
+    dependences never dissolve. *)
 
 val reconstruct : program -> dep list
 (** All dependences of the program: kill-sensitive intra-block scans
@@ -65,14 +92,17 @@ val reconstruct : program -> dep list
     those in blocks its own block strictly reaches. Memory accesses are
     indexed twice, all of them and the stores plus calls; a load is
     joined with the latter only, so load/load pairs are never
-    enumerated, and a call conflicts with every access.
+    enumerated, and a call conflicts with every access. Registers are
+    numbered densely per scan and each register's occurrences are one
+    run of a flat array, so the scan allocates per instruction and
+    register, not per dependence.
 
     The join is not output-sensitive. It enumerates every pair of
     occurrences that share a register, whether or not their blocks
     reach, before the reachability test; and the memory join is all
     accesses × stores and calls before disambiguation, so accesses
     proved disjoint still cost a pair each. The reachability test reads
-    a matrix quadratic in blocks.
+    bitset rows quadratic in blocks.
 
     Order: the inter-block edges first, by descending source block,
     destination block, source position, destination position and rule
@@ -82,15 +112,3 @@ val reconstruct : program -> dep list
     first. That is the reverse of a pairwise scan over every block
     pair, and the list is the one such a scan builds, element for
     element. *)
-
-val preserved : program -> dissolve:bool -> dep -> bool option
-(** Does a dependence reconstructed from a stage's input still hold in
-    this program, the stage's output? [None] when either endpoint is
-    missing. Otherwise [true] when the source is guaranteed to execute
-    before the destination on every forward path where both execute
-    (same block with the source earlier, or the source's block strictly
-    reaches the destination's and not vice versa), or, with
-    [dissolve], when renaming dissolved the dependence: the transformed
-    instructions no longer define and read (flow), read and define
-    (anti) or both define (output) a common register. Memory
-    dependences never dissolve. *)

@@ -21,6 +21,10 @@ let instr_count b = Vec.length b.body + 1
 
 let instrs b = Vec.to_list b.body @ [ b.term ]
 
+let iter f b =
+  Vec.iter f b.body;
+  f b.term
+
 let mem_uid b uid =
   Instr.uid b.term = uid || Vec.exists (fun i -> Instr.uid i = uid) b.body
 

@@ -23,6 +23,9 @@ val instr_count : t -> int
 val instrs : t -> Instr.t list
 (** Body in order, terminator last. *)
 
+val iter : (Instr.t -> unit) -> t -> unit
+(** {!instrs} without building the list. *)
+
 val mem_uid : t -> int -> bool
 (** Does the block contain the instruction with this uid (body or
     terminator)? *)

@@ -27,6 +27,31 @@ let remove s i =
 
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
+(* The bits of word [w] that fall in [lo, hi), a non-empty range. *)
+let range_mask w lo hi =
+  let first = if w = lo / bits then lo mod bits else 0 in
+  let last = if w = (hi - 1) / bits then (hi - 1) mod bits else bits - 1 in
+  (-1 lsl first) land (-1 lsr (bits - 1 - last))
+
+let check_range s lo hi =
+  if lo < 0 || hi > s.cap || lo > hi then
+    invalid_arg
+      (Printf.sprintf "Bitset: range [%d,%d) out of bounds [0,%d)" lo hi s.cap)
+
+let add_range s lo hi =
+  check_range s lo hi;
+  if lo < hi then
+    for w = lo / bits to (hi - 1) / bits do
+      s.words.(w) <- s.words.(w) lor range_mask w lo hi
+    done
+
+let remove_range s lo hi =
+  check_range s lo hi;
+  if lo < hi then
+    for w = lo / bits to (hi - 1) / bits do
+      s.words.(w) <- s.words.(w) land lnot (range_mask w lo hi)
+    done
+
 let same_capacity a b =
   if a.cap <> b.cap then invalid_arg "Bitset: capacity mismatch"
 

@@ -19,6 +19,13 @@ val remove : t -> int -> unit
 val clear : t -> unit
 (** Remove every element. *)
 
+val add_range : t -> int -> int -> unit
+(** [add_range s lo hi] adds every element of [\[lo, hi)], a word at a
+    time. *)
+
+val remove_range : t -> int -> int -> unit
+(** [remove_range s lo hi] removes every element of [\[lo, hi)]. *)
+
 val equal : t -> t -> bool
 
 val union_into : dst:t -> t -> unit

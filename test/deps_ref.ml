@@ -1,11 +1,13 @@
 (* The checker's dependence reconstruction as it was before the index
    join: every instruction pair of every ordered pair of forward-reachable
    blocks is tested against every register. Kept as the reference the
-   indexed [Gis_check.Deps.reconstruct] must reproduce, list for list. *)
+   indexed [Gis_check.Deps.reconstruct] must reproduce, list for list.
+   Its reaching definitions and address deltas come from the test
+   references ([Reaching_ref], [Addrcheck_ref]), so it shares no
+   dataflow code with the checker under test. *)
 
 open Gis_util
 open Gis_ir
-open Gis_analysis
 open Gis_ddg
 open Gis_check.Deps
 
@@ -27,7 +29,7 @@ type program = {
   p_sites : (int, int * int) Hashtbl.t;  (* uid -> block id, position *)
   p_summaries : (int, summary list) Hashtbl.t;  (* block id -> in order *)
   p_uids : Ints.Int_set.t;
-  p_reaching : Reaching.t Lazy.t;
+  p_reaching : Reaching_ref.t Lazy.t;
   p_addr : Addrcheck_ref.t Lazy.t;
   p_disambig : bool;
 }
@@ -109,7 +111,7 @@ let of_cfg ?(disambig = true) cfg =
     p_sites = sites;
     p_summaries = summaries;
     p_uids = !uids;
-    p_reaching = lazy (Reaching.compute cfg);
+    p_reaching = lazy (Reaching_ref.compute cfg);
     p_addr = lazy (Addrcheck_ref.compute cfg);
     p_disambig = disambig;
   }
@@ -185,7 +187,7 @@ let interblock_mem_conflict ~base_sites (ua, a) (ub, b) =
       if not (Reg.equal x.Alias.base y.Alias.base) then true
       else
         match base_sites ua x, base_sites ub y with
-        | Some [ sa ], Some [ sb ] when Reaching.equal_site sa sb ->
+        | Some [ sa ], Some [ sb ] when sa = sb ->
             not (Alias.ranges_disjoint x y)
         | _, _ -> true)
 
@@ -197,7 +199,8 @@ let reconstruct ?disambig cfg =
   in
   let base_sites uid (ri : Alias.ref_info) =
     Some
-      (Reaching.defs_of_use (Lazy.force p.p_reaching) ~uid ~reg:ri.Alias.base)
+      (Reaching_ref.defs_of_use (Lazy.force p.p_reaching) ~uid
+         ~reg:ri.Alias.base)
   in
   (* The symbolic-address refinement: a conflicting-looking pair stays
      a Mem dependence unless the two accesses live in different memory

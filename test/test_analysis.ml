@@ -881,6 +881,64 @@ let reaching_matches_reference ~stage cfg =
            (Instr.defs i))
     (instrs cfg)
 
+(* The five paper workloads as compiled, minmax as the paper's own
+   listing with its update-form loads, each of which defines two
+   registers. *)
+let paper_cfgs () =
+  ("minmax", (Gis_workloads.Minmax.build ()).Gis_workloads.Minmax.cfg)
+  :: List.map
+       (fun (w : Gis_workloads.Spec_proxy.t) ->
+         Label.reset_fresh_counter ();
+         ( w.Gis_workloads.Spec_proxy.name,
+           (Gis_frontend.Codegen.compile_string w.Gis_workloads.Spec_proxy.source)
+             .Gis_frontend.Codegen.cfg ))
+       Gis_workloads.Spec_proxy.all
+
+let defines_two cfg =
+  List.exists (fun i -> List.length (Instr.defs i) = 2) (instrs cfg)
+
+(* [Reaching] = [Reaching_ref] at every stage input of the paper
+   workloads, and some stage input has an instruction defining two
+   registers, so the property covers a site range holding two
+   definitions by one instruction. *)
+let test_reaching_paper_workloads () =
+  let two = ref false in
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool) name true
+        (every_stage_of cfg (fun ~stage cfg ->
+             if defines_two cfg then two := true;
+             reaching_matches_reference ~stage cfg)))
+    (paper_cfgs ());
+  Alcotest.(check bool) "a stage input defines two registers at once" true !two
+
+(* A detached block reading a register the layout never mentions: the
+   register has no [External] site and no definition, so the use's
+   chain is empty, while the block's own later definition still reaches
+   its later use. *)
+let test_reaching_detached_alien_register () =
+  let g = Reg.Gen.create () in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let z = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.li ~dst:x 1 ], B.jmp "D");
+        ("D", [ B.mr ~dst:x ~src:z; B.li ~dst:z 2; B.mr ~dst:x ~src:z ], B.jmp "X");
+        ("X", [ B.call "print_int" [ x ] ], Instr.Halt);
+      ]
+  in
+  let d = (Cfg.block_of_label cfg "D").Block.id in
+  Cfg.remove_block cfg d;
+  let reach = Reaching.compute cfg in
+  Alcotest.(check bool) "alien register: no reaching site" true
+    (Reaching.defs_of_use reach ~uid:(body_uid cfg "D" 0) ~reg:z = []);
+  Alcotest.(check bool) "its own earlier definition reaches" true
+    (Reaching.defs_of_use reach ~uid:(body_uid cfg "D" 2) ~reg:z
+    = [ Reaching.Def (body_uid cfg "D" 1) ]);
+  Alcotest.(check (list int)) "and only that use" [ body_uid cfg "D" 2 ]
+    (Reaching.uses_of_def reach ~uid:(body_uid cfg "D" 1) ~reg:z)
+
 let access_uids cfg =
   List.filter_map
     (fun i ->
@@ -1260,6 +1318,8 @@ let () =
             test_query_entry_on_loop;
           Alcotest.test_case "query: detached block" `Quick
             test_query_detached_block;
+          Alcotest.test_case "detached block, alien register" `Quick
+            test_reaching_detached_alien_register;
           Alcotest.test_case "sole-def" `Quick test_reaching_sole_def;
           Alcotest.test_case "merge" `Quick test_reaching_merge;
           Alcotest.test_case "external" `Quick test_reaching_external;
@@ -1330,6 +1390,12 @@ let () =
             ])
           grammars
         @ [
+            qtest "reaching = Int_set reference, pointer loops" 50
+              (fun seed ->
+                every_stage_of (pointer_loop_cfg seed)
+                  reaching_matches_reference);
+            Alcotest.test_case "reaching = Int_set reference, paper workloads"
+              `Quick test_reaching_paper_workloads;
             qtest "symaddr = layout-sweep reference, pointer loops" 50
               (fun seed ->
                 every_stage_of (pointer_loop_cfg seed) symaddr_matches_reference);

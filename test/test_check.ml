@@ -646,6 +646,49 @@ let prop_accepts config seed =
       QCheck.Test.fail_reportf "checker rejected seed %d:@.%s" seed
         (pp_diags es)
 
+(* Words allocated by [f ()]: [Gc.minor_words] is exact between minor
+   collections, where [Gc.quick_stat]'s count is not, and [Gc.counters]
+   adds what went straight to the major heap. *)
+let words f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = total () in
+  f ();
+  total () -. before
+
+(* Reaching definitions and a whole stage check number registers
+   densely: a program naming [r1000000] allocates as many words as the
+   same program naming [r1], where an array sized by the register's id
+   would cost a million words. *)
+let test_sparse_register_ids () =
+  let program id =
+    let g = Reg.Gen.create () in
+    let r = Reg.Gen.reserve g Reg.Gpr id in
+    let c = Reg.Gen.fresh g Reg.Cr in
+    B.func ~reg_gen:g
+      [
+        ("E", [ B.li ~dst:r 7; B.cmpi ~dst:c ~lhs:r 3 ],
+          B.bt ~cr:c ~cond:Instr.Gt ~taken:"T" ~fallthru:"F");
+        ("T", [ B.addi ~dst:r ~lhs:r 1 ], B.jmp "X");
+        ("F", [ B.addi ~dst:r ~lhs:r 2 ], B.jmp "X");
+        ("X", [ B.call "print_int" [ r ] ], Instr.Halt);
+      ]
+  in
+  let cost id =
+    let cfg = program id in
+    let post = Cfg.deep_copy cfg in
+    ( words (fun () -> ignore (Gis_analysis.Reaching.compute cfg)),
+      words (fun () ->
+          ignore (C.check_stage ~stage:"global-pass1" ~pre:cfg ~post ())) )
+  in
+  let near_reaching, near_check = cost 1 in
+  let far_reaching, far_check = cost 1_000_000 in
+  Alcotest.(check (float 0.)) "Reaching.compute words" near_reaching
+    far_reaching;
+  Alcotest.(check (float 0.)) "check_stage words" near_check far_check
+
 let qtest name count prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
@@ -660,6 +703,8 @@ let () =
             test_accepts_regalloc;
           Alcotest.test_case "collector reuse = fresh check per stage" `Quick
             test_collector_reuse;
+          Alcotest.test_case "sparse register ids" `Quick
+            test_sparse_register_ids;
         ] );
       ( "rejection",
         [

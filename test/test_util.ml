@@ -150,6 +150,50 @@ let test_bitset_partial_word () =
     (Invalid_argument "Bitset: capacity mismatch") (fun () ->
       ignore (Bitset.equal a (Bitset.create 129)))
 
+(* Every range [lo, hi) over three words, added to a full set's
+   complement and removed from a full set, against element-wise
+   [add]/[remove]. *)
+let test_bitset_ranges () =
+  let n = 3 * Sys.int_size in
+  let full () =
+    let s = Bitset.create n in
+    for i = 0 to n - 1 do
+      Bitset.add s i
+    done;
+    s
+  in
+  for lo = 0 to n do
+    for hi = lo to n do
+      let added = Bitset.create n and removed = full () in
+      Bitset.add_range added lo hi;
+      Bitset.remove_range removed lo hi;
+      let inside i = i >= lo && i < hi in
+      for i = 0 to n - 1 do
+        if Bitset.mem added i <> inside i || Bitset.mem removed i = inside i
+        then Alcotest.failf "range [%d,%d) wrong at %d" lo hi i
+      done
+    done
+  done;
+  Alcotest.check_raises "past the capacity"
+    (Invalid_argument "Bitset: range [0,190) out of bounds [0,189)")
+    (fun () -> Bitset.add_range (Bitset.create n) 0 (n + 1))
+
+(* [Int_table] against [Hashtbl] over keys spaced like register hashes
+   (multiples of four), growing from the smallest capacity. *)
+let test_int_table () =
+  let t = Ints.Int_table.create 0 and h = Hashtbl.create 16 in
+  for k = 0 to 999 do
+    let key = 4 * ((k * 7919) mod 1000) and v = k mod 37 in
+    Ints.Int_table.replace t key v;
+    Hashtbl.replace h key v
+  done;
+  for key = -3 to 4200 do
+    check_int (Fmt.str "find %d" key)
+      (Option.value ~default:(-1) (Hashtbl.find_opt h key))
+      (Ints.Int_table.find t key)
+  done;
+  Alcotest.(check bool) "mem" false (Ints.Int_table.mem t 1)
+
 let () =
   Alcotest.run "gis_util"
     [
@@ -167,7 +211,11 @@ let () =
           Alcotest.test_case "iterate" `Quick test_fix_iterate;
           Alcotest.test_case "worklist" `Quick test_worklist;
         ] );
-      ("ints", [ Alcotest.test_case "pp" `Quick test_int_set_pp ]);
+      ( "ints",
+        [
+          Alcotest.test_case "pp" `Quick test_int_set_pp;
+          Alcotest.test_case "int table" `Quick test_int_table;
+        ] );
       ( "bitset",
         [
           Alcotest.test_case "word boundaries" `Quick
@@ -175,5 +223,6 @@ let () =
           Alcotest.test_case "create 0" `Quick test_bitset_empty;
           Alcotest.test_case "partial last word" `Quick
             test_bitset_partial_word;
+          Alcotest.test_case "ranges" `Quick test_bitset_ranges;
         ] );
     ]
