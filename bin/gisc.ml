@@ -253,8 +253,14 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
     | Some p -> ( match Prof.roots p with r :: _ -> Some r | [] -> None)
   in
   let compiled = compile task in
+  (* The BASE compile is read by the simulation, and by a stats report,
+     whose process-wide metrics count it; otherwise it is skipped. The
+     copy is taken either way: each copied block draws a uid from the
+     generator the scheduled copy shares, so skipping it would renumber
+     the scheduled code. *)
   let baseline = Cfg.deep_copy compiled.Codegen.cfg in
-  ignore (Pipeline.run machine Config.base baseline);
+  if simulate || stats_file <> None then
+    ignore (Pipeline.run machine Config.base baseline);
   let cfg = Cfg.deep_copy compiled.Codegen.cfg in
   let stats = schedule task machine config cfg in
   Validate.check_exn cfg;

@@ -41,78 +41,115 @@ let shift v k =
   | Sym { origin; offset } -> Some (Sym { origin; offset = offset + k })
   | Top -> None
 
-let fresh uid (r : Reg.t) = Sym { origin = { o_uid = uid; o_reg = Reg.hash r }; offset = 0 }
+(* One instruction as the sweep runs it, its registers looked up once:
+   each is its slice position, or [-1] outside the slice. Instructions
+   that define no slice register and access no memory are left out, as
+   are reads that feed only such definitions. *)
+type op =
+  | Set_const of { dst : int; value : int }  (** [Load_imm] *)
+  | Copy of { uid : int; dst : int; src : int }  (** [Move] *)
+  | Shift of { uid : int; dst : int; src : int; k : int }
+      (** add or subtract an immediate *)
+  | Add of { uid : int; dst : int; lhs : int; rhs : int }
+  | Sub of { uid : int; dst : int; lhs : int; rhs : int }
+  | Access of { uid : int; base : int; offset : int; update : bool; dst : int }
+      (** a load defining [dst] ([-1] for a store or a register
+          outside the slice), or a store *)
+  | Opaque of { uid : int; dsts : int list }
+      (** every other definition of slice registers *)
 
-(* Transfer of one instruction over an environment read through
-   [lookup] and written through [set]; [set] drops a register outside
-   the slice (see [slice] below), and [lookup] reads such a register as
-   [Top]. [record] is called with the base value of a load/store before
-   the [update] post-increment — the simulator computes the effective
-   address from the old base, then writes the destination, then updates
-   the base (so on [LU rT,rT] the update wins, mirrored by the [set]
-   order below). *)
-let transfer ~lookup ~set ~record i =
+(* The op of [i], or [None] when it has no effect on the slice;
+   [position] maps a register to its slice position or [-1]. *)
+let decode ~position i =
   let uid = Instr.uid i in
-  let opaque r = set r (fresh uid r) in
+  let opaque dsts =
+    match List.filter (fun p -> p >= 0) (List.map position dsts) with
+    | [] -> None
+    | dsts -> Some (Opaque { uid; dsts })
+  in
+  let defining dst f =
+    let d = position dst in
+    if d < 0 then None else Some (f d)
+  in
   match Instr.kind i with
-  | Instr.Load_imm { dst; value } -> set dst (Const value)
-  | Instr.Move { dst; src } -> (
-      match lookup src with
-      | Top -> opaque dst
-      | v -> set dst v)
-  | Instr.Binop { op; dst; lhs; rhs } -> (
-      let affine =
-        match op, rhs with
-        | Instr.Add, Instr.Imm k -> shift (lookup lhs) k
-        | Instr.Sub, Instr.Imm k -> shift (lookup lhs) (-k)
-        | Instr.Add, Instr.Reg r -> (
-            match lookup lhs, lookup r with
-            | Const a, Const b -> Some (Const (a + b))
-            | vl, Const k -> shift vl k
-            | Const k, vr -> shift vr k
-            | (Sym _ | Top), (Sym _ | Top) -> None)
-        | Instr.Sub, Instr.Reg r -> (
-            match lookup lhs, lookup r with
-            | Const a, Const b -> Some (Const (a - b))
-            | vl, Const k -> shift vl (-k)
-            | (Const _ | Sym _ | Top), (Sym _ | Top) -> None)
-        | ( ( Instr.Mul | Instr.Div | Instr.Rem | Instr.And | Instr.Or
-            | Instr.Xor | Instr.Shl | Instr.Shr ),
-            _ ) ->
-            None
-      in
-      match affine with Some v -> set dst v | None -> opaque dst)
+  | Instr.Load_imm { dst; value } -> defining dst (fun dst -> Set_const { dst; value })
+  | Instr.Move { dst; src } ->
+      defining dst (fun dst -> Copy { uid; dst; src = position src })
+  | Instr.Binop { op = (Instr.Add | Instr.Sub) as op; dst; lhs; rhs } ->
+      defining dst (fun dst ->
+          let lhs = position lhs in
+          match op, rhs with
+          | Instr.Add, Instr.Imm k -> Shift { uid; dst; src = lhs; k }
+          | _, Instr.Imm k -> Shift { uid; dst; src = lhs; k = -k }
+          | Instr.Add, Instr.Reg r -> Add { uid; dst; lhs; rhs = position r }
+          | _, Instr.Reg r -> Sub { uid; dst; lhs; rhs = position r })
   | Instr.Load { dst; base; offset; update } ->
+      Some (Access { uid; base = position base; offset; update; dst = position dst })
+  | Instr.Store { base; offset; update; _ } ->
+      Some (Access { uid; base = position base; offset; update; dst = -1 })
+  | Instr.Binop _ | Instr.Compare _ | Instr.Fcompare _ | Instr.Fbinop _
+  | Instr.Call _ ->
+      opaque (Instr.defs i)
+  | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> None
+
+(* Transfer of one op over an environment read through [lookup] and
+   written through [set], both by slice position; [lookup] reads [-1]
+   as [Top] and [set] drops it. [fresh uid p] opens the origin of
+   [uid]'s definition of position [p]'s register. [record] is called
+   with the base value of a load/store before the [update]
+   post-increment — the simulator computes the effective address from
+   the old base, then writes the destination, then updates the base (so
+   on [LU rT,rT] the update wins, mirrored by the [set] order below). *)
+let transfer ~lookup ~set ~fresh ~record op =
+  let result uid dst = function
+    | Some v -> set dst v
+    | None -> set dst (fresh uid dst)
+  in
+  match op with
+  | Set_const { dst; value } -> set dst (Const value)
+  | Copy { uid; dst; src } -> (
+      match lookup src with Top -> set dst (fresh uid dst) | v -> set dst v)
+  | Shift { uid; dst; src; k } -> result uid dst (shift (lookup src) k)
+  | Add { uid; dst; lhs; rhs } ->
+      result uid dst
+        (match lookup lhs, lookup rhs with
+        | Const a, Const b -> Some (Const (a + b))
+        | vl, Const k -> shift vl k
+        | Const k, vr -> shift vr k
+        | (Sym _ | Top), (Sym _ | Top) -> None)
+  | Sub { uid; dst; lhs; rhs } ->
+      result uid dst
+        (match lookup lhs, lookup rhs with
+        | Const a, Const b -> Some (Const (a - b))
+        | vl, Const k -> shift vl (-k)
+        | (Const _ | Sym _ | Top), (Sym _ | Top) -> None)
+  | Access { uid; base; offset; update; dst } ->
       let bv = lookup base in
       record uid bv;
-      opaque dst;
-      if update then
-        set base (Option.value ~default:(fresh uid base) (shift bv offset))
-  | Instr.Store { src = _; base; offset; update } ->
-      let bv = lookup base in
-      record uid bv;
-      if update then
-        set base (Option.value ~default:(fresh uid base) (shift bv offset))
-  | Instr.Compare _ | Instr.Fcompare _ | Instr.Fbinop _ | Instr.Call _ ->
-      List.iter opaque (Instr.defs i)
-  | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> ()
+      if dst >= 0 then set dst (fresh uid dst);
+      if update then result uid base (shift bv offset)
+  | Opaque { uid; dsts } -> List.iter (fun p -> set p (fresh uid p)) dsts
 
 type t = { base_values : (int, value) Hashtbl.t }
 
-(* The backward affine slice: the register keys whose values can reach a
-   load or store base, in increasing order. It starts from every base
-   register and closes over the operands the affine transfer reads when
-   it defines a slice register — a [Move]'s source and an [Add]/[Sub]'s
-   operands. Every other definition is opaque, so no other register can
-   influence a base value, and tracking the slice alone reproduces every
-   base value the whole-register analysis computes.
+(* The backward affine slice: the registers whose values can reach a
+   load or store base. It starts from every base register and closes
+   over the operands the affine transfer reads when it defines a slice
+   register — a [Move]'s source and an [Add]/[Sub]'s operands. Every
+   other definition is opaque, so no other register can influence a
+   base value, and tracking the slice alone reproduces every base value
+   the whole-register analysis computes.
 
-   No hashing: a first pass sizes the arrays, a second lists each
-   defined key's sources as a chain through [head]/[next]/[src] (indexed
-   by register key and by edge) and pushes every base on a work stack,
-   and the closure pops keys off that stack. A key's sources are pushed
-   only when it is first marked, so the stack never holds more than the
-   bases and the edges. *)
+   Registers are numbered densely by first mention through an
+   [Int_table] keyed by [Reg.hash], so no array is sized by a register
+   id. A first pass numbers them and sizes the arrays, a second lists
+   each defined register's sources as a chain through [head]/[next]/[src]
+   (indexed by number and by edge) and pushes every base on a work
+   stack, and the closure pops numbers off that stack. A register's
+   sources are pushed only when it is first marked, so the stack never
+   holds more than the bases and the edges. The result maps each slice
+   register's [Reg.hash] to its position, positions in increasing
+   [Reg.hash] order, and lists the keys by position. *)
 let slice cfg =
   (* [scan ~edge ~base] calls [edge dst src] for every affine source and
      [base r] for every load or store base. *)
@@ -129,16 +166,16 @@ let slice cfg =
       | Instr.Halt ->
           ()
     in
-    Cfg.iter_blocks
-      (fun b ->
-        Vec.iter visit b.Block.body;
-        visit b.Block.term)
-      cfg
+    Cfg.iter_blocks (Block.iter visit) cfg
   in
-  let top = ref (-1) and edges = ref 0 and bases = ref 0 in
+  let num = Ints.Int_table.create (Cfg.instr_count cfg) and hashes = Vec.create () in
+  let edges = ref 0 and bases = ref 0 in
   let see r =
-    let k = Reg.hash r in
-    if k > !top then top := k
+    let h = Reg.hash r in
+    if not (Ints.Int_table.mem num h) then begin
+      Ints.Int_table.replace num h (Vec.length hashes);
+      Vec.push hashes h
+    end
   in
   scan
     ~edge:(fun dst s ->
@@ -148,30 +185,32 @@ let slice cfg =
     ~base:(fun b ->
       see b;
       incr bases);
-  let head = Array.make (!top + 1) (-1) in
+  let number r = Ints.Int_table.find num (Reg.hash r) in
+  let nregs = Vec.length hashes in
+  let head = Array.make nregs (-1) in
   let next = Array.make !edges 0 and src = Array.make !edges 0 in
   let stack = Array.make (!edges + !bases) 0 in
   let e = ref 0 and sp = ref 0 in
-  let push k =
-    stack.(!sp) <- k;
+  let push x =
+    stack.(!sp) <- x;
     incr sp
   in
   scan
     ~edge:(fun dst s ->
-      let d = Reg.hash dst in
-      src.(!e) <- Reg.hash s;
+      let d = number dst in
+      src.(!e) <- number s;
       next.(!e) <- head.(d);
       head.(d) <- !e;
       incr e)
-    ~base:(fun b -> push (Reg.hash b));
-  let marked = Bytes.make (!top + 1) '\000' and size = ref 0 in
+    ~base:(fun b -> push (number b));
+  let marked = Bytes.make nregs '\000' and size = ref 0 in
   while !sp > 0 do
     decr sp;
-    let k = stack.(!sp) in
-    if Bytes.get marked k = '\000' then begin
-      Bytes.set marked k '\001';
+    let x = stack.(!sp) in
+    if Bytes.get marked x = '\000' then begin
+      Bytes.set marked x '\001';
       incr size;
-      let e = ref head.(k) in
+      let e = ref head.(x) in
       while !e >= 0 do
         push src.(!e);
         e := next.(!e)
@@ -180,13 +219,16 @@ let slice cfg =
   done;
   let keys = Array.make !size 0 and j = ref 0 in
   Bytes.iteri
-    (fun k m ->
+    (fun x m ->
       if m <> '\000' then begin
-        keys.(!j) <- k;
+        keys.(!j) <- Vec.get hashes x;
         incr j
       end)
     marked;
-  keys
+  Array.sort Int.compare keys;
+  let pos = Ints.Int_table.create !size in
+  Array.iteri (fun p k -> Ints.Int_table.replace pos k p) keys;
+  (pos, keys)
 
 let no_record _ _ = ()
 
@@ -194,16 +236,19 @@ let compute cfg =
   let n = Cfg.num_blocks cfg in
   (* Dense positions: slice register key [keys.(p)] lives at position
      [p] of every environment array. *)
-  let keys = slice cfg in
+  let pos, keys = slice cfg in
   let m = Array.length keys in
-  let pos_of = Array.make (if m = 0 then 0 else keys.(m - 1) + 1) (-1) in
-  Array.iteri (fun p k -> pos_of.(k) <- p) keys;
-  let position r =
-    let k = Reg.hash r in
-    if k < Array.length pos_of then pos_of.(k) else -1
-  in
-  (* [run ~record inn id] transfers block [id]'s instructions from the
-     entry environment [inn] without copying it: the registers the block
+  let position r = Ints.Int_table.find pos (Reg.hash r) in
+  let ops = Array.make n [||] in
+  List.iter
+    (fun id ->
+      ops.(id) <-
+        Array.of_list
+          (List.filter_map (decode ~position) (Block.instrs (Cfg.block cfg id))))
+    (Cfg.layout cfg);
+  let fresh uid p = Sym { origin = { o_uid = uid; o_reg = keys.(p) }; offset = 0 } in
+  (* [run ~record inn id] transfers block [id]'s ops from the entry
+     environment [inn] without copying it: the registers the block
      defines are written to the scratch [cur], stamped with this run's
      [epoch], and listed in [touched]; the entry positions it reads
      before defining them are listed in [exposed]. Neither list depends
@@ -215,8 +260,7 @@ let compute cfg =
     touched := [];
     exposed := [];
     let e = !epoch in
-    let lookup r =
-      let p = position r in
+    let lookup p =
       if p < 0 then Top
       else if stamp.(p) = e then cur.(p)
       else begin
@@ -224,8 +268,7 @@ let compute cfg =
         inn.(p)
       end
     in
-    let set r v =
-      let p = position r in
+    let set p v =
       if p >= 0 then begin
         if stamp.(p) <> e then begin
           stamp.(p) <- e;
@@ -234,9 +277,7 @@ let compute cfg =
         cur.(p) <- v
       end
     in
-    let b = Cfg.block cfg id in
-    Vec.iter (transfer ~lookup ~set ~record) b.Block.body;
-    transfer ~lookup ~set ~record b.Block.term
+    Array.iter (transfer ~lookup ~set ~fresh ~record) ops.(id)
   in
   (* Entry environment: every slice register starts at its own entry
      origin, so a merge of "defined in the loop" with "still the entry

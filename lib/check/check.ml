@@ -450,7 +450,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
             moved
       | Global ->
           let cl = lazy (make_classifier pre) in
-          let live_post = lazy (Liveness.compute post) in
+          let live_post = lazy (Livecheck.compute post) in
           let record_of uid = Option.bind prov (fun p -> Provenance.find p uid) in
           List.iter
             (fun (uid, from_label, to_label) ->
@@ -648,7 +648,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                                             | None -> ()
                                             | Some spost ->
                                                 let live =
-                                                  Liveness.live_in
+                                                  Livecheck.live_in
                                                     (Lazy.force live_post)
                                                     spost
                                                 in

@@ -102,23 +102,28 @@ let region_too_big config cfg (region : Regions.region) =
     Some (Fmt.str "region has %d instructions (limit %d)" instrs config.Config.max_region_instrs)
   else None
 
-(* Whole-procedure dataflow shared by every region of one pass. Motion
+(* Whole-procedure facts shared by every region of one pass. Motion
    never changes the CFG's edges, layout or block count, so liveness is
    computed once, on its first read, and then updated: each mutation
    records the blocks it rewrote, and the next read re-scans just those
    ({!Liveness.update}). Reaching definitions are asked one use at a
    time ({!Reaching.Query}) on the current code, so they never go
-   stale. *)
+   stale. [rank] is each block's position in the layout ([max_int] for
+   a detached block), the "original program order" of heuristic rule
+   7. *)
 type dataflow = {
   mutable live : Liveness.t option;
   mutable touched : Ints.Int_set.t;
       (** blocks rewritten since [live] was last brought up to date *)
   reach : Reaching.Query.t Lazy.t;
+  rank : int array;
 }
 
 let new_dataflow cfg =
+  let rank = Array.make (Cfg.num_blocks cfg) max_int in
+  List.iteri (fun pos b -> rank.(b) <- pos) (Cfg.layout cfg);
   { live = None; touched = Ints.Int_set.empty;
-    reach = lazy (Reaching.Query.create cfg) }
+    reach = lazy (Reaching.Query.create cfg); rank }
 
 (* Scheduling state for one region. *)
 type state = {
@@ -189,12 +194,9 @@ let make_state ?sym ~df machine config cfg regions view =
   let n = Ddg.num_nodes ddg in
   (* "Original program order" (heuristic rule 7) follows the source
      layout, not the topological visit order. *)
-  let layout_pos = Hashtbl.create 16 in
-  List.iteri (fun pos b -> Hashtbl.replace layout_pos b pos) (Cfg.layout cfg);
   let node_rank v =
     match view.Regions.nodes.(v) with
-    | Regions.Block b ->
-        Option.value ~default:max_int (Hashtbl.find_opt layout_pos b)
+    | Regions.Block b -> df.rank.(b)
     | Regions.Inner_loop _ -> max_int
   in
   let order_of = Array.make n 0 in
@@ -334,8 +336,12 @@ let plainly_renameable inst r =
   | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> false
 
 let check_speculative st ~target_block ~from_block inst =
-  let live = Liveness.live_before_terminator (liveness st) st.cfg target_block in
-  let clobbered = List.filter (fun r -> Reg.Set.mem r live) (Instr.defs inst) in
+  let live = liveness st in
+  let clobbered =
+    List.filter
+      (Liveness.mem_before_terminator live st.cfg target_block)
+      (Instr.defs inst)
+  in
   match clobbered with
   | [] -> Safe
   | [ r ] when st.config.Config.rename && plainly_renameable inst r -> (
@@ -349,17 +355,19 @@ let check_speculative st ~target_block ~from_block inst =
   | r :: _ -> Unsafe { blocked_uid = Instr.uid inst; reason = `Live_on_exit r }
 
 (* Physically move node [i] into [target]: detach from its current
-   block, apply renaming if required, append to the target body (final
-   order is rewritten when the block pass finishes). Returns the placed
-   instruction, the label it left and the renaming applied. *)
+   block, its home's ([Block.remove_by_uid] raises if it is not there),
+   apply renaming if required, append to the target body (final order
+   is rewritten when the block pass finishes). Each renamed consumer is
+   rewritten in the block the rename check found it in. Returns the
+   placed instruction, the label it left and the renaming applied. *)
 let apply_motion st ~node:i ~target_blk ~rename =
   let inst =
     match st.current.(i) with Some x -> x | None -> assert false
   in
   let from_blk_id =
-    match Cfg.owner_of_uid st.cfg (Instr.uid inst) with
-    | Some b -> b
-    | None -> assert false
+    match st.view.Regions.nodes.(st.home.(i)) with
+    | Regions.Block b -> b
+    | Regions.Inner_loop _ -> assert false
   in
   let from_blk = Cfg.block st.cfg from_blk_id in
   ignore (Block.remove_by_uid from_blk ~uid:(Instr.uid inst));
@@ -371,9 +379,9 @@ let apply_motion st ~node:i ~target_blk ~rename =
         let inst' = Instr.rename_def inst ~from_reg:r ~to_reg:r' in
         touch st (List.map snd consumers);
         List.iter
-          (fun (u, _) ->
+          (fun (u, block) ->
             ignore
-              (Cfg.update_instr st.cfg ~uid:u
+              (Cfg.update_instr ~block st.cfg ~uid:u
                  ~f:(Instr.rename_uses ~from_reg:r ~to_reg:r'));
             match Ddg.node_of_uid st.ddg u with
             | Some j ->
@@ -473,10 +481,11 @@ let schedule_block st a blk_id =
       match st.current.(i) with
       | None -> 0
       | Some inst ->
-          let live =
-            Liveness.live_before_terminator (liveness st) st.cfg blk_id
-          in
-          Heuristics.import_pressure ~live ~budget:pressure_budget inst
+          let live = liveness st in
+          Heuristics.import_pressure
+            ~live:(Liveness.mem_before_terminator live st.cfg blk_id)
+            ~count:(Liveness.count_before_terminator live st.cfg blk_id)
+            ~budget:pressure_budget inst
   in
   let item i =
     {

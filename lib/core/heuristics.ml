@@ -45,17 +45,12 @@ let compute ddg =
 let d t i = t.d.(i)
 let cp t i = t.cp.(i)
 
-let class_pressure live cls =
-  Gis_ir.Reg.Set.fold
-    (fun r acc -> if r.Gis_ir.Reg.cls = cls then acc + 1 else acc)
-    live 0
-
-let import_pressure ~live ~budget inst =
+let import_pressure ~live ~count ~budget inst =
   List.fold_left
     (fun acc r ->
-      if Gis_ir.Reg.Set.mem r live then acc
+      if live r then acc
       else
-        let n = class_pressure live r.Gis_ir.Reg.cls in
+        let n = count r.Gis_ir.Reg.cls in
         let b = budget r.Gis_ir.Reg.cls in
         if n >= b then acc + 1 + (n - b) else acc)
     0

@@ -25,14 +25,16 @@ val cp : t -> int -> int
 (** Critical path heuristic of the node with the given DDG index. *)
 
 val import_pressure :
-  live:Gis_ir.Reg.Set.t ->
+  live:(Gis_ir.Reg.t -> bool) ->
+  count:(Gis_ir.Reg.cls -> int) ->
   budget:(Gis_ir.Reg.cls -> int) ->
   Gis_ir.Instr.t ->
   int
-(** Pressure penalty of importing [inst] into a block whose
-    live-on-exit set is [live]: for each register the instruction
-    defines that is not already live there, how far past the class
-    [budget] the motion would push the live count. 0 when everything
-    fits — the [Min_pressure] rank rule is a no-op then. *)
+(** Pressure penalty of importing [inst] into a block where [live]
+    tells which registers are live and [count] how many of a class are:
+    for each register the instruction defines that is not already live
+    there, how far past the class [budget] the motion would push the
+    live count. 0 when everything fits — the [Min_pressure] rank rule
+    is a no-op then. *)
 
 val pp : t Fmt.t

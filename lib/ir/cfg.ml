@@ -110,6 +110,10 @@ let instr_count t =
 
 let all_instrs t = List.concat_map Block.instrs (List.map (block t) (layout t))
 
+(* Apply [f] to the layout blocks in order, or to block [only] alone. *)
+let search t only f =
+  match only with Some id -> f (block t id) | None -> iter_blocks f t
+
 let owner_of_uid t u =
   let found = ref None in
   iter_blocks
@@ -117,10 +121,9 @@ let owner_of_uid t u =
     t;
   !found
 
-let update_instr t ~uid ~f =
+let update_instr ?block:only t ~uid ~f =
   let found = ref false in
-  iter_blocks
-    (fun b ->
+  search t only (fun b ->
       if not !found then begin
         if Instr.uid b.Block.term = uid then begin
           let i' = f b.Block.term in
@@ -137,8 +140,7 @@ let update_instr t ~uid ~f =
               Vec.set b.Block.body idx i';
               found := true
           | None -> ()
-      end)
-    t;
+      end);
   !found
 
 let reachable t =

@@ -75,12 +75,14 @@ val all_instrs : t -> Instr.t list
 
 val owner_of_uid : t -> int -> int option
 (** Block id currently containing the instruction with this uid. Linear
-    scan; scheduling code maintains its own index instead. *)
+    scan; scheduling code knows each instruction's block instead. *)
 
-val update_instr : t -> uid:int -> f:(Instr.t -> Instr.t) -> bool
+val update_instr :
+  ?block:int -> t -> uid:int -> f:(Instr.t -> Instr.t) -> bool
 (** Rewrite the instruction with the given uid in place (body or
-    terminator), wherever it currently lives. Returns false when no
-    such instruction exists. The replacement must keep the same uid. *)
+    terminator), wherever it currently lives in the layout, or only in
+    [block] when given. Returns false when no such instruction exists
+    there. The replacement must keep the same uid. *)
 
 val reachable : t -> Gis_util.Ints.Int_set.t
 (** Block ids reachable from the entry. *)

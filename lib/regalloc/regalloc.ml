@@ -61,18 +61,14 @@ let build_intervals cfg =
     (fun bid ->
       let b = Cfg.block cfg bid in
       let block_start = !pos in
-      Reg.Set.iter
-        (fun r -> touch r block_start)
-        (Gis_analysis.Liveness.live_in live bid);
+      Gis_analysis.Liveness.iter_live_in live bid (fun r -> touch r block_start);
       List.iter
         (fun i ->
           pos := !pos + 2;
           List.iter (fun r -> touch r !pos) (Instr.uses i);
           List.iter (fun r -> touch r !pos) (Instr.defs i))
         (Block.instrs b);
-      Reg.Set.iter
-        (fun r -> touch r (!pos + 1))
-        (Gis_analysis.Liveness.live_out live bid);
+      Gis_analysis.Liveness.iter_live_out live bid (fun r -> touch r (!pos + 1));
       pos := !pos + 2)
     (Cfg.layout cfg);
   let intervals =
@@ -84,10 +80,10 @@ let build_intervals cfg =
            | 0 -> Reg.compare a.reg b.reg
            | c -> c)
   in
-  let entry_live =
-    Reg.Set.elements
-      (Gis_analysis.Liveness.live_in live (Cfg.entry cfg))
-  in
+  let entry_live = ref [] in
+  Gis_analysis.Liveness.iter_live_in live (Cfg.entry cfg) (fun r ->
+      entry_live := r :: !entry_live);
+  let entry_live = List.sort Reg.compare !entry_live in
   (intervals, entry_live)
 
 let class_pressure intervals cls =

@@ -85,3 +85,19 @@ let transfer ~dst ~gen ~kill s =
     end
   done;
   !changed
+
+let grow s n =
+  if n < s.cap then invalid_arg "Bitset.grow";
+  let g = create n in
+  Array.blit s.words 0 g.words 0 (Array.length s.words);
+  g
+
+let iter f s =
+  for w = 0 to Array.length s.words - 1 do
+    let word = ref s.words.(w) and i = ref (w * bits) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then f !i;
+      word := !word lsr 1;
+      incr i
+    done
+  done

@@ -39,3 +39,10 @@ val transfer : dst:t -> gen:t -> kill:t -> t -> bool
 (** [transfer ~dst ~gen ~kill s] sets [dst] to [gen ∪ (s \ kill)], the
     gen/kill transfer function; [true] when [dst] changed. [dst] may be
     [s] itself. *)
+
+val grow : t -> int -> t
+(** [grow s n] is a copy of [s] with capacity [n]; raises
+    [Invalid_argument] if [n] is below [s]'s capacity. *)
+
+val iter : (int -> unit) -> t -> unit
+(** The elements in increasing order. *)

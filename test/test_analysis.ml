@@ -191,6 +191,9 @@ let test_loop_exit_not_equivalent () =
 
 (* ---- liveness ---- *)
 
+let live_in = Test_support.live_set Liveness.iter_live_in
+let live_out = Test_support.live_set Liveness.iter_live_out
+
 let test_liveness_diamond () =
   let g = Reg.Gen.create () in
   let x = Reg.Gen.fresh g Reg.Gpr in
@@ -210,19 +213,19 @@ let test_liveness_diamond () =
   let blk l = (Cfg.block_of_label cfg l).Block.id in
   (* x defined on both paths before D: not live out of A. *)
   Alcotest.(check bool) "x not live out of A" false
-    (Reg.Set.mem x (Liveness.live_out live (blk "A")));
+    (Reg.Set.mem x (live_out live (blk "A")));
   Alcotest.(check bool) "x live out of B" true
-    (Reg.Set.mem x (Liveness.live_out live (blk "B")));
+    (Reg.Set.mem x (live_out live (blk "B")));
   Alcotest.(check bool) "x live into D" true
-    (Reg.Set.mem x (Liveness.live_in live (blk "D")));
+    (Reg.Set.mem x (live_in live (blk "D")));
   Alcotest.(check bool) "y live into A" true
-    (Reg.Set.mem y (Liveness.live_in live (blk "A")));
+    (Reg.Set.mem y (live_in live (blk "A")));
   (* After removing B's definition, x becomes live out of A. *)
   ignore (Block.remove_by_uid (Cfg.block_of_label cfg "B")
             ~uid:(Instr.uid (Gis_util.Vec.get (Cfg.block_of_label cfg "B").Block.body 0)));
   let live = Liveness.compute cfg in
   Alcotest.(check bool) "x now live out of A" true
-    (Reg.Set.mem x (Liveness.live_out live (blk "A")))
+    (Reg.Set.mem x (live_out live (blk "A")))
 
 let test_liveness_loop_carried () =
   let g = Reg.Gen.create () in
@@ -243,11 +246,11 @@ let test_liveness_loop_carried () =
   let live = Liveness.compute cfg in
   let blk l = (Cfg.block_of_label cfg l).Block.id in
   Alcotest.(check bool) "acc live around the loop" true
-    (Reg.Set.mem acc (Liveness.live_out live (blk "BODY")));
+    (Reg.Set.mem acc (live_out live (blk "BODY")));
   Alcotest.(check bool) "i live into H" true
-    (Reg.Set.mem i (Liveness.live_in live (blk "H")));
+    (Reg.Set.mem i (live_in live (blk "H")));
   Alcotest.(check bool) "live before terminator includes branch source" true
-    (Reg.Set.mem c (Liveness.live_before_terminator live cfg (blk "H")))
+    (Liveness.mem_before_terminator live cfg (blk "H") c)
 
 (* ---- reaching definitions ---- *)
 
@@ -1057,20 +1060,28 @@ let test_addrcheck_slice () =
 
 (* ---- incremental liveness against the whole-procedure reference ---- *)
 
-(* The first block whose [live_in], [live_out] or
-   [live_before_terminator] in [live] differs from a fresh reference
-   compute on [cfg]. *)
+(* The first block whose live-in or live-out set in [live] differs
+   from a fresh reference compute on [cfg], or whose state before the
+   terminator does: every register the reference has live there must be
+   a member, and each class must count as many. *)
 let liveness_mismatch cfg live =
   let fresh = Liveness_ref.compute cfg in
+  let before_terminator_agrees id =
+    let expected = Liveness_ref.live_before_terminator fresh cfg id in
+    Reg.Set.for_all (Liveness.mem_before_terminator live cfg id) expected
+    && List.for_all
+         (fun cls ->
+           Liveness.count_before_terminator live cfg id cls
+           = Reg.Set.cardinal
+               (Reg.Set.filter (fun r -> r.Reg.cls = cls) expected))
+         [ Reg.Gpr; Reg.Cr; Reg.Fpr ]
+  in
   List.find_opt
     (fun id ->
       not
-        (Reg.Set.equal (Liveness.live_in live id) (Liveness_ref.live_in fresh id)
-        && Reg.Set.equal (Liveness.live_out live id)
-             (Liveness_ref.live_out fresh id)
-        && Reg.Set.equal
-             (Liveness.live_before_terminator live cfg id)
-             (Liveness_ref.live_before_terminator fresh cfg id)))
+        (Reg.Set.equal (live_in live id) (Liveness_ref.live_in fresh id)
+        && Reg.Set.equal (live_out live id) (Liveness_ref.live_out fresh id)
+        && before_terminator_agrees id))
     (List.init (Cfg.num_blocks cfg) Fun.id)
 
 (* One random edit of a kind the global scheduler makes — move a body
@@ -1134,9 +1145,8 @@ let random_edit rng cfg =
    bursts of one to three edits, each followed by one [Liveness.update]
    over the blocks the burst touched — less the first of them when
    [omit] is set. [Ok ()] when every update matched a fresh compute. *)
-let liveness_update_run ?(omit = false) params seed =
+let liveness_edit_run ?(omit = false) ~seed cfg =
   let module Prng = Gis_workloads.Prng in
-  let cfg = random_cfg params seed in
   let rng = Prng.create ~seed in
   (match List.filter (fun b -> b <> Cfg.entry cfg) (Cfg.layout cfg) with
   | _ :: _ as others when Prng.bool rng ->
@@ -1161,12 +1171,40 @@ let liveness_update_run ?(omit = false) params seed =
   | Some id -> Error (0, id)
   | None -> go 1
 
+let liveness_update_run ?omit params seed =
+  liveness_edit_run ?omit ~seed (random_cfg params seed)
+
 let liveness_update_matches_reference params seed =
   match liveness_update_run params seed with
   | Ok () -> true
   | Error (round, id) ->
       QCheck.Test.fail_reportf "seed %d: block %d differs after edit burst %d"
         seed id round
+
+(* The same edit bursts on a copy of a stage input: [None] when every
+   update matched a fresh compute. *)
+let liveness_stage_mismatch ~seed ~stage pre =
+  match liveness_edit_run ~seed (Cfg.deep_copy pre) with
+  | Ok () -> None
+  | Error (round, id) ->
+      Some
+        (Fmt.str "seed %d, %s: block %d differs after edit burst %d" seed stage
+           id round)
+
+(* Every stage input of the paper workloads, some of which hold
+   minmax's update-form loads, each defining two registers. *)
+let test_liveness_paper_workloads () =
+  let two = ref false in
+  List.iteri
+    (fun k (name, cfg) ->
+      Alcotest.(check bool) name true
+        (every_stage_of cfg (fun ~stage pre ->
+             if defines_two pre then two := true;
+             match liveness_stage_mismatch ~seed:(k + 1) ~stage pre with
+             | None -> true
+             | Some m -> Alcotest.fail m)))
+    (paper_cfgs ());
+  Alcotest.(check bool) "a stage input defines two registers at once" true !two
 
 (* The property has teeth: leaving a touched block out of the update
    leaves stale sets that a fresh compute exposes. *)
@@ -1180,6 +1218,80 @@ let test_liveness_update_omission_caught () =
       (List.init 10 (fun k -> k + 1))
   in
   Alcotest.(check bool) "an omitted block is caught" true caught
+
+(* Words allocated by [f], counted with [Gc.minor_words] and
+   [Gc.counters], which see every minor allocation and every block
+   allocated directly on the major heap. *)
+let words f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = total () in
+  f ();
+  total () -. before
+
+(* An update in a block outside a register's live range re-solves the
+   register in that block alone. [y] is live through a chain of [n]
+   blocks; a dead definition of [y] added after its last use costs the
+   same words whatever [n] is, where clearing [y] from every block and
+   re-propagating it would pay per block, and every block's sets still
+   match a fresh compute. *)
+let test_liveness_update_outside_range () =
+  let cost n =
+    let g = Reg.Gen.create () in
+    let y = Reg.Gen.fresh g Reg.Gpr and z = Reg.Gen.fresh g Reg.Gpr in
+    let label k = Fmt.str "B%d" k in
+    let cfg =
+      B.func ~reg_gen:g
+        ((("E", [ B.li ~dst:y 0 ], B.jmp (label 0))
+         :: List.init n (fun k ->
+                (label k, [ B.addi ~dst:y ~lhs:y 1 ], B.jmp (label (k + 1)))))
+        @ [
+            (label n, [ B.call "print_int" [ y ] ], B.jmp "D");
+            ("D", [ B.li ~dst:z 1 ], Instr.Halt);
+          ])
+    in
+    let live = Liveness.compute cfg in
+    let d = Cfg.block_of_label cfg "D" in
+    Gis_util.Vec.push d.Block.body (Cfg.make_instr cfg (B.li ~dst:y 7));
+    let w = words (fun () -> Liveness.update live cfg ~blocks:[ d.Block.id ]) in
+    Alcotest.(check (option int)) "sets match a fresh compute" None
+      (liveness_mismatch cfg live);
+    w
+  in
+  let short = cost 10 in
+  Alcotest.(check (float 0.)) "words independent of the live range" short
+    (cost 1000)
+
+(* Liveness and the symbolic address analysis number registers densely:
+   a program naming [r1000000] allocates exactly as many words as the
+   same program naming [r1], where an array sized by the register's id
+   would cost a million words. *)
+let test_sparse_register_ids () =
+  let program id =
+    let g = Reg.Gen.create () in
+    let p = Reg.Gen.reserve g Reg.Gpr id in
+    let x = Reg.Gen.fresh g Reg.Gpr and c = Reg.Gen.fresh g Reg.Cr in
+    B.func ~reg_gen:g
+      [
+        ( "E",
+          [ B.li ~dst:p 64; B.load ~dst:x ~base:p ~offset:0; B.cmpi ~dst:c ~lhs:x 3 ],
+          B.bt ~cr:c ~cond:Instr.Gt ~taken:"T" ~fallthru:"F" );
+        ("T", [ B.addi ~dst:p ~lhs:p 4 ], B.jmp "X");
+        ("F", [ B.store ~src:x ~base:p ~offset:4 ], B.jmp "X");
+        ("X", [ B.load ~dst:x ~base:p ~offset:0; B.call "print_int" [ x ] ], Instr.Halt);
+      ]
+  in
+  let cost id =
+    let cfg = program id in
+    ( words (fun () -> ignore (Symaddr.compute cfg)),
+      words (fun () -> ignore (Liveness.compute cfg)) )
+  in
+  let near_sym, near_live = cost 1 in
+  let far_sym, far_live = cost 1_000_000 in
+  Alcotest.(check (float 0.)) "Symaddr.compute words" near_sym far_sym;
+  Alcotest.(check (float 0.)) "Liveness.compute words" near_live far_live
 
 (* ---- demand-driven reaching queries against the full compute ---- *)
 
@@ -1311,6 +1423,10 @@ let () =
           Alcotest.test_case "loop-carried" `Quick test_liveness_loop_carried;
           Alcotest.test_case "update omission caught" `Quick
             test_liveness_update_omission_caught;
+          Alcotest.test_case "update outside a live range" `Quick
+            test_liveness_update_outside_range;
+          Alcotest.test_case "sparse register ids" `Quick
+            test_sparse_register_ids;
         ] );
       ( "reaching",
         [
@@ -1396,6 +1512,15 @@ let () =
                   reaching_matches_reference);
             Alcotest.test_case "reaching = Int_set reference, paper workloads"
               `Quick test_reaching_paper_workloads;
+            qtest "liveness update = fresh reference, pointer loops" 50
+              (fun seed ->
+                every_stage_of (pointer_loop_cfg seed) (fun ~stage pre ->
+                    match liveness_stage_mismatch ~seed ~stage pre with
+                    | None -> true
+                    | Some m -> QCheck.Test.fail_report m));
+            Alcotest.test_case
+              "liveness update = fresh reference, paper workloads" `Quick
+              test_liveness_paper_workloads;
             qtest "symaddr = layout-sweep reference, pointer loops" 50
               (fun seed ->
                 every_stage_of (pointer_loop_cfg seed) symaddr_matches_reference);

@@ -200,7 +200,12 @@ let test_update_instr () =
   | Instr.Load_imm { value; _ } -> Alcotest.(check int) "value" 42 value
   | _ -> Alcotest.fail "unexpected kind");
   Alcotest.(check bool) "missing uid" false
-    (Cfg.update_instr cfg ~uid:9999 ~f:Fun.id)
+    (Cfg.update_instr cfg ~uid:9999 ~f:Fun.id);
+  let c = Cfg.block_of_label cfg "C" in
+  Alcotest.(check bool) "found in its own block" true
+    (Cfg.update_instr ~block:b.Block.id cfg ~uid:(Instr.uid i) ~f:Fun.id);
+  Alcotest.(check bool) "not found in another block" false
+    (Cfg.update_instr ~block:c.Block.id cfg ~uid:(Instr.uid i) ~f:Fun.id)
 
 let test_insert_block_after () =
   let cfg = diamond () in

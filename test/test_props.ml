@@ -337,12 +337,14 @@ let prop_liveness_consistent seed =
   List.for_all
     (fun id ->
       let b = Cfg.block cfg id in
-      let out = Gis_analysis.Liveness.live_out live id in
-      let inn = Gis_analysis.Liveness.live_in live id in
+      let out = Test_support.live_set Gis_analysis.Liveness.iter_live_out live id in
+      let inn = Test_support.live_set Gis_analysis.Liveness.iter_live_in live id in
       (* Successor consistency. *)
       List.for_all
         (fun (s, _) ->
-          Reg.Set.subset (Gis_analysis.Liveness.live_in live s) out)
+          Reg.Set.subset
+            (Test_support.live_set Gis_analysis.Liveness.iter_live_in live s)
+            out)
         (Cfg.successors cfg id)
       &&
       (* Transfer consistency: anything live out and not defined in the

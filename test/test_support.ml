@@ -54,3 +54,9 @@ let pinned_cfg params ~seed = (pinned_compiled params ~seed).Codegen.cfg
 (* Thirty seed-pinned hardened random programs. *)
 let pinned_programs =
   lazy (List.init 30 (fun k -> pinned_cfg Random_prog.hardened ~seed:(500 + k)))
+
+(* A liveness row as a register set: [live_set Liveness.iter_live_in l id]. *)
+let live_set iter live id =
+  let s = ref Gis_ir.Reg.Set.empty in
+  iter live id (fun r -> s := Gis_ir.Reg.Set.add r !s);
+  !s

@@ -120,6 +120,20 @@ let test_bitset_empty () =
     (Invalid_argument "Bitset: 0 out of bounds [0,0)") (fun () ->
       Bitset.add a 0)
 
+(* [grow] keeps every element and [iter] lists them in order, across
+   word boundaries. *)
+let test_bitset_grow_iter () =
+  let s = Bitset.create 64 in
+  List.iter (Bitset.add s) [ 0; 62; 63 ];
+  let g = Bitset.grow s 200 in
+  Bitset.add g 199;
+  let seen = ref [] in
+  Bitset.iter (fun x -> seen := x :: !seen) g;
+  check_list "grown members in order" [ 0; 62; 63; 199 ] (List.rev !seen);
+  check_list "the original is untouched" [ 0; 62; 63 ] (members s 64);
+  Alcotest.check_raises "no shrinking" (Invalid_argument "Bitset.grow")
+    (fun () -> ignore (Bitset.grow g 100))
+
 (* Capacity 130 leaves four bits (126..129) in the last word. *)
 let test_bitset_partial_word () =
   let n = 130 in
@@ -224,5 +238,6 @@ let () =
           Alcotest.test_case "partial last word" `Quick
             test_bitset_partial_word;
           Alcotest.test_case "ranges" `Quick test_bitset_ranges;
+          Alcotest.test_case "grow and iter" `Quick test_bitset_grow_iter;
         ] );
     ]
