@@ -435,13 +435,15 @@ let bench_gap_bounds () =
    same 2% tolerance as every other table. The two schedules must
    produce identical observable traces — disambiguation may only
    reorder memory operations it proved independent, never change what
-   the program computes — so any divergence aborts the run. *)
+   the program computes — so any divergence aborts the run. Each side
+   also reports the Mem edges its own dependence graphs kept and
+   pruned. *)
 let bench_mem_disambiguation () =
   let module Bounds = Gis_bounds.Bounds in
   per_program (fun name cfg0 input ->
       let cell (lname, config) =
         let run disambig =
-          let _, cfg, os =
+          let stats, cfg, os =
             simulate { config with Config.disambiguate = disambig } cfg0 input
           in
           let b =
@@ -449,10 +451,10 @@ let bench_mem_disambiguation () =
               ~halted:(os.Simulator.stop = Simulator.Halted)
               cfg os.Simulator.telemetry
           in
-          (os, b)
+          (os, b, stats.Pipeline.alias)
         in
-        let ooff, boff = run false in
-        let oon, bon = run true in
+        let ooff, boff, aoff = run false in
+        let oon, bon, aon = run true in
         if
           not
             (String.equal (Simulator.observables ooff) (Simulator.observables oon))
@@ -466,9 +468,13 @@ let bench_mem_disambiguation () =
               ("off_cycles", Json.Int ooff.Simulator.cycles);
               ("off_lower_bound_cycles", Json.Int boff.Bounds.lower_bound);
               ("off_gap_cycles", Json.Int boff.Bounds.gap);
+              ("off_mem_kept", Json.Int (Gis_ddg.Ddg.tally_kept aoff));
+              ("off_mem_pruned", Json.Int (Gis_ddg.Ddg.tally_pruned aoff));
               ("on_cycles", Json.Int oon.Simulator.cycles);
               ("on_lower_bound_cycles", Json.Int bon.Bounds.lower_bound);
               ("on_gap_cycles", Json.Int bon.Bounds.gap);
+              ("on_mem_kept", Json.Int (Gis_ddg.Ddg.tally_kept aon));
+              ("on_mem_pruned", Json.Int (Gis_ddg.Ddg.tally_pruned aon));
             ] )
       in
       [ ("by_level", Json.Obj (List.map cell levels)) ])
@@ -498,7 +504,8 @@ let bench_speculation_degree () =
 
 let bench_profile_guided () =
   per_program (fun _ cfg0 input ->
-      let profile = Simulator.profile_fn (Simulator.run rs6k cfg0 input) in
+      let profiled = Simulator.run rs6k cfg0 input in
+      let profile = Simulator.profile_fn profiled in
       let cell threshold =
         let config =
           if threshold <= 0.0 then Config.speculative
@@ -523,7 +530,12 @@ let bench_profile_guided () =
       let blind = cell 0.0 in
       let g3 = cell 0.3 in
       let g7 = cell 0.7 in
-      [ ("blind", blind); ("guided_0_3", g3); ("guided_0_7", g7) ])
+      [
+        ("profiled_cycles", Json.Int profiled.Simulator.cycles);
+        ("blind", blind);
+        ("guided_0_3", g3);
+        ("guided_0_7", g7);
+      ])
 
 let stencil_program () =
   (* A store-then-reload kernel: the detailed model's store->load delay
@@ -698,6 +710,9 @@ let bench_regalloc () =
          Json.Obj
            [
              ("program", Json.String name);
+             (* the symbolic BASE run the verifier compares against *)
+             ( "base_cycles",
+               Json.Int (Simulator.run rs6k baseline input).Simulator.cycles );
              ("off_cycles", Json.Int off);
              ("on_cycles", Json.Int on);
              ("on_spilled_regs", Json.Int on_spills);
@@ -736,11 +751,19 @@ let bench_parallel_batch () =
            Fmt.epr "P1: results at jobs=%d differ from sequential@." jobs;
            exit 1
          end;
+         let total f =
+           List.fold_left
+             (fun acc (t : D.task_result) ->
+               match t.D.outcome with Ok s -> acc + f s | Error _ -> acc)
+             0 r.D.results
+         in
          Json.Obj
            [
              ("jobs", Json.Int jobs);
              ("tasks", Json.Int r.D.pool.D.tasks);
              ("identical_to_sequential", Json.Bool true);
+             ("base_cycles", Json.Int (total (fun s -> s.D.base_cycles)));
+             ("sched_cycles", Json.Int (total (fun s -> s.D.sched_cycles)));
            ])
        runs)
 
@@ -833,7 +856,6 @@ let parse_args () =
 
 let () =
   let json_file, baseline, check = parse_args () in
-  Metrics.enable ();
   Fmt.pr "Global Instruction Scheduling for Superscalar Machines@.";
   Fmt.pr "Bernstein & Rodeh, PLDI 1991 — benchmark reproduction@.";
   let e1_e3 =
@@ -950,7 +972,6 @@ let () =
         ("R1_register_allocation", r1);
         ("P1_parallel_batch", p1);
         ("P2_self_profile", p2);
-        ("metrics", Metrics.to_json ~deterministic:true ());
       ]
   in
   Option.iter

@@ -52,7 +52,6 @@ let setup source level width regalloc pressure_aware regs no_disambig verbose =
         Fmt.epr "unknown level %s (local|useful|speculative)@." other;
         exit Exit.usage_error
   in
-  Metrics.enable ();
   {
     source;
     machine = (if width = 1 then Machine.rs6k else Machine.superscalar ~width);
@@ -171,9 +170,12 @@ let run_batch dir jobs machine simulate elements seed deterministic stats_file
     Fmt.epr "batch directory %s has no files@." dir;
     exit Exit.usage_error
   end;
+  (* A stats report counts rule decisions, which each task tallies
+     into a provenance table of its own. *)
+  let prov = if stats_file <> None then Some (Provenance.create ()) else None in
   let report =
     Driver.run ~jobs ?timeout ~simulate ~elements ~seed machine
-      config entries
+      { config with Config.prov } entries
   in
   Fmt.pr "batch %s: %d tasks, %d jobs@.%a" dir report.Driver.pool.Driver.tasks
     report.Driver.pool.Driver.jobs Driver.pp_table report;
@@ -193,7 +195,13 @@ let run_batch dir jobs machine simulate elements seed deterministic stats_file
       let json =
         match Driver.report_to_json ~deterministic report with
         | Json.Obj fields ->
-            Json.Obj (fields @ [ ("metrics", Metrics.to_json ~deterministic ()) ])
+            Json.Obj
+              (fields
+              @ [
+                  ( "metrics",
+                    Counts.to_json ~deterministic (Driver.batch_counts report)
+                  );
+                ])
         | j -> j
       in
       write_json path json;
@@ -253,14 +261,12 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
     | Some p -> ( match Prof.roots p with r :: _ -> Some r | [] -> None)
   in
   let compiled = compile task in
-  (* The BASE compile is read by the simulation, and by a stats report,
-     whose process-wide metrics count it; otherwise it is skipped. The
-     copy is taken either way: each copied block draws a uid from the
-     generator the scheduled copy shares, so skipping it would renumber
-     the scheduled code. *)
+  (* Only the simulation reads the BASE compile. The copy is taken
+     either way: each copied block draws a uid from the generator the
+     scheduled copy shares, so skipping it would renumber the scheduled
+     code. *)
   let baseline = Cfg.deep_copy compiled.Codegen.cfg in
-  if simulate || stats_file <> None then
-    ignore (Pipeline.run machine Config.base baseline);
+  if simulate then ignore (Pipeline.run machine Config.base baseline);
   let cfg = Cfg.deep_copy compiled.Codegen.cfg in
   let stats = schedule task machine config cfg in
   Validate.check_exn cfg;
@@ -344,7 +350,6 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
           ~halted:(os.Simulator.stop = Simulator.Halted)
           cfg os.Simulator.telemetry
       in
-      Gis_bounds.Bounds.export_metrics bounds;
       Fmt.pr
         "  bound     %7d cycles lower bound (critical path %d, resources \
          %d); gap %d@."
@@ -385,7 +390,12 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
              ("level", Json.String (Fmt.str "%a" Config.pp_level config.Config.level));
              ("elements", Json.Int elements);
              ("seed", Json.Int seed);
-             ("metrics", Metrics.to_json ~deterministic ());
+             ( "metrics",
+               Counts.to_json ~deterministic
+                 (Driver.run_counts
+                    ?sim:(Option.map (fun (_, os, _) -> os) simulation)
+                    ?bounds:(Option.map (fun (_, _, b) -> b) simulation)
+                    ~events:(sink_events ()) stats) );
              ( "profile",
                match prof_root () with
                | None -> Json.Null
@@ -529,7 +539,6 @@ let run_bound s elements seed top_k json_file =
       ~halted:(os.Simulator.stop = Simulator.Halted)
       cfg os.Simulator.telemetry
   in
-  Gis_bounds.Bounds.export_metrics bounds;
   Fmt.pr "== %s: schedule bounds (machine %a, level %a) ==@.%a" name
     Machine.pp machine Config.pp_level config.Config.level
     Gis_bounds.Bounds.pp bounds;
@@ -561,8 +570,10 @@ let run_bound s elements seed top_k json_file =
    stage transition is checked against a dependence graph and
    control-dependence relation reconstructed independently from the
    stage's input, plus an IR lint over the source and final programs.
-   No simulation is involved. Exit code 3 on any legality Error. *)
-let run_check s json_file deterministic =
+   No simulation is involved. Exit code 3 on any legality Error. The
+   report holds no timing, so --deterministic (still accepted, as by
+   every reporting subcommand) changes nothing. *)
+let run_check s json_file _deterministic =
   let task = task_of_source s.source in
   let name = task.Driver.name and machine = s.machine in
   let prov = Provenance.create () in
@@ -596,9 +607,6 @@ let run_check s json_file deterministic =
   let all = List.concat_map snd results in
   let errors = Gis_check.Check.errors all in
   let stats = Gis_check.Check.stats collector in
-  Gis_check.Check.record_metrics all;
-  Metrics.set (Metrics.gauge "check_seconds")
-    (if deterministic then 0.0 else Gis_check.Check.seconds collector);
   List.iter
     (fun (_, ds) ->
       List.iter (fun d -> Fmt.pr "%a@." Gis_check.Diagnostic.pp d) ds)
@@ -624,8 +632,7 @@ let run_check s json_file deterministic =
                :: ( "level",
                     Json.String
                       (Fmt.str "%a" Config.pp_level config.Config.level) )
-               :: fields
-              @ [ ("metrics", Metrics.to_json ~deterministic ()) ])
+               :: fields)
         | j -> j
       in
       write_json path json;
@@ -664,7 +671,6 @@ let run_profile s json_file folded_file folded_alloc trace_file deterministic =
       end;
       Fmt.pr "@.profile: %d nodes, accounting identity holds@."
         (Prof.node_count root);
-      Prof.export_metrics root;
       Option.iter
         (fun path ->
           let node = if deterministic then Prof.scrub root else root in
@@ -677,7 +683,6 @@ let run_profile s json_file folded_file folded_alloc trace_file deterministic =
                    Json.String
                      (Fmt.str "%a" Config.pp_level config.Config.level) );
                  ("profile", Prof.to_json node);
-                 ("metrics", Metrics.to_json ~deterministic ());
                ]);
           Fmt.pr "profile written to %s@." path)
         json_file;
@@ -778,8 +783,9 @@ let stats_arg =
     & info [ "stats" ] ~docv:"FILE"
         ~doc:"Write a machine-readable JSON report: the compiler's \
               self-profile (wall clock and allocation per pipeline \
-              phase), decision trace, interblock motions, and (with \
-              --simulate) stall-attributed simulation telemetry.")
+              phase), decision trace, the scheduled run's counts, \
+              interblock motions, and (with --simulate) \
+              stall-attributed simulation telemetry.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose" ] ~doc:"Scheduler debug logging.")
@@ -949,8 +955,8 @@ let profile_json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write the profile tree (per-phase and per-region wall clock, \
-              allocation, GC collections, self and total) plus the metrics \
-              registry as JSON to $(docv).")
+              allocation, GC collections, self and total) as JSON to \
+              $(docv).")
 
 let folded_arg =
   Arg.(

@@ -3,7 +3,6 @@ module Deps = Gis_check.Deps
 module Regions = Gis_analysis.Regions
 module Machine = Gis_machine.Machine
 module Trace = Gis_obs.Trace
-module Metrics = Gis_obs.Metrics
 module Json = Gis_obs.Json
 
 (* Everything here is derived from the checker's independently
@@ -484,23 +483,6 @@ let slack_of_uid t uid =
         (fun i -> if i.uid = uid then Some i.slack else None)
         r.instrs)
     t.regions
-
-(* ---- metrics ---- *)
-
-let g_achieved = Metrics.gauge "bound.achieved_cycles"
-let g_cp = Metrics.gauge "bound.cp_lower_cycles"
-let g_res = Metrics.gauge "bound.res_lower_cycles"
-let g_lower = Metrics.gauge "bound.lower_cycles"
-let g_gap = Metrics.gauge "bound.gap_cycles"
-let g_regions = Metrics.gauge "bound.regions"
-
-let export_metrics t =
-  Metrics.set g_achieved (float_of_int t.achieved);
-  Metrics.set g_cp (float_of_int t.cp_lb);
-  Metrics.set g_res (float_of_int t.res_lb);
-  Metrics.set g_lower (float_of_int t.lower_bound);
-  Metrics.set g_gap (float_of_int t.gap);
-  Metrics.set g_regions (float_of_int (List.length t.regions))
 
 (* ---- rendering ---- *)
 

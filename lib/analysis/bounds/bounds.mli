@@ -102,10 +102,6 @@ val identity_holds : t -> bool
 val slack_of_uid : t -> int -> int option
 (** Static slack of the instruction with the given uid, if bounded. *)
 
-val export_metrics : t -> unit
-(** Publish [bound.*] gauges (achieved/cp/resource/lower/gap cycles
-    and the region count) into {!Gis_obs.Metrics}. *)
-
 val pp : t Fmt.t
 (** Tree rendering: program totals, then one node per region with its
     bounds, slack range, and binding edges. *)

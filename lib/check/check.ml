@@ -748,7 +748,6 @@ type collector = {
   mutable c_stages : int;
   mutable c_deps : int;
   mutable c_motions : int;
-  mutable c_seconds : float;
   mutable c_last : (Cfg.t * Deps.program) option;
       (* the last stage's post CFG and its index, reused when that very
          CFG comes back as the next stage's pre *)
@@ -762,12 +761,10 @@ let collector ?prov ?max_speculation_degree () =
     c_stages = 0;
     c_deps = 0;
     c_motions = 0;
-    c_seconds = 0.0;
     c_last = None;
   }
 
 let hook c ~stage ~pre ~post =
-  let t0 = Prof.now_ns () in
   let ppre =
     match c.c_last with
     | Some (last, p) when last == pre -> Some p
@@ -781,8 +778,7 @@ let hook c ~stage ~pre ~post =
   c.c_results <- (stage, diags) :: c.c_results;
   c.c_stages <- c.c_stages + 1;
   c.c_deps <- c.c_deps + counters.deps_checked;
-  c.c_motions <- c.c_motions + counters.motions;
-  c.c_seconds <- c.c_seconds +. Prof.seconds_of_ns (Prof.now_ns () - t0)
+  c.c_motions <- c.c_motions + counters.motions
 
 let diagnostics c = List.rev c.c_results
 
@@ -793,25 +789,7 @@ let stats c =
     motions_classified = c.c_motions;
   }
 
-let seconds c = c.c_seconds
-
 let errors ds = List.filter Diagnostic.is_error ds
-
-let sanitize_rule rule =
-  String.map
-    (fun ch ->
-      match ch with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ch | _ -> '_')
-    rule
-
-let record_metrics ds =
-  let bump name = Metrics.incr (Metrics.counter name) in
-  List.iter
-    (fun (d : Diagnostic.t) ->
-      bump ("check_rule_" ^ sanitize_rule d.Diagnostic.rule);
-      bump
-        (if Diagnostic.is_error d then "check_errors_total"
-         else "check_warnings_total"))
-    ds
 
 let report_to_json ?stats results =
   let all = List.concat_map snd results in

@@ -79,13 +79,8 @@ val diagnostics : collector -> (string * Diagnostic.t list) list
 (** Stage name and findings, in execution order. *)
 
 val stats : collector -> stats
-val seconds : collector -> float
 
 val errors : Diagnostic.t list -> Diagnostic.t list
-
-val record_metrics : Diagnostic.t list -> unit
-(** Bump the [check_*] counters in {!Gis_obs.Metrics} (total findings,
-    errors, warnings, and one [check_rule_<rule>] counter per rule). *)
 
 val report_to_json :
   ?stats:stats -> (string * Diagnostic.t list) list -> Gis_obs.Json.t

@@ -92,5 +92,4 @@ let pp ppf c =
 
 let emit c e =
   c.obs.Gis_obs.Sink.emit e;
-  Gis_obs.Provenance.observe c.prov e;
-  Gis_obs.Sink.count e
+  Gis_obs.Provenance.observe c.prov e

@@ -93,8 +93,11 @@ type t = {
       (** motion provenance table. When set, the pipeline seeds every
           original instruction, the passes record motions/copies/spill
           code into it, and the final CFG is indexed on completion
-          ([gisc explain] renders it). [None] by default — recording is
-          a no-op and schedules are byte-identical (pinned test). *)
+          ([gisc explain] renders it); each global region report also
+          tallies which rank rule decided every contested pick
+          ([Global_sched.region_report.rule_decides]). [None] by
+          default — recording is a no-op and schedules are
+          byte-identical (pinned test). *)
   prof : Gis_obs.Prof.t option;
       (** self-profiler. When set, the pipeline records one tree per
           {!Pipeline.run} — a ["pipeline"] root with one child per
@@ -131,5 +134,6 @@ val pp : t Fmt.t
 
 val emit : t -> Gis_obs.Sink.sched_event -> unit
 (** The global scheduler's one decision channel: hands the event to
-    [obs], to the provenance fold {!Gis_obs.Provenance.observe} on
-    [prov], and to the [sched.*] counter fold {!Gis_obs.Sink.count}. *)
+    [obs] and to the provenance fold {!Gis_obs.Provenance.observe} on
+    [prov]. The [sched.*] counts are {!Gis_obs.Sink.count} over what
+    [obs] kept. *)

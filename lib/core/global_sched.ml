@@ -38,6 +38,8 @@ type region_report = {
   skip_reason : string option;
   moves : move list;
   blocked : blocked list;
+  attempted : bool;
+  rule_decides : int array;
 }
 
 let pp_region_report ppf r =
@@ -55,32 +57,39 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Every decision (a candidate, a motion with its duplication copies, a
    rename, a blocked motion, a skipped region) is written once, as one
    [Config.emit] event; provenance and the per-decision [sched.*]
-   counters are folds over that stream. The two region counters below
-   have no event behind them and are bumped where a region's outcome is
-   decided (no-ops until Gis_obs.Metrics.enable). *)
-let m_regions_scheduled = Gis_obs.Metrics.counter "sched.regions_scheduled_total"
-let m_regions_skipped = Gis_obs.Metrics.counter "sched.regions_skipped_total"
+   counts are folds over that stream. A region's outcome and, with
+   provenance, which Section 5.2 rank rule separated each contested
+   pick from its best runner-up ([rule_decides]: one slot per rule of
+   [Priority_rule.all], then the order fallback where every rule tied)
+   are in its report. Which rules do real work is the signal the
+   ROADMAP's rank-auto-tuning item will optimize against. *)
+let rule_slots = List.length Priority_rule.all + 1
 
-(* One counter per Section 5.2 rank rule, bumped with the rule that
-   actually separated the winner from the best runner-up whenever a
-   ready-queue pick had competition; the order fallback (every rule
-   tied) gets its own counter. Which rules do real work is the signal
-   the ROADMAP's rank-auto-tuning item will optimize against. *)
-let m_rule_decides =
-  List.map
+let tally_decision decides ~rules winner runner_up =
+  let slot =
+    match Priority.deciding_rule ~rules winner runner_up with
+    | Some r ->
+        Option.get (List.find_index (fun x -> x = r) Priority_rule.all)
+    | None -> rule_slots - 1
+  in
+  decides.(slot) <- decides.(slot) + 1
+
+let counts reports =
+  let count p = List.length (List.filter p reports) in
+  let decides = Array.make rule_slots 0 in
+  List.iter
     (fun r ->
-      ( r,
-        Gis_obs.Metrics.counter
-          ("priority.rule_decides_total." ^ Priority_rule.slug r) ))
-    Priority_rule.all
-
-let m_rule_order_fallback =
-  Gis_obs.Metrics.counter "priority.rule_decides_total.order-fallback"
-
-let tally_decision ~rules winner runner_up =
-  match Priority.deciding_rule ~rules winner runner_up with
-  | Some r -> Gis_obs.Metrics.incr (List.assoc r m_rule_decides)
-  | None -> Gis_obs.Metrics.incr m_rule_order_fallback
+      Array.iteri (fun i n -> decides.(i) <- decides.(i) + n) r.rule_decides)
+    reports;
+  Gis_obs.Counts.counters
+    ([
+       ("sched.regions_scheduled_total", count (fun r -> r.scheduled));
+       ( "sched.regions_skipped_total",
+         count (fun r -> r.attempted && not r.scheduled) );
+     ]
+    @ List.mapi
+        (fun i slug -> ("priority.rule_decides_total." ^ slug, decides.(i)))
+        (List.map Priority_rule.slug Priority_rule.all @ [ "order-fallback" ]))
 
 let blocked_reason = function
   | `Live_on_exit r -> Fmt.str "%a live on exit" Reg.pp r
@@ -143,6 +152,7 @@ type state = {
   df : dataflow;
   mutable moves : move list;
   mutable blocked_log : blocked list;
+  rule_decides : int array;  (** [||] unless the run keeps provenance *)
   pending_copies : (int, Instr.t list) Hashtbl.t;
       (** copies destined for blocks whose own pass has not run yet *)
   mutable processed : Ints.Int_set.t;  (** view nodes already scheduled *)
@@ -231,6 +241,10 @@ let make_state ?sym ~df machine config cfg regions view =
     df;
     moves = [];
     blocked_log = [];
+    rule_decides =
+      (match config.Config.prov with
+      | Some _ -> Array.make rule_slots 0
+      | None -> [||]);
     pending_copies = Hashtbl.create 4;
     processed = Ints.Int_set.empty;
   }
@@ -628,8 +642,9 @@ let schedule_block st a blk_id =
   let emitted, _ =
     List_sched.run ~fulfilled:(fun p -> st.done_.(p)) ~yields_to
       ?tally:
-        (if Gis_obs.Metrics.is_enabled () then Some (tally_decision ~rules)
-         else None)
+        (match st.config.Config.prov with
+        | Some _ -> Some (tally_decision st.rule_decides ~rules)
+        | None -> None)
       ~machine:st.machine ~rules ~item ~commit ~own ~imports:!imports
       ~term:term_node st.ddg
   in
@@ -654,8 +669,11 @@ let schedule_block st a blk_id =
   st.processed <- Ints.Int_set.add a st.processed;
   touch st [ blk_id ]
 
-(* A region left alone: the report and the stream both say why. *)
-let skip config (region : Regions.region) why =
+(* A region left alone: the report and the stream both say why.
+   [attempted] is false for a region outside the pass's scope (its
+   filter or the nesting limit), which [sched.regions_skipped_total]
+   does not count. *)
+let skip ~attempted config (region : Regions.region) why =
   Config.emit config
     (Gis_obs.Sink.Region_skipped { region_id = region.Regions.id; reason = why });
   {
@@ -665,13 +683,12 @@ let skip config (region : Regions.region) why =
     skip_reason = Some why;
     moves = [];
     blocked = [];
+    attempted;
+    rule_decides = [||];
   }
 
-let schedule_region ?sym ~df machine config cfg regions region =
-  let skipped why =
-    Gis_obs.Metrics.incr m_regions_skipped;
-    skip config region why
-  in
+let schedule_region ?sym ?alias ~df machine config cfg regions region =
+  let skipped = skip ~attempted:true config region in
   if config.Config.level = Config.Local then
     skipped "local-only configuration"
   else
@@ -682,6 +699,7 @@ let schedule_region ?sym ~df machine config cfg regions region =
         | exception Invalid_argument why -> skipped why
         | view ->
             let st = make_state ?sym ~df machine config cfg regions view in
+            (match alias with Some t -> Ddg.add_tally t st.ddg | None -> ());
             let topo = Flow.reverse_postorder view.Regions.flow in
             List.iter
               (fun v ->
@@ -693,7 +711,6 @@ let schedule_region ?sym ~df machine config cfg regions region =
                   (fun i h -> if h = v then st.done_.(i) <- true)
                   st.home)
               topo;
-            Gis_obs.Metrics.incr m_regions_scheduled;
             Log.debug (fun m ->
                 m "region %d: %d moves" region.Regions.id (List.length st.moves));
             {
@@ -703,6 +720,8 @@ let schedule_region ?sym ~df machine config cfg regions region =
               skip_reason = None;
               moves = List.rev st.moves;
               blocked = List.rev st.blocked_log;
+              attempted = true;
+              rule_decides = st.rule_decides;
             })
 
 (* Regions are eligible when within [max_nesting_levels] of the
@@ -739,7 +758,7 @@ let is_inner_region (region : Regions.region) =
   | Some l -> l.Gis_analysis.Loops.children = []
   | None -> false
 
-let schedule ?(only = fun _ -> true) ?regions machine config cfg =
+let schedule ?(only = fun _ -> true) ?regions ?alias machine config cfg =
   let regions =
     match regions with Some r -> r | None -> Regions.compute cfg
   in
@@ -755,9 +774,10 @@ let schedule ?(only = fun _ -> true) ?regions machine config cfg =
   let df = new_dataflow cfg in
   List.map
     (fun region ->
-      if not (only region) then skip config region "filtered out for this pass"
+      if not (only region) then
+        skip ~attempted:false config region "filtered out for this pass"
       else if inner_level region > config.Config.max_nesting_levels then
-        skip config region
+        skip ~attempted:false config region
           (Fmt.str "nesting: inner level %d exceeds limit %d"
              (inner_level region)
              config.Config.max_nesting_levels)
@@ -767,10 +787,12 @@ let schedule ?(only = fun _ -> true) ?regions machine config cfg =
            only built when a profiler is attached, so the detached path
            stays allocation-identical. *)
         match config.Config.prof with
-        | None -> schedule_region ?sym ~df machine config cfg regions region
+        | None ->
+            schedule_region ?sym ?alias ~df machine config cfg regions region
         | Some _ as prof ->
             Gis_obs.Prof.record prof
               (Fmt.str "region-%d" region.Regions.id)
               (fun () ->
-                schedule_region ?sym ~df machine config cfg regions region))
+                schedule_region ?sym ?alias ~df machine config cfg regions
+                  region))
     (Regions.regions regions)

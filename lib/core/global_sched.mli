@@ -46,6 +46,14 @@ type region_report = {
   moves : move list;
   blocked : blocked list;
       (** candidate motions rejected by the speculation safety rule *)
+  attempted : bool;
+      (** false for a region the pass left out unseen: outside its
+          [only] filter or past the nesting limit *)
+  rule_decides : int array;
+      (** when the run keeps provenance ([Config.prov]), how many
+          contested ready-list picks each rule of {!Priority_rule.all}
+          decided, in that order, then the picks every rule tied on;
+          [[||]] otherwise, and no pick is tallied *)
 }
 
 val pp_region_report : region_report Fmt.t
@@ -53,6 +61,7 @@ val pp_region_report : region_report Fmt.t
 val schedule :
   ?only:(Gis_analysis.Regions.region -> bool) ->
   ?regions:Gis_analysis.Regions.t ->
+  ?alias:Gis_ddg.Ddg.tally ->
   Gis_machine.Machine.t ->
   Config.t ->
   Gis_ir.Cfg.t ->
@@ -65,8 +74,15 @@ val schedule :
     (interblock motion preserves the shape, so {!Pipeline} shares one
     analysis between its two global passes unless rotation changed the
     graph in between). With [config.level = Local] no region is
-    scheduled (reports only). Does not run the local post-pass — see
-    {!Pipeline}. *)
+    scheduled (reports only). Each region's dependence graph adds its
+    disambiguation counts to [alias]. Does not run the local post-pass
+    — see {!Pipeline}. *)
+
+val counts : region_report list -> Gis_obs.Counts.t
+(** [sched.regions_scheduled_total], [sched.regions_skipped_total]
+    (attempted regions left unscheduled) and one
+    [priority.rule_decides_total.<slug>] per rule, plus
+    [.order-fallback], summed over the reports. *)
 
 val is_inner_region : Gis_analysis.Regions.region -> bool
 (** A region that is a loop containing no other loop — the paper's

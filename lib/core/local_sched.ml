@@ -2,9 +2,10 @@ open Gis_util
 open Gis_ir
 open Gis_ddg
 
-let schedule_block ?(rules = Priority_rule.paper_order) ?prov ?sym machine
-    (b : Block.t) =
+let schedule_block ?(rules = Priority_rule.paper_order) ?prov ?sym ?alias
+    machine (b : Block.t) =
   let ddg = Ddg.build_single_block ?sym machine b in
+  (match alias with Some t -> Ddg.add_tally t ddg | None -> ());
   let heur = Heuristics.compute ddg in
   let n = Ddg.num_nodes ddg in
   let item i =
@@ -43,7 +44,7 @@ let schedule_block ?(rules = Priority_rule.paper_order) ?prov ?sym machine
   issue.(n - 1) + 1
 
 let schedule_cfg ?(rules = Priority_rule.paper_order) ?(obs = Gis_obs.Sink.null)
-    ?prov ?(disambig = true) machine cfg =
+    ?prov ?(disambig = true) ?alias machine cfg =
   (* One whole-procedure address analysis serves every block: the facts
      are per-access and reordering within a block cannot change them. *)
   let sym =
@@ -51,7 +52,7 @@ let schedule_cfg ?(rules = Priority_rule.paper_order) ?(obs = Gis_obs.Sink.null)
   in
   Cfg.iter_blocks
     (fun b ->
-      let cycles = schedule_block ~rules ?prov ?sym machine b in
+      let cycles = schedule_block ~rules ?prov ?sym ?alias machine b in
       obs.Gis_obs.Sink.emit
         (Gis_obs.Sink.Block_scheduled { block = b.Block.label; cycles }))
     cfg

@@ -14,6 +14,7 @@ val schedule_block :
   ?rules:Priority_rule.t list ->
   ?prov:Gis_obs.Provenance.t ->
   ?sym:Gis_analysis.Symaddr.t ->
+  ?alias:Gis_ddg.Ddg.tally ->
   Gis_machine.Machine.t ->
   Gis_ir.Block.t ->
   int
@@ -22,13 +23,15 @@ val schedule_block :
     terminator plus one. With [prov], records the decision-time ranks
     of instructions whose provenance has no scores yet. [sym] prunes
     provably false Mem edges from the block's DDG
-    ({!Gis_ddg.Ddg.build_single_block}). *)
+    ({!Gis_ddg.Ddg.build_single_block}), which adds its disambiguation
+    counts to [alias]. *)
 
 val schedule_cfg :
   ?rules:Priority_rule.t list ->
   ?obs:Gis_obs.Sink.t ->
   ?prov:Gis_obs.Provenance.t ->
   ?disambig:bool ->
+  ?alias:Gis_ddg.Ddg.tally ->
   Gis_machine.Machine.t ->
   Gis_ir.Cfg.t ->
   unit

@@ -6,6 +6,7 @@ type stats = {
   pass1 : Global_sched.region_report list;
   pass2 : Global_sched.region_report list;
   regalloc : Gis_regalloc.Regalloc.t option;
+  alias : Gis_ddg.Ddg.tally;
 }
 
 let moves stats =
@@ -82,6 +83,7 @@ let run_phases machine (config : Config.t) cfg =
         regions_cache := Some r;
         r
   in
+  let alias = Gis_ddg.Ddg.new_tally () in
   let small = config.Config.small_loop_blocks in
   let unrolled =
     stage "unroll" ~runs:(global && config.Config.unroll_small_loops)
@@ -91,7 +93,7 @@ let run_phases machine (config : Config.t) cfg =
   let pass1 =
     stage "global-pass1" ~runs:global ~skipped:[] (fun () ->
         Global_sched.schedule ~only:Global_sched.is_inner_region
-          ~regions:(regions ()) machine config cfg)
+          ~regions:(regions ()) ~alias machine config cfg)
   in
   let rotated =
     stage "rotate" ~runs:(global && config.Config.rotate_small_loops)
@@ -103,11 +105,12 @@ let run_phases machine (config : Config.t) cfg =
     stage "global-pass2" ~runs:global ~skipped:[] (fun () ->
         Global_sched.schedule
           ~only:(fun r -> rotated > 0 || not (Global_sched.is_inner_region r))
-          ~regions:(regions ()) machine config cfg)
+          ~regions:(regions ()) ~alias machine config cfg)
   in
   stage "local" ~runs:config.Config.local_post_pass ~skipped:() (fun () ->
       Local_sched.schedule_cfg ~rules:config.Config.rules
         ~obs:config.Config.obs ?prov ~disambig:config.Config.disambiguate
+        ~alias
         (Option.value ~default:machine config.Config.local_machine)
         cfg);
   let regalloc =
@@ -126,7 +129,7 @@ let run_phases machine (config : Config.t) cfg =
   in
   ignore (Cfg.reachable cfg);
   Gis_obs.Provenance.finalize prov cfg;
-  { unrolled; rotated; pass1; pass2; regalloc }
+  { unrolled; rotated; pass1; pass2; regalloc; alias }
 
 let run machine (config : Config.t) cfg =
   Gis_obs.Prof.record config.Config.prof "pipeline" (fun () ->

@@ -22,6 +22,10 @@ type stats = {
           [Gis_regalloc.Regalloc.Infeasible] — a register file too
           small to spill into is a task failure, not a silent
           fallback. *)
+  alias : Gis_ddg.Ddg.tally;
+      (** memory-disambiguation counts summed over every dependence
+          graph the run built (both global passes and the local
+          pass) *)
 }
 
 val phase_names : string list

@@ -34,34 +34,56 @@ type t = {
   of_uid : (int, int) Hashtbl.t;
   by_view_node : int list array;
   mem_access : Alias.access option array;
-  mem_kept : int;
-  mem_pruned : int;
+  tally : int array;  (** this build's disambiguation counts *)
 }
 
-let mem_kept t = t.mem_kept
-let mem_pruned t = t.mem_pruned
+(* Memory-disambiguation counts, one slot each, under their report
+   keys: every conflict query, the Mem edges the refinements pruned
+   (within and across blocks), and the Mem edges kept, by why the
+   refinement fell back. Each build counts its own; a run sums its
+   builds. *)
+let tally_keys =
+  [
+    "alias.queries_total";
+    "alias.mem_edges_pruned_total.intra";
+    "alias.mem_edges_pruned_total.inter";
+    "alias.fallback_total.top";
+    "alias.fallback_total.origin-mismatch";
+    "alias.fallback_total.overlap";
+    "alias.fallback_total.call";
+    "alias.fallback_total.disabled";
+  ]
 
-(* Process-wide disambiguation telemetry (no-ops until
-   [Gis_obs.Metrics.enable]): every conflict query, every Mem edge the
-   refinements pruned versus kept, and why conservative queries fell
-   back. *)
-let m_queries = Gis_obs.Metrics.counter "alias.queries_total"
-let m_kept = Gis_obs.Metrics.counter "alias.mem_edges_kept_total"
+let queries = 0
+let pruned_intra = 1
+let pruned_inter = 2
+let fb_top = 3
+let fb_origin = 4
+let fb_overlap = 5
+let fb_call = 6
+let fb_off = 7
 
-let m_pruned_intra =
-  Gis_obs.Metrics.counter "alias.mem_edges_pruned_total.intra"
+type tally = int array
 
-let m_pruned_inter =
-  Gis_obs.Metrics.counter "alias.mem_edges_pruned_total.inter"
+let new_tally () = Array.make (List.length tally_keys) 0
 
-let m_fb_top = Gis_obs.Metrics.counter "alias.fallback_total.top"
+let add_tally acc t =
+  for i = 0 to Array.length acc - 1 do
+    acc.(i) <- acc.(i) + t.tally.(i)
+  done
 
-let m_fb_origin =
-  Gis_obs.Metrics.counter "alias.fallback_total.origin-mismatch"
+let tally_pruned c = c.(pruned_intra) + c.(pruned_inter)
 
-let m_fb_overlap = Gis_obs.Metrics.counter "alias.fallback_total.overlap"
-let m_fb_call = Gis_obs.Metrics.counter "alias.fallback_total.call"
-let m_fb_off = Gis_obs.Metrics.counter "alias.fallback_total.disabled"
+let tally_kept c =
+  c.(fb_top) + c.(fb_origin) + c.(fb_overlap) + c.(fb_call) + c.(fb_off)
+
+let tally_counts c =
+  Gis_obs.Counts.counters
+    (("alias.mem_edges_kept_total", tally_kept c)
+    :: List.mapi (fun i k -> (k, c.(i))) tally_keys)
+
+let mem_kept t = tally_kept t.tally
+let mem_pruned t = tally_pruned t.tally
 
 let num_nodes t = Array.length t.nodes
 let exec_time t i = t.exec.(i)
@@ -97,28 +119,27 @@ let interblock_mem_conflict ~base_sites (a_idx, a) (b_idx, b) =
    edge. [conservative] is the verdict of the version/family (intra) or
    reaching-definition (inter) rule; when it says "ordered" and both
    sides are plain references, the symbolic-address pass gets the last
-   word. Every decision is tallied — process-wide in the alias.*
-   metrics, per-graph in [kept]/[pruned] (surfaced by `gisc explain`).
+   word. Every decision is tallied in the graph's [tally], in the slot
+   [pruned_slot] when pruned and in its fallback reason's when kept.
    Accesses of different memory families are disjoint outright; they
    count as pruned when the family-blind baseline rule would have kept
    an edge. *)
-let decide_mem ~sym ~pruned_metric ~kept ~pruned ~ua ~ub a b conservative =
-  Gis_obs.Metrics.incr m_queries;
+let bump tally slot = tally.(slot) <- tally.(slot) + 1
+
+let decide_mem ~sym ~tally ~pruned_slot ~ua ~ub a b conservative =
+  bump tally queries;
   let prune () =
-    incr pruned;
-    Gis_obs.Metrics.incr pruned_metric;
+    bump tally pruned_slot;
     false
   in
   let keep reason =
-    Gis_obs.Metrics.incr reason;
-    incr kept;
-    Gis_obs.Metrics.incr m_kept;
+    bump tally reason;
     true
   in
   match a, b with
   | Alias.Load_ref _, Alias.Load_ref _ -> false
   | Alias.Call_ref, _ | _, Alias.Call_ref ->
-      if conservative then keep m_fb_call else false
+      if conservative then keep fb_call else false
   | ( (Alias.Load_ref x | Alias.Store_ref x),
       (Alias.Load_ref y | Alias.Store_ref y) ) -> (
       if x.Alias.family <> y.Alias.family then
@@ -126,21 +147,21 @@ let decide_mem ~sym ~pruned_metric ~kept ~pruned ~ua ~ub a b conservative =
       else if not conservative then false
       else
         match sym with
-        | None -> keep m_fb_off
+        | None -> keep fb_off
         | Some sym -> (
             match Symaddr.delta sym ~a:ua ~b:ub with
             | Some d ->
                 let shifted = { y with Alias.offset = y.Alias.offset + d } in
                 if Alias.ranges_disjoint x shifted then prune ()
-                else keep m_fb_overlap
+                else keep fb_overlap
             | None ->
                 keep
                   (match
                      ( Symaddr.base_value sym ua,
                        Symaddr.base_value sym ub )
                    with
-                  | Symaddr.Top, _ | _, Symaddr.Top -> m_fb_top
-                  | (Symaddr.Const _ | Symaddr.Sym _), _ -> m_fb_origin)))
+                  | Symaddr.Top, _ | _, Symaddr.Top -> fb_top
+                  | (Symaddr.Const _ | Symaddr.Sym _), _ -> fb_origin)))
 
 (* One ordered scan over the nodes of a single block, adding flow, anti,
    output and memory edges. Shared by the region builder and the
@@ -192,8 +213,7 @@ let intra_block_scan ~(nodes : node array) ~mem_access ~flow_delay ~mem_delay
         nd.uses)
     node_idxs
 
-let finalize ~nodes ~mem_access ~exec ~by_view_node ~mem_kept ~mem_pruned
-    edges =
+let finalize ~nodes ~mem_access ~exec ~by_view_node ~tally edges =
   let n = Array.length nodes in
   let succs = Array.make n [] and preds = Array.make n [] in
   Hashtbl.iter
@@ -203,16 +223,15 @@ let finalize ~nodes ~mem_access ~exec ~by_view_node ~mem_kept ~mem_pruned
     edges;
   let of_uid = Hashtbl.create (max 1 n) in
   Array.iter (fun nd -> Hashtbl.replace of_uid nd.uid nd.idx) nodes;
-  { nodes; succs; preds; exec; of_uid; by_view_node; mem_access; mem_kept;
-    mem_pruned }
+  { nodes; succs; preds; exec; of_uid; by_view_node; mem_access; tally }
 
 (* The intra-block memory-conflict test both builders hand to the scan:
    version/family rule first, symbolic refinement second. *)
 let intra_mem_conflict ~sym ~(nodes : node array)
-    ~(mem_access : Alias.access option array) ~kept ~pruned m j =
+    ~(mem_access : Alias.access option array) ~tally m j =
   match mem_access.(m), mem_access.(j) with
   | Some a, Some b ->
-      decide_mem ~sym ~pruned_metric:m_pruned_intra ~kept ~pruned
+      decide_mem ~sym ~tally ~pruned_slot:pruned_intra
         ~ua:nodes.(m).uid ~ub:nodes.(j).uid a b (Alias.conflict a b)
   | None, _ | _, None -> false
 
@@ -299,14 +318,14 @@ let build_single_block ?sym machine (blk : Block.t) =
   let nodes = Vec.to_array tbl.t_nodes in
   let mem_access = Vec.to_array tbl.t_mem in
   let edges, add_edge = make_edge_table () in
-  let kept = ref 0 and pruned = ref 0 in
+  let tally = new_tally () in
   intra_block_scan ~nodes ~mem_access
     ~flow_delay:(flow_delay_fn machine nodes)
     ~mem_delay:(mem_delay_fn machine nodes)
-    ~mem_conflict:(intra_mem_conflict ~sym ~nodes ~mem_access ~kept ~pruned)
+    ~mem_conflict:(intra_mem_conflict ~sym ~nodes ~mem_access ~tally)
     ~add_edge idxs;
   finalize ~nodes ~mem_access ~exec:(Vec.to_array tbl.t_exec)
-    ~by_view_node:[| idxs |] ~mem_kept:!kept ~mem_pruned:!pruned edges
+    ~by_view_node:[| idxs |] ~tally edges
 
 let build ?sym cfg machine regions (view : Regions.view) =
   let loops_blocks c = Regions.summary_blocks regions ~loop_index:c in
@@ -346,11 +365,11 @@ let build ?sym cfg machine regions (view : Regions.view) =
   let edges, add_edge = make_edge_table () in
   let flow_delay = flow_delay_fn machine nodes in
   let mem_delay = mem_delay_fn machine nodes in
-  let kept = ref 0 and pruned = ref 0 in
+  let tally = new_tally () in
   (* Intra-block dependences: one ordered scan per view node. *)
   Array.iter
     (intra_block_scan ~nodes ~mem_access ~flow_delay ~mem_delay
-       ~mem_conflict:(intra_mem_conflict ~sym ~nodes ~mem_access ~kept ~pruned)
+       ~mem_conflict:(intra_mem_conflict ~sym ~nodes ~mem_access ~tally)
        ~add_edge)
     by_view_node;
   (* Inter-block dependences over reachable view-node pairs. Reaching
@@ -399,8 +418,8 @@ let build ?sym cfg machine regions (view : Regions.view) =
                 match mem_access.(a), mem_access.(b) with
                 | Some x, Some y ->
                     if
-                      decide_mem ~sym ~pruned_metric:m_pruned_inter ~kept
-                        ~pruned ~ua:na.uid ~ub:nb.uid x y
+                      decide_mem ~sym ~tally ~pruned_slot:pruned_inter
+                        ~ua:na.uid ~ub:nb.uid x y
                         (interblock_mem_conflict ~base_sites (a, x) (b, y))
                     then add_edge a b Mem None (mem_delay a b)
                 | None, _ | _, None -> ())
@@ -408,8 +427,7 @@ let build ?sym cfg machine regions (view : Regions.view) =
           by_view_node.(va)
     done
   done;
-  finalize ~nodes ~mem_access ~exec ~by_view_node ~mem_kept:!kept
-    ~mem_pruned:!pruned edges
+  finalize ~nodes ~mem_access ~exec ~by_view_node ~tally edges
 
 let prune_transitive t =
   let implied e =

@@ -65,6 +65,29 @@ val mem_pruned : t -> int
 (** Conflicting access pairs whose Mem edge the family or
     symbolic-address refinement proved unnecessary. *)
 
+type tally
+(** A running sum of builds' memory-disambiguation counts. Each run
+    keeps its own and adds every graph it builds. *)
+
+val new_tally : unit -> tally
+val add_tally : tally -> t -> unit
+
+val tally_kept : tally -> int
+(** {!mem_kept}, summed. *)
+
+val tally_pruned : tally -> int
+(** {!mem_pruned}, summed. *)
+
+val tally_counts : tally -> Gis_obs.Counts.t
+(** The sums under their report keys: [alias.queries_total] (every
+    conflict query between two memory accesses),
+    [alias.mem_edges_kept_total], [alias.mem_edges_pruned_total.intra]
+    and [.inter] (within a block and across blocks), and one
+    [alias.fallback_total.<reason>] per kept edge, where the reason is
+    [top] (an address the symbolic analysis cannot follow),
+    [origin-mismatch], [overlap], [call] or [disabled] (no symbolic
+    analysis). *)
+
 val num_nodes : t -> int
 
 (** [exec_time t i] is the machine execution time of node [i]'s

@@ -48,6 +48,7 @@ type summary = {
   sched_cycles : int;
   observables : string;
   code : string;
+  counts : Counts.t;
 }
 
 type error =
@@ -68,6 +69,7 @@ type task_result = {
   task : string;
   outcome : (summary, error) result;
   seconds : float;
+  queued : float option;
   worker : int;
   flight : string list;
 }
@@ -96,6 +98,70 @@ let failures r =
     r.results
 
 (* ------------------------------------------------------------------ *)
+(* Counts: every one a fold over values its run returned.             *)
+(* ------------------------------------------------------------------ *)
+
+(* The pool's own counts. The histograms observe microseconds: with
+   seconds everything sub-second lands in bucket 0. *)
+let pool_counts results =
+  let ran = List.filter (fun t -> t.queued <> None) results in
+  [
+    ("driver.tasks_total", Counts.Counter (List.length results));
+    ( "driver.tasks_failed_total",
+      Counts.Counter
+        (List.length (List.filter (fun t -> Result.is_error t.outcome) results))
+    );
+    ( "driver.queue_wait_us",
+      Counts.Histogram
+        (List.map (fun t -> Option.get t.queued *. 1e6) ran) );
+    ( "driver.task_run_us",
+      Counts.Histogram (List.map (fun t -> t.seconds *. 1e6) ran) );
+  ]
+
+let run_counts ?sim ?bounds ~events (stats : Pipeline.stats) =
+  let alloc f =
+    match stats.Pipeline.regalloc with Some a -> f a | None -> 0
+  in
+  let simulated f = match sim with Some o -> f o | None -> 0 in
+  let bound f =
+    Counts.Gauge
+      (match bounds with
+      | Some b -> float_of_int (f b)
+      | None -> 0.0)
+  in
+  let open Gis_regalloc.Regalloc in
+  let open Gis_bounds.Bounds in
+  Sink.count events
+  @ Global_sched.counts (stats.Pipeline.pass1 @ stats.Pipeline.pass2)
+  @ Gis_ddg.Ddg.tally_counts stats.Pipeline.alias
+  @ Counts.counters
+      [
+        ("regalloc.allocations_total", alloc (fun _ -> 1));
+        ( "regalloc.spill_instrs_total",
+          alloc (fun a -> a.spill_loads + a.spill_stores + a.cr_spill_moves) );
+        ("regalloc.cr_spill_moves_total", alloc (fun a -> a.cr_spill_moves));
+        ("regalloc.spilled_regs_total", alloc (fun a -> List.length a.spilled));
+        ("sim.runs_total", simulated (fun _ -> 1));
+        ( "sim.instructions_total",
+          simulated (fun o -> o.Simulator.instructions) );
+      ]
+  @ [
+      ( "sim.issue_span_cycles",
+        Counts.Histogram
+          (match sim with
+          | Some o ->
+              [ float_of_int o.Simulator.telemetry.Trace.last_issue ]
+          | None -> []) );
+      ("bound.achieved_cycles", bound (fun b -> b.achieved));
+      ("bound.cp_lower_cycles", bound (fun b -> b.cp_lb));
+      ("bound.res_lower_cycles", bound (fun b -> b.res_lb));
+      ("bound.lower_cycles", bound (fun b -> b.lower_bound));
+      ("bound.gap_cycles", bound (fun b -> b.gap));
+      ("bound.regions", bound (fun b -> List.length b.regions));
+    ]
+  @ pool_counts []
+
+(* ------------------------------------------------------------------ *)
 (* One task, start to finish.                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -122,14 +188,6 @@ let default_input compiled ~elements ~seed =
   }
 
 exception Observable_mismatch of string
-
-(* Process-wide metrics (no-ops until Gis_obs.Metrics.enable). The
-   log2 histograms observe microseconds — with seconds everything
-   sub-second lands in bucket 0 and the distribution is invisible. *)
-let m_tasks = Metrics.counter "driver.tasks_total"
-let m_failed = Metrics.counter "driver.tasks_failed_total"
-let m_queue_wait_us = Metrics.histogram "driver.queue_wait_us"
-let m_run_us = Metrics.histogram "driver.task_run_us"
 
 let compile_task task =
   match task.source with
@@ -165,7 +223,11 @@ let run_task machine config ~simulate ~elements ~seed task =
          scheduler event lands in the ring too, memory sink first so
          the events count is unaffected. *)
       let config =
-        { config with Config.obs = Sink.tee sink (Flight.sink ()) }
+        {
+          config with
+          Config.obs = Sink.tee sink (Flight.sink ());
+          prov = Option.map (fun _ -> Provenance.create ()) config.Config.prov;
+        }
       in
       match
         let baseline = Cfg.deep_copy compiled.Codegen.cfg in
@@ -174,8 +236,9 @@ let run_task machine config ~simulate ~elements ~seed task =
         let stats = Pipeline.run machine config cfg in
         Validate.check_exn cfg;
         let moves = Pipeline.moves stats in
-        let base_cycles, sched_cycles, observables =
-          if not simulate then (-1, -1, "")
+        let events = sink_events () in
+        let base_cycles, sched_cycles, observables, sim =
+          if not simulate then (-1, -1, "", None)
           else begin
             Flight.notef "task %s: scheduled, simulating" task.name;
             let input =
@@ -200,7 +263,7 @@ let run_task machine config ~simulate ~elements ~seed task =
               raise
                 (Observable_mismatch
                    (Fmt.str "base:@,%s@,scheduled:@,%s" base_obs sched_obs));
-            (ob.Simulator.cycles, os.Simulator.cycles, sched_obs)
+            (ob.Simulator.cycles, os.Simulator.cycles, sched_obs, Some os)
           end
         in
         let spilled_regs, spill_instrs, spill_slots, max_pressure =
@@ -232,7 +295,7 @@ let run_task machine config ~simulate ~elements ~seed task =
               (List.filter
                  (fun (m : Global_sched.move) -> m.Global_sched.renamed <> None)
                  moves);
-          events = List.length (sink_events ());
+          events = List.length events;
           spilled_regs;
           spill_instrs;
           spill_slots;
@@ -241,6 +304,7 @@ let run_task machine config ~simulate ~elements ~seed task =
           sched_cycles;
           observables;
           code = Fmt.str "%a" Cfg.pp cfg;
+          counts = run_counts ?sim ~events stats;
         }
       with
       | summary -> Ok summary
@@ -289,21 +353,17 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
                  out without running it at all, instead of letting
                  everything still queued run to completion. The payload
                  is the batch time elapsed when it was skipped. *)
-              Metrics.incr m_tasks;
-              Metrics.incr m_failed;
               results.(i) <-
                 Some
                   {
                     task = task.name;
                     outcome = Error (Timed_out elapsed);
                     seconds = 0.0;
+                    queued = None;
                     worker = wid;
                     flight = [];
                   }
           | Some _ | None ->
-              (* How long the task sat queued before a worker picked it
-                 up — every task was enqueued at batch start. *)
-              Metrics.observe m_queue_wait_us (elapsed *. 1e6);
               let t0 = Prof.now_ns () in
               let outcome =
                 try run_task machine config ~simulate ~elements ~seed task
@@ -318,9 +378,6 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
                 | Some budget when seconds > budget -> Error (Timed_out seconds)
                 | Some _ | None -> outcome
               in
-              Metrics.incr m_tasks;
-              if Result.is_error outcome then Metrics.incr m_failed;
-              Metrics.observe m_run_us (seconds *. 1e6);
               busy.(wid) <- busy.(wid) +. seconds;
               ran.(wid) <- ran.(wid) + 1;
               (* The ring is domain-local and run_task ran right here,
@@ -330,7 +387,16 @@ let run ?(jobs = 1) ?timeout ?(simulate = true) ?(elements = 128) ?(seed = 3)
                 else []
               in
               results.(i) <-
-                Some { task = task.name; outcome; seconds; worker = wid; flight });
+                Some
+                  {
+                    task = task.name;
+                    outcome;
+                    seconds;
+                    (* every task was enqueued at batch start *)
+                    queued = Some elapsed;
+                    worker = wid;
+                    flight;
+                  });
           loop ()
     in
     loop ()
@@ -471,14 +537,22 @@ let pp_table ppf r =
     p.jobs p.tasks p.failed p.wall_seconds
     (100.0 *. utilization p)
     p.queue_high_water;
-  (* With metrics on, the per-task latency distributions (µs, so log2
-     buckets actually discriminate between sub-second tasks). *)
-  if Metrics.is_enabled () then begin
-    let line name h =
-      let v = Metrics.histogram_stats h in
-      if v.Metrics.count > 0 then
-        Fmt.pf ppf "  %s: %a@." name Metrics.pp_histogram_view v
-    in
-    line "queue wait (us)" m_queue_wait_us;
-    line "task run (us)" m_run_us
-  end
+  (* The per-task latency distributions (µs, so log2 buckets actually
+     discriminate between sub-second tasks). *)
+  let pool = pool_counts r.results in
+  List.iter
+    (fun (label, key) ->
+      match List.assoc key pool with
+      | Counts.Histogram (_ :: _ as obs) ->
+          Fmt.pf ppf "  %s: %a@." label Counts.pp_histogram obs
+      | _ -> ())
+    [
+      ("queue wait (us)", "driver.queue_wait_us");
+      ("task run (us)", "driver.task_run_us");
+    ]
+
+let batch_counts r =
+  List.fold_left
+    (fun acc t ->
+      match t.outcome with Ok s -> Counts.add acc s.counts | Error _ -> acc)
+    (pool_counts r.results) r.results

@@ -28,7 +28,13 @@
       which are finite.
     - {b Telemetry}: per-task wall-clock seconds, per-worker busy time and
       task counts, queue high-water mark, and pool utilization, all
-      reportable as JSON via {!report_to_json}. *)
+      reportable as JSON via {!report_to_json}.
+    - {b Counts that belong to their task}: every count a task reports
+      ({!summary.counts}: scheduler decisions, regions, disambiguation,
+      rule tallies, allocation, simulation) is a fold over values that
+      task's own run returned, so it is the same at any [~jobs] and
+      the same as the task compiled alone. {!batch_counts} adds them
+      up with the pool's own; no count lives in process-wide state. *)
 
 type source =
   | Tiny_c of string  (** Tiny-C source text *)
@@ -72,6 +78,8 @@ type summary = {
   sched_cycles : int;  (** -1 when simulation was disabled *)
   observables : string;  (** canonical observable trace, "" unsimulated *)
   code : string;  (** the scheduled procedure, printed *)
+  counts : Gis_obs.Counts.t;
+      (** {!run_counts} of the scheduled run and its simulation *)
 }
 
 type error =
@@ -110,6 +118,9 @@ type task_result = {
   task : string;
   outcome : (summary, error) result;
   seconds : float;  (** wall-clock time inside the task *)
+  queued : float option;
+      (** seconds from batch start until a worker took the task; [None]
+          when the batch budget was spent before it could run *)
   worker : int;  (** pool worker (0-based) that ran the task *)
   flight : string list;
       (** on [Error] outcomes, the worker's {!Gis_obs.Flight} ring at
@@ -154,7 +165,9 @@ val run :
     (defaults 128/3) parameterize the default simulation input exactly
     as [gisc] does. [config.obs] is replaced by a private per-task sink
     — a shared sink would race across domains; use the [events] count
-    in each summary instead. *)
+    in each summary instead. Likewise, when [config.prov] is set, each
+    task records into a fresh table of its own (which also turns on
+    the rule tallies of its counts). *)
 
 val report_to_json : ?deterministic:bool -> report -> Gis_obs.Json.t
 (** With [deterministic] (default false) every field that depends on
@@ -164,6 +177,24 @@ val report_to_json : ?deterministic:bool -> report -> Gis_obs.Json.t
     and job counts. *)
 
 val pp_table : report Fmt.t
-(** Human-readable batch table: one row per task plus a pool summary.
-    When {!Gis_obs.Metrics} collection is enabled, also prints the
-    pool's queue-wait and task-run-time log2 histograms (µs). *)
+(** Human-readable batch table: one row per task plus a pool summary
+    and the pool's queue-wait and task-run-time log2 histograms (µs). *)
+
+val run_counts :
+  ?sim:Gis_sim.Simulator.outcome ->
+  ?bounds:Gis_bounds.Bounds.t ->
+  events:Gis_obs.Sink.sched_event list ->
+  Gis_core.Pipeline.stats ->
+  Gis_obs.Counts.t
+(** Every count of one scheduled run, under its report key, from the
+    values the run returned: [sched.*] from its decision [events]
+    ({!Gis_obs.Sink.count}) and region reports, [priority.*] from the
+    region reports (zero unless the run kept provenance), [alias.*]
+    from its dependence graphs' tally, [regalloc.*] from the
+    allocation, [sim.*] from the scheduled simulation [sim], and
+    [bound.*] from [bounds]. The [driver.*] counts are zero: one run is
+    no batch. *)
+
+val batch_counts : report -> Gis_obs.Counts.t
+(** [driver.*] from the report (tasks, failures, queue-wait and run
+    time), plus the successful tasks' {!summary.counts}, added up. *)

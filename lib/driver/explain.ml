@@ -57,22 +57,7 @@ let explain ?(elements = 128) ?(seed = 3) ?(trace = false) machine
         let baseline = Cfg.deep_copy compiled.Gis_frontend.Codegen.cfg in
         ignore (Pipeline.run machine Config.base baseline);
         let cfg = Cfg.deep_copy compiled.Gis_frontend.Codegen.cfg in
-        (* Pruned-vs-kept Mem tallies for the scheduled pipeline only,
-           read as [alias.*] counter deltas (the baseline run above is
-           outside the window). Metrics stay enabled only if they
-           already were. *)
-        let was_enabled = Metrics.is_enabled () in
-        if not was_enabled then Metrics.enable ();
-        let alias_counts () =
-          let v name = Option.value ~default:0 (Metrics.find_counter name) in
-          ( v "alias.mem_edges_kept_total",
-            v "alias.mem_edges_pruned_total.intra"
-            + v "alias.mem_edges_pruned_total.inter" )
-        in
-        let kept0, pruned0 = alias_counts () in
         let stats = Pipeline.run machine config cfg in
-        let kept1, pruned1 = alias_counts () in
-        if not was_enabled then Metrics.disable ();
         let input =
           match task.Driver.source with
           | Driver.Generated gseed ->
@@ -107,8 +92,8 @@ let explain ?(elements = 128) ?(seed = 3) ?(trace = false) machine
           base_telemetry = ob.Simulator.telemetry;
           sched_telemetry = os.Simulator.telemetry;
           bounds;
-          mem_edges_kept = kept1 - kept0;
-          mem_edges_pruned = pruned1 - pruned0;
+          mem_edges_kept = Gis_ddg.Ddg.tally_kept stats.Pipeline.alias;
+          mem_edges_pruned = Gis_ddg.Ddg.tally_pruned stats.Pipeline.alias;
         }
       with
       | e -> Ok e

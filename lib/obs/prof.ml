@@ -205,18 +205,3 @@ let pp ppf n =
     List.iter (row (depth + 1)) m.children
   in
   row 0 n
-
-(* Totals as registry gauges: the root and each of its direct children
-   (the pipeline phases) become [prof.<name>_seconds] /
-   [prof.<name>_alloc_bytes], which the deterministic dump scrubs like
-   every other [_seconds]/[_bytes] metric. *)
-let export_metrics n =
-  let export m =
-    Metrics.set (Metrics.gauge ("prof." ^ m.name ^ "_seconds"))
-      (seconds_of_ns m.wall_ns);
-    Metrics.set
-      (Metrics.gauge ("prof." ^ m.name ^ "_alloc_bytes"))
-      (float_of_int m.alloc_bytes)
-  in
-  export n;
-  List.iter export n.children

@@ -89,7 +89,3 @@ val folded : ?metric:[ `Wall | `Alloc ] -> node -> string list
 val pp : node Fmt.t
 (** Indented table: wall/self milliseconds, alloc/self alloc bytes,
     minor/major collections per node. *)
-
-val export_metrics : node -> unit
-(** Set [prof.<name>_seconds] and [prof.<name>_alloc_bytes] gauges in
-    {!Metrics} for the node and each direct child. *)

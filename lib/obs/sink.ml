@@ -39,23 +39,29 @@ let memory () =
 
 let tee a b = { emit = (fun e -> a.emit e; b.emit e) }
 
-(* Process-wide metrics (no-ops until Metrics.enable). *)
-let m_moves_useful = Metrics.counter "sched.moves_useful_total"
-let m_moves_speculative = Metrics.counter "sched.moves_speculative_total"
-let m_renames = Metrics.counter "sched.renames_total"
-let m_dup_copies = Metrics.counter "sched.duplication_copies_total"
-let m_blocked = Metrics.counter "sched.blocked_motions_total"
-
-let count = function
-  | Moved_useful { copies; _ } ->
-      Metrics.incr m_moves_useful;
-      Metrics.incr ~by:(List.length copies) m_dup_copies
-  | Moved_speculative { copies; _ } ->
-      Metrics.incr m_moves_speculative;
-      Metrics.incr ~by:(List.length copies) m_dup_copies
-  | Renamed _ -> Metrics.incr m_renames
-  | Blocked _ -> Metrics.incr m_blocked
-  | Candidate_considered _ | Region_skipped _ | Block_scheduled _ -> ()
+let count events =
+  let useful = ref 0 and speculative = ref 0 and renames = ref 0 in
+  let copies = ref 0 and blocked = ref 0 in
+  List.iter
+    (function
+      | Moved_useful { copies = c; _ } ->
+          incr useful;
+          copies := !copies + List.length c
+      | Moved_speculative { copies = c; _ } ->
+          incr speculative;
+          copies := !copies + List.length c
+      | Renamed _ -> incr renames
+      | Blocked _ -> incr blocked
+      | Candidate_considered _ | Region_skipped _ | Block_scheduled _ -> ())
+    events;
+  Counts.counters
+    [
+      ("sched.moves_useful_total", !useful);
+      ("sched.moves_speculative_total", !speculative);
+      ("sched.renames_total", !renames);
+      ("sched.duplication_copies_total", !copies);
+      ("sched.blocked_motions_total", !blocked);
+    ]
 
 let event_to_json = function
   | Candidate_considered { uid; from_block; into_block; speculative } ->

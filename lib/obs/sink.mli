@@ -61,12 +61,12 @@ val memory : unit -> t * (unit -> sched_event list)
 val tee : t -> t -> t
 (** Forward each event to both sinks, left first. *)
 
-val count : sched_event -> unit
-(** The counter fold: bumps [sched.moves_useful_total],
+val count : sched_event list -> Counts.t
+(** The counter fold over one run's events: [sched.moves_useful_total],
     [sched.moves_speculative_total], [sched.duplication_copies_total]
     (once per copy), [sched.renames_total] and
-    [sched.blocked_motions_total]. The per-region counters have no
-    event behind them and stay with the scheduler. *)
+    [sched.blocked_motions_total]. The per-region counts have no event
+    behind them and come from the scheduler's region reports. *)
 
 val event_to_json : sched_event -> Json.t
 (** A motion's [scores] and [copies] are left out, as in {!pp_event}. *)

@@ -378,14 +378,6 @@ let rewrite ?prov cfg ~assignment ~spilled ~base ~scratch =
 
 (* ---- driver ---- *)
 
-(* Process-wide metrics (no-ops until Gis_obs.Metrics.enable). *)
-let m_allocations = Gis_obs.Metrics.counter "regalloc.allocations_total"
-let m_spill_instrs = Gis_obs.Metrics.counter "regalloc.spill_instrs_total"
-let m_spilled_regs = Gis_obs.Metrics.counter "regalloc.spilled_regs_total"
-
-let m_cr_spill_moves =
-  Gis_obs.Metrics.counter "regalloc.cr_spill_moves_total"
-
 let allocate ?gprs ?fprs ?prov machine cfg =
   let budget = function
     | Reg.Gpr -> Option.value gprs ~default:(Machine.regs machine Reg.Gpr)
@@ -400,10 +392,6 @@ let allocate ?gprs ?fprs ?prov machine cfg =
     let loads, stores, cr_moves =
       rewrite ?prov cfg ~assignment ~spilled ~base ~scratch
     in
-    Gis_obs.Metrics.incr m_allocations;
-    Gis_obs.Metrics.incr ~by:(loads + stores + cr_moves) m_spill_instrs;
-    Gis_obs.Metrics.incr ~by:cr_moves m_cr_spill_moves;
-    Gis_obs.Metrics.incr ~by:(Hashtbl.length spilled) m_spilled_regs;
     if Hashtbl.length spilled > 0 then begin
       let base_reg = match base with Some r -> r | None -> assert false in
       let entry_block = Cfg.block cfg (Cfg.entry cfg) in

@@ -61,8 +61,7 @@ type t = {
   spill_stores : int;  (** spill-store instructions inserted *)
   cr_spill_moves : int;
       (** cr<->gpr transfer moves inserted for condition-register
-          spills (also counted process-wide by the
-          [regalloc.cr_spill_moves_total] metric) *)
+          spills (a run's [regalloc.cr_spill_moves_total] count) *)
   slots : int;  (** distinct spill slots *)
   per_class : cls_stat list;  (** GPR, FPR, CR in that order *)
 }

@@ -52,11 +52,6 @@ type outcome = Gis_sim.Simulator.outcome = {
 
 exception Trapped of string
 
-(* Process-wide metrics (no-ops until Gis_obs.Metrics.enable). *)
-let m_runs = Metrics.counter "sim.runs_total"
-let m_instrs = Metrics.counter "sim.instructions_total"
-let m_issue_span = Metrics.histogram "sim.issue_span_cycles"
-
 type state = {
   machine : Machine.t;
   cfg : Cfg.t;
@@ -460,9 +455,6 @@ let run_with_header ~fuel ?(trace = false) ?frame machine cfg ~header input =
        end
      done
    with Trapped m -> stop := Some (Trap m));
-  Metrics.incr m_runs;
-  Metrics.incr ~by:st.executed m_instrs;
-  Metrics.observe m_issue_span (float_of_int st.cursor);
   let dump tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   ( {
       stop = Option.value ~default:(Trap "internal") !stop;

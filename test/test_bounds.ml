@@ -157,17 +157,16 @@ let test_res_dominates () =
   Alcotest.(check int) "lower bound is the resource bound" b.Bounds.res_lb
     b.Bounds.lower_bound
 
-(* ---- metrics export and JSON shape ---- *)
+(* ---- per-run counts and JSON shape ---- *)
 
 let test_export () =
-  let module Metrics = Gis_obs.Metrics in
-  Metrics.enable ();
   let _, (cfg0, input) = List.hd (Test_support.standard_programs ()) in
   let b, _ = bound_of_cfg ~machine:rs6k ~config:Config.speculative cfg0 input in
-  Bounds.export_metrics b;
+  let stats = Pipeline.run rs6k Config.speculative (Cfg.deep_copy cfg0) in
+  let counts = Gis_driver.Driver.run_counts ~bounds:b ~events:[] stats in
   let gauge name =
-    match List.assoc_opt name (Metrics.snapshot ()) with
-    | Some (Metrics.Gauge_v v) -> int_of_float v
+    match List.assoc_opt name counts with
+    | Some (Gis_obs.Counts.Gauge v) -> int_of_float v
     | _ -> Alcotest.failf "gauge %s missing" name
   in
   Alcotest.(check int) "achieved gauge" b.Bounds.achieved
@@ -187,27 +186,54 @@ let test_export () =
         ]
   | _ -> Alcotest.fail "bound json is not an object"
 
-(* ---- the per-rule tie-break counters (satellite) ---- *)
+(* ---- the per-rule tie-break counts ---- *)
 
-let test_rule_decides_counters () =
-  let module Metrics = Gis_obs.Metrics in
-  Metrics.reset ();
-  Metrics.enable ();
+let rule_decides config =
   let _, (cfg0, _) = List.hd (Test_support.standard_programs ()) in
   let cfg = Cfg.deep_copy cfg0 in
-  ignore (Pipeline.run rs6k Config.speculative cfg);
-  let total =
+  Label.reset_fresh_counter ();
+  let stats = Pipeline.run rs6k config cfg in
+  let reports = stats.Pipeline.pass1 @ stats.Pipeline.pass2 in
+  ( Asm.print cfg,
+    reports,
     List.fold_left
-      (fun acc slug ->
-        acc
-        + Option.value ~default:0
-            (Metrics.find_counter ("priority.rule_decides_total." ^ slug)))
-      0
-      ("order-fallback" :: List.map Priority_rule.slug Priority_rule.all)
+      (fun acc (k, v) ->
+        match v with
+        | Gis_obs.Counts.Counter n
+          when String.starts_with ~prefix:"priority.rule_decides_total." k ->
+            acc + n
+        | _ -> acc)
+      0 (Global_sched.counts reports) )
+
+let test_rule_decides_counters () =
+  let prov = Gis_obs.Provenance.create () in
+  let _, _, total =
+    rule_decides { Config.speculative with Config.prov = Some prov }
   in
   Alcotest.(check bool)
     (Fmt.str "some ready-queue tie was broken (%d recorded)" total)
     true (total > 0)
+
+(* Without provenance no pick is tallied, even with a sink attached (as
+   the batch driver attaches one): every report's tally is empty, and
+   the schedule is the one the tallying run produced. *)
+let test_no_tally_without_prov () =
+  let sink, events = Gis_obs.Sink.memory () in
+  let code, reports, total =
+    rule_decides { Config.speculative with Config.obs = sink }
+  in
+  Alcotest.(check bool) "events were emitted" true (events () <> []);
+  Alcotest.(check bool) "no region tallied" true
+    (List.for_all
+       (fun (r : Global_sched.region_report) ->
+         r.Global_sched.rule_decides = [||])
+       reports);
+  Alcotest.(check int) "no decision counted" 0 total;
+  let prov = Gis_obs.Provenance.create () in
+  let tallied, _, _ =
+    rule_decides { Config.speculative with Config.prov = Some prov }
+  in
+  Alcotest.(check string) "same schedule as the tallying run" tallied code
 
 (* ---- QCheck soundness across levels, machines, regalloc ---- *)
 
@@ -234,6 +260,8 @@ let () =
           Alcotest.test_case "metrics and json export" `Quick test_export;
           Alcotest.test_case "tie-break rule counters" `Quick
             test_rule_decides_counters;
+          Alcotest.test_case "no tally without provenance" `Quick
+            test_no_tally_without_prov;
         ] );
       ( "soundness",
         [

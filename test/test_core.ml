@@ -603,28 +603,32 @@ let sched_counters =
     "blocked_motions"; "regions_scheduled"; "regions_skipped" ]
   |> List.map (fun c -> "sched." ^ c ^ "_total")
 
+(* The run's events, its provenance, and its seven [sched.*] counts:
+   the motion counts folded over the events, the region counts over the
+   region reports. *)
 let decision_stream m config cfg =
   let module Obs = Gis_obs in
   let sink, events = Obs.Sink.memory () in
   let prov = Obs.Provenance.create () in
-  let read () =
-    List.map
-      (fun c -> Option.value ~default:0 (Obs.Metrics.find_counter c))
-      sched_counters
+  let stats =
+    Pipeline.run m { config with Config.obs = sink; prov = Some prov } cfg
   in
-  let was_enabled = Obs.Metrics.is_enabled () in
-  Obs.Metrics.enable ();
-  let before = read () in
-  ignore
-    (Pipeline.run m { config with Config.obs = sink; prov = Some prov } cfg);
-  let deltas = List.map2 ( - ) (read ()) before in
-  if not was_enabled then Obs.Metrics.disable ();
+  let counts =
+    Obs.Sink.count (events ())
+    @ Global_sched.counts (stats.Pipeline.pass1 @ stats.Pipeline.pass2)
+  in
+  let count c =
+    match List.assoc c counts with
+    | Obs.Counts.Counter n -> n
+    | _ -> Alcotest.failf "%s is not a counter" c
+  in
   String.concat "\n"
     (List.map
        (fun e -> Obs.Json.to_string ~minify:true (Obs.Sink.event_to_json e))
        (events ())
     @ [ Obs.Json.to_string ~minify:true (Obs.Provenance.to_json prov);
-        String.concat " " (List.map string_of_int deltas) ])
+        String.concat " "
+          (List.map (fun c -> string_of_int (count c)) sched_counters) ])
 
 let digest_schedules programs (name, m, config, (schedules, decisions)) =
   let digest f =

@@ -103,9 +103,19 @@ let summary_key (r : task_result) =
         s.observables s.code
   | Error e -> Fmt.str "%s|ERR|%a" r.task pp_error e
 
+(* Provenance on, so each task's counts include its rule tallies. *)
+let counted_config () =
+  { Config.speculative with Config.prov = Some (Gis_obs.Provenance.create ()) }
+
+let counts_of (r : task_result) =
+  match r.outcome with
+  | Ok s -> Gis_obs.Json.to_string (Gis_obs.Counts.to_json s.counts)
+  | Error e -> Fmt.str "ERR %a" pp_error e
+
 let test_jobs_determinism () =
-  let seq = Driver.run ~jobs:1 machine Config.speculative (batch ()) in
-  let par = Driver.run ~jobs:parallel_jobs machine Config.speculative (batch ()) in
+  let config = counted_config () in
+  let seq = Driver.run ~jobs:1 machine config (batch ()) in
+  let par = Driver.run ~jobs:parallel_jobs machine config (batch ()) in
   Alcotest.(check int) "all sequential tasks ok" 0 seq.pool.failed;
   Alcotest.(check int) "all parallel tasks ok" 0 par.pool.failed;
   Alcotest.(check (list string))
@@ -116,7 +126,86 @@ let test_jobs_determinism () =
     Gis_obs.Json.to_string (report_to_json ~deterministic:true r)
   in
   Alcotest.(check string)
-    "deterministic JSON reports identical" (json seq) (json par)
+    "deterministic JSON reports identical" (json seq) (json par);
+  (* Each task's counts belong to its own run: the same at any job
+     count, and the same as the task compiled alone. *)
+  Alcotest.(check (list string))
+    "per-task counts identical across job counts"
+    (List.map counts_of seq.results)
+    (List.map counts_of par.results);
+  List.iter2
+    (fun task (r : task_result) ->
+      let alone = Driver.run ~jobs:1 machine config [ task ] in
+      Alcotest.(check string)
+        (r.task ^ " counts as compiled alone")
+        (counts_of (List.hd alone.results))
+        (counts_of r))
+    (batch ()) par.results;
+  let total key =
+    match List.assoc_opt key (batch_counts par) with
+    | Some (Gis_obs.Counts.Counter n) -> n
+    | _ -> Alcotest.failf "%s missing from the batch counts" key
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " counted") true (total key > 0))
+    [
+      "sched.moves_useful_total"; "sched.regions_scheduled_total";
+      "alias.queries_total"; "priority.rule_decides_total.max-delay";
+      "sim.runs_total";
+    ];
+  Alcotest.(check int) "driver.tasks_total" (List.length (batch ()))
+    (total "driver.tasks_total")
+
+(* The ["metrics"] object of [gisc --stats]: one run carries every key,
+   whether or not it was simulated, allocated or bounded. *)
+let run_count_keys =
+  [
+    "alias.fallback_total.call"; "alias.fallback_total.disabled";
+    "alias.fallback_total.origin-mismatch"; "alias.fallback_total.overlap";
+    "alias.fallback_total.top"; "alias.mem_edges_kept_total";
+    "alias.mem_edges_pruned_total.inter"; "alias.mem_edges_pruned_total.intra";
+    "alias.queries_total"; "bound.achieved_cycles"; "bound.cp_lower_cycles";
+    "bound.gap_cycles"; "bound.lower_cycles"; "bound.regions";
+    "bound.res_lower_cycles"; "driver.queue_wait_us"; "driver.task_run_us";
+    "driver.tasks_failed_total"; "driver.tasks_total";
+    "priority.rule_decides_total.max-critical-path";
+    "priority.rule_decides_total.max-delay";
+    "priority.rule_decides_total.min-pressure";
+    "priority.rule_decides_total.order-fallback";
+    "priority.rule_decides_total.program-order";
+    "priority.rule_decides_total.useful-first"; "regalloc.allocations_total";
+    "regalloc.cr_spill_moves_total"; "regalloc.spill_instrs_total";
+    "regalloc.spilled_regs_total"; "sched.blocked_motions_total";
+    "sched.duplication_copies_total"; "sched.moves_speculative_total";
+    "sched.moves_useful_total"; "sched.regions_scheduled_total";
+    "sched.regions_skipped_total"; "sched.renames_total";
+    "sim.instructions_total"; "sim.issue_span_cycles"; "sim.runs_total";
+  ]
+
+let test_run_count_keys () =
+  let cfg0, input = List.assoc "minmax" (standard_programs ()) in
+  let cfg = Cfg.deep_copy cfg0 in
+  let sink, events = Gis_obs.Sink.memory () in
+  let stats =
+    Pipeline.run machine { Config.speculative with Config.obs = sink } cfg
+  in
+  let sim = Simulator.run machine cfg input in
+  let keys counts = List.sort compare (List.map fst counts) in
+  let plain = Driver.run_counts ~events:(events ()) stats in
+  let simulated = Driver.run_counts ~sim ~events:(events ()) stats in
+  Alcotest.(check (list string)) "every key, unsimulated" run_count_keys
+    (keys plain);
+  Alcotest.(check (list string)) "every key, simulated" run_count_keys
+    (keys simulated);
+  let value counts key = List.assoc key counts in
+  Alcotest.(check bool) "one run is no batch" true
+    (value simulated "driver.tasks_total" = Gis_obs.Counts.Counter 0);
+  Alcotest.(check bool) "the scheduled simulation counted" true
+    (value simulated "sim.runs_total" = Gis_obs.Counts.Counter 1
+    && value plain "sim.runs_total" = Gis_obs.Counts.Counter 0);
+  Alcotest.(check bool) "motions counted from the run's events" true
+    (value plain "sched.moves_useful_total" <> Gis_obs.Counts.Counter 0)
 
 let test_pool_telemetry () =
   let tasks = batch () in
@@ -353,6 +442,7 @@ let () =
           Alcotest.test_case "timeout budget" `Quick test_timeout;
           Alcotest.test_case "timeout preempts queue" `Quick
             test_timeout_preempts_queue;
+          Alcotest.test_case "run count keys" `Quick test_run_count_keys;
         ] );
       ( "provenance",
         [

@@ -199,79 +199,103 @@ let test_span_scrub_nested () =
     (Json.to_string (Prof.to_json again))
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
+(* Per-run counts                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let with_metrics f =
-  Metrics.reset ();
-  Metrics.enable ();
-  Fun.protect ~finally:(fun () -> Metrics.disable (); Metrics.reset ()) f
+let test_counts_counter_gauge () =
+  let counts =
+    Counts.counters [ ("test.hits_total", 5) ]
+    @ [ ("test.level", Counts.Gauge 2.5) ]
+  in
+  Alcotest.(check bool) "counters builds counter values" true
+    (List.assoc_opt "test.hits_total" counts = Some (Counts.Counter 5));
+  Alcotest.(check string) "each count renders with its type"
+    {|{"test.hits_total":{"type":"counter","value":5},"test.level":{"type":"gauge","value":2.5}}|}
+    (Json.to_string ~minify:true (Counts.to_json counts))
 
-let test_metrics_counter_gauge () =
-  with_metrics (fun () ->
-      let c = Metrics.counter "test.hits_total" in
-      Metrics.incr c;
-      Metrics.incr ~by:4 c;
-      Alcotest.(check (option int)) "counter accumulates" (Some 5)
-        (Metrics.find_counter "test.hits_total");
-      (* Same name returns the same metric, not a fresh zero. *)
-      Metrics.incr (Metrics.counter "test.hits_total");
-      Alcotest.(check (option int)) "registration is idempotent" (Some 6)
-        (Metrics.find_counter "test.hits_total");
-      Alcotest.check_raises "type clash rejected"
-        (Invalid_argument "test.hits_total is already registered with another type")
-        (fun () -> ignore (Metrics.gauge "test.hits_total")))
+(* A run that decided nothing counts zero, and adds nothing to a batch. *)
+let test_counts_empty_run () =
+  let sched = Sink.count [] in
+  Alcotest.(check int) "one counter per decision kind" 5 (List.length sched);
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) (name ^ " is zero") true (v = Counts.Counter 0))
+    sched;
+  let c = [ ("test.hits_total", Counts.Counter 3) ] in
+  Alcotest.(check bool) "empty is a left identity" true (Counts.add [] c = c);
+  Alcotest.(check bool) "empty is a right identity" true (Counts.add c [] = c);
+  Alcotest.(check string) "no counts, empty object" "{}"
+    (Json.to_string ~minify:true (Counts.to_json []));
+  Alcotest.(check string) "empty histogram" "empty"
+    (Fmt.str "%a" Counts.pp_histogram [])
 
-let test_metrics_disabled_noop () =
-  Metrics.reset ();
-  Metrics.disable ();
-  let c = Metrics.counter "test.off_total" in
-  Metrics.incr ~by:100 c;
-  Alcotest.(check (option int)) "disabled incr is a no-op" (Some 0)
-    (Metrics.find_counter "test.off_total");
-  Metrics.reset ()
+let test_counts_add () =
+  let a =
+    [
+      ("test.hits_total", Counts.Counter 1);
+      ("test.span_cycles", Counts.Histogram [ 3.0 ]);
+      ("test.level", Counts.Gauge 1.0);
+    ]
+  and b =
+    [
+      ("test.hits_total", Counts.Counter 4);
+      ("test.span_cycles", Counts.Histogram [ 5.0 ]);
+      ("test.level", Counts.Gauge 2.0);
+      ("test.only_right_total", Counts.Counter 7);
+    ]
+  in
+  Alcotest.(check bool) "counters sum, histograms join, the right gauge wins"
+    true
+    (Counts.add a b
+    = [
+        ("test.hits_total", Counts.Counter 5);
+        ("test.span_cycles", Counts.Histogram [ 3.0; 5.0 ]);
+        ("test.level", Counts.Gauge 2.0);
+        ("test.only_right_total", Counts.Counter 7);
+      ])
 
-let test_metrics_histogram_json () =
-  with_metrics (fun () ->
-      let h = Metrics.histogram "test.latency_seconds" in
-      List.iter (Metrics.observe h) [ 0.5; 1.5; 3.0; 100.0 ];
-      let c = Metrics.counter "test.runs_total" in
-      Metrics.incr c;
-      let json = Metrics.to_json () in
-      (match Json.member "test.latency_seconds" json with
-      | Some hist ->
-          (match Json.member "count" hist with
-          | Some (Json.Int n) -> Alcotest.(check int) "histogram count" 4 n
-          | _ -> Alcotest.fail "histogram count missing");
-          (match Json.member "sum" hist with
-          | Some (Json.Float s) ->
-              Alcotest.(check (float 1e-9)) "histogram sum" 105.0 s
-          | _ -> Alcotest.fail "histogram sum missing")
-      | None -> Alcotest.fail "histogram not dumped");
-      (* Deterministic dumps zero time-based metrics but keep counters. *)
-      (match
-         Json.member "test.latency_seconds" (Metrics.to_json ~deterministic:true ())
-       with
-      | Some hist -> (
-          match (Json.member "count" hist, Json.member "sum" hist) with
-          | Some (Json.Int 0), Some (Json.Float 0.0) -> ()
-          | _ -> Alcotest.fail "_seconds metric not scrubbed")
-      | None -> Alcotest.fail "scrubbed histogram missing");
-      (match
-         Json.member "test.runs_total" (Metrics.to_json ~deterministic:true ())
-       with
-      | Some (Json.Obj fields) ->
-          Alcotest.(check bool) "counters survive deterministic dumps" true
-            (List.assoc_opt "value" fields = Some (Json.Int 1))
-      | _ -> Alcotest.fail "counter missing from deterministic dump");
-      (* Dump order is sorted by name, so reports diff stably. *)
-      match Metrics.to_json () with
-      | Json.Obj fields ->
-          let names = List.map fst fields in
-          Alcotest.(check (list string)) "sorted by name"
-            (List.sort String.compare names)
-            names
-      | _ -> Alcotest.fail "metrics dump is not an object")
+let test_counts_histogram_json () =
+  let counts =
+    [
+      ("test.runs_total", Counts.Counter 1);
+      ("test.latency_seconds", Counts.Histogram [ 0.5; 1.5; 3.0; 100.0 ]);
+    ]
+  in
+  let json = Counts.to_json counts in
+  (match Json.member "test.latency_seconds" json with
+  | Some hist ->
+      (match Json.member "count" hist with
+      | Some (Json.Int n) -> Alcotest.(check int) "histogram count" 4 n
+      | _ -> Alcotest.fail "histogram count missing");
+      (match Json.member "sum" hist with
+      | Some (Json.Float s) ->
+          Alcotest.(check (float 1e-9)) "histogram sum" 105.0 s
+      | _ -> Alcotest.fail "histogram sum missing");
+      Alcotest.(check string) "log2 buckets" {|{"0":1,"1":1,"2":1,"7":1}|}
+        (Json.to_string ~minify:true
+           (Option.get (Json.member "buckets" hist)))
+  | None -> Alcotest.fail "histogram not dumped");
+  (* Deterministic dumps zero time-based counts but keep counters. *)
+  let det = Counts.to_json ~deterministic:true counts in
+  (match Json.member "test.latency_seconds" det with
+  | Some hist -> (
+      match (Json.member "count" hist, Json.member "sum" hist) with
+      | Some (Json.Int 0), Some (Json.Float 0.0) -> ()
+      | _ -> Alcotest.fail "_seconds count not scrubbed")
+  | None -> Alcotest.fail "scrubbed histogram missing");
+  (match Json.member "test.runs_total" det with
+  | Some (Json.Obj fields) ->
+      Alcotest.(check bool) "counters survive deterministic dumps" true
+        (List.assoc_opt "value" fields = Some (Json.Int 1))
+  | _ -> Alcotest.fail "counter missing from deterministic dump");
+  (* Dump order is sorted by name, so reports diff stably. *)
+  match json with
+  | Json.Obj fields ->
+      let names = List.map fst fields in
+      Alcotest.(check (list string)) "sorted by name"
+        (List.sort String.compare names)
+        names
+  | _ -> Alcotest.fail "counts dump is not an object"
 
 (* ------------------------------------------------------------------ *)
 (* Simulator stall attribution                                         *)
@@ -630,9 +654,10 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter and gauge" `Quick
-            test_metrics_counter_gauge;
-          Alcotest.test_case "disabled no-op" `Quick test_metrics_disabled_noop;
-          Alcotest.test_case "histogram json" `Quick test_metrics_histogram_json;
+            test_counts_counter_gauge;
+          Alcotest.test_case "empty run" `Quick test_counts_empty_run;
+          Alcotest.test_case "histogram json" `Quick test_counts_histogram_json;
+          Alcotest.test_case "add" `Quick test_counts_add;
         ] );
       ( "chrome trace",
         [

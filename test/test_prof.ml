@@ -376,42 +376,19 @@ let test_flight_sink () =
   Flight.clear ()
 
 (* ------------------------------------------------------------------ *)
-(* Metrics snapshot                                                    *)
+(* Per-run counts: scrubbed suffixes                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_metrics_snapshot () =
-  Metrics.enable ();
-  Metrics.reset ();
-  let c = Metrics.counter "ztest.snap_total" in
-  let g = Metrics.gauge "atest.snap_gauge" in
-  let h = Metrics.histogram "mtest.snap_hist" in
-  Metrics.incr ~by:3 c;
-  Metrics.set g 2.5;
-  Metrics.observe h 5.0;
-  Metrics.observe h 100.0;
-  let snap = Metrics.snapshot () in
-  let names = List.map fst snap in
-  Alcotest.(check (list string)) "sorted" (List.sort compare names) names;
-  (match List.assoc_opt "ztest.snap_total" snap with
-  | Some (Metrics.Counter_v 3) -> ()
-  | _ -> Alcotest.fail "counter value in snapshot");
-  (match List.assoc_opt "mtest.snap_hist" snap with
-  | Some (Metrics.Histogram_v v) ->
-      Alcotest.(check int) "hist count" 2 v.Metrics.count;
-      Alcotest.(check (float 1e-9)) "hist sum" 105.0 v.Metrics.sum
-  | _ -> Alcotest.fail "histogram view in snapshot");
-  let v = Metrics.histogram_stats h in
-  Alcotest.(check int) "stats count" 2 v.Metrics.count;
-  Alcotest.(check bool) "non-empty buckets only" true
-    (List.for_all (fun (_, c) -> c > 0) v.Metrics.buckets)
-
 let test_metrics_scrub_suffixes () =
-  Metrics.enable ();
-  Metrics.reset ();
-  Metrics.set (Metrics.gauge "ztest.thing_bytes") 4096.0;
-  Metrics.set (Metrics.gauge "ztest.thing_us") 17.0;
-  Metrics.set (Metrics.gauge "ztest.thing_count") 9.0;
-  let dump = Json.to_string (Metrics.to_json ~deterministic:true ()) in
+  let dump =
+    Json.to_string
+      (Counts.to_json ~deterministic:true
+         [
+           ("ztest.thing_bytes", Counts.Gauge 4096.0);
+           ("ztest.thing_us", Counts.Gauge 17.0);
+           ("ztest.thing_count", Counts.Gauge 9.0);
+         ])
+  in
   let field name =
     match Json.of_string dump with
     | Ok (Json.Obj fields) -> (
@@ -426,24 +403,6 @@ let test_metrics_scrub_suffixes () =
     (field "ztest.thing_us" = Some (Json.Float 0.0));
   Alcotest.(check bool) "plain gauge kept" true
     (field "ztest.thing_count" = Some (Json.Float 9.0))
-
-let test_prof_export_metrics () =
-  Metrics.enable ();
-  Metrics.reset ();
-  let t = Prof.create () in
-  ignore
-    (Prof.record (Some t) "pipeline" (fun () ->
-         Prof.record (Some t) "local" (fun () -> churn 100)));
-  Prof.export_metrics (List.hd (Prof.roots t));
-  let snap = Metrics.snapshot () in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " exported") true
-        (List.mem_assoc name snap))
-    [
-      "prof.pipeline_seconds"; "prof.pipeline_alloc_bytes";
-      "prof.local_seconds"; "prof.local_alloc_bytes";
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate: zero, NaN, allocation                              *)
@@ -603,10 +562,8 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "snapshot" `Quick test_metrics_snapshot;
           Alcotest.test_case "scrub suffixes" `Quick
             test_metrics_scrub_suffixes;
-          Alcotest.test_case "profile export" `Quick test_prof_export_metrics;
         ] );
       ( "regression gate",
         [
