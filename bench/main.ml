@@ -290,18 +290,44 @@ let bench_section53 () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The level x issue-width sweep that A1, M1 and G1 read               *)
+(* ------------------------------------------------------------------ *)
+
+let widths = [ 1; 2; 4; 8 ]
+
+(* One (program, level, width) cell: the scheduled CFG and its
+   simulation, compiled and simulated on first use and shared by every
+   table that reads it. Cells are keyed by program name, which names
+   the same program and input in every table. *)
+let sweep_cell =
+  let cells = Hashtbl.create 64 in
+  fun name cfg0 input lname width ->
+    let key = (name, lname, width) in
+    match Hashtbl.find_opt cells key with
+    | Some cell -> cell
+    | None ->
+        let machine = Machine.superscalar ~width in
+        let _, cfg, os =
+          simulate ~machine (List.assoc lname levels) cfg0 input
+        in
+        Hashtbl.add cells key (cfg, os);
+        (cfg, os)
+
+let sweep_cycles name cfg0 input lname width =
+  (snd (sweep_cell name cfg0 input lname width)).Simulator.cycles
+
+(* ------------------------------------------------------------------ *)
 (* A1: issue-width sweep                                               *)
 (* ------------------------------------------------------------------ *)
 
 let bench_width_sweep () =
-  per_program (fun _ cfg0 input ->
+  per_program (fun name cfg0 input ->
       let rti width =
-        let machine = Machine.superscalar ~width in
-        let base = cycles ~machine Config.base cfg0 input in
-        let spec = cycles ~machine Config.speculative cfg0 input in
-        (string_of_int width, Json.Float (rti ~base spec))
+        let cycles lname = sweep_cycles name cfg0 input lname width in
+        ( string_of_int width,
+          Json.Float (rti ~base:(cycles "local") (cycles "speculative")) )
       in
-      [ ("rti_percent_by_width", Json.Obj (List.map rti [ 1; 2; 4; 8 ])) ])
+      [ ("rti_percent_by_width", Json.Obj (List.map rti widths)) ])
 
 (* ------------------------------------------------------------------ *)
 (* A2/A3: heuristic-order and design-choice ablations                  *)
@@ -364,22 +390,20 @@ let bench_ablation () =
    percentages, these are absolute [_cycles] metrics, so the
    --baseline --check regression gate covers every cell. *)
 let bench_machine_sweep () =
-  per_program (fun _ cfg0 input ->
+  per_program (fun name cfg0 input ->
       let cell width =
-        let machine = Machine.superscalar ~width in
-        let cycles config = Json.Int (cycles ~machine config cfg0 input) in
-        let base = cycles Config.base in
-        let useful = cycles Config.useful_only in
-        let spec = cycles Config.speculative in
+        let cycles lname =
+          Json.Int (sweep_cycles name cfg0 input lname width)
+        in
         ( string_of_int width,
           Json.Obj
             [
-              ("base_cycles", base);
-              ("useful_cycles", useful);
-              ("speculative_cycles", spec);
+              ("base_cycles", cycles "local");
+              ("useful_cycles", cycles "useful");
+              ("speculative_cycles", cycles "speculative");
             ] )
       in
-      [ ("by_width", Json.Obj (List.map cell [ 1; 2; 4; 8 ])) ])
+      [ ("by_width", Json.Obj (List.map cell widths)) ])
 
 (* ------------------------------------------------------------------ *)
 (* G1: gap to lower bound                                              *)
@@ -395,9 +419,9 @@ let bench_machine_sweep () =
 let bench_gap_bounds () =
   let module Bounds = Gis_bounds.Bounds in
   per_program (fun name cfg0 input ->
-      let cell (lname, config) width =
+      let cell lname width =
         let machine = Machine.superscalar ~width in
-        let _, cfg, os = simulate ~machine config cfg0 input in
+        let cfg, os = sweep_cell name cfg0 input lname width in
         let b =
           Bounds.compute ~machine
             ~halted:(os.Simulator.stop = Simulator.Halted)
@@ -419,7 +443,7 @@ let bench_gap_bounds () =
         ( "by_cell",
           Json.Obj
             (List.concat_map
-               (fun level -> List.map (cell level) [ 1; 2; 4; 8 ])
+               (fun (lname, _) -> List.map (cell lname) widths)
                levels) );
       ])
 
@@ -641,63 +665,34 @@ let bench_duplication () =
 (* R1: register allocation                                             *)
 (* ------------------------------------------------------------------ *)
 
-let regalloc_input compiled ~elements ~seed =
-  (* Same default input rule as gisc and the batch driver. *)
-  let rng = Prng.create ~seed in
-  let arrays =
-    List.map
-      (fun (name, _, len) ->
-        (name, List.init (min len elements) (fun _ -> Prng.int rng 1000)))
-      compiled.Codegen.arrays
-  in
-  let n_binding =
-    match List.assoc_opt "n" compiled.Codegen.vars with
-    | Some reg -> [ (reg, elements) ]
-    | None -> []
-  in
-  {
-    Simulator.no_input with
-    Simulator.int_regs = n_binding;
-    memory = Codegen.array_input compiled arrays;
-  }
-
+(* Each configuration is one [Driver.run_one] of the workload on the
+   64-element input, so its observables are checked against BASE; the
+   allocated ones are also verified against that symbolic baseline. *)
 let bench_regalloc () =
+  let module D = Gis_driver.Driver in
   let module Regalloc = Gis_regalloc.Regalloc in
-  let sources =
-    ("minmax", Minmax.source)
-    :: List.map
-         (fun (p : Spec_proxy.t) -> (p.Spec_proxy.name, p.Spec_proxy.source))
-         Spec_proxy.all
-  in
   Json.List
     (List.map
-       (fun (name, src) ->
-         Label.reset_fresh_counter ();
-         let compiled = Codegen.compile_string src in
-         let input = regalloc_input compiled ~elements:64 ~seed:3 in
-         let baseline = Cfg.deep_copy compiled.Codegen.cfg in
-         ignore (Pipeline.run rs6k Config.base baseline);
+       (fun (task : D.task) ->
+         let name = task.D.name in
          let run ?regs ~regalloc () =
-           let cfg = Cfg.deep_copy compiled.Codegen.cfg in
            let config = { Config.speculative with Config.regalloc; regs } in
-           let stats = Pipeline.run rs6k config cfg in
-           match stats.Pipeline.regalloc with
-           | None -> ((Simulator.run rs6k cfg input).Simulator.cycles, 0, None)
-           | Some alloc ->
-               let cycles =
-                 (Simulator.run ?frame:alloc.Regalloc.frame rs6k cfg
-                    (Regalloc.remap_input alloc input))
-                   .Simulator.cycles
-               in
-               let ok =
-                 match
-                   Regalloc.verify ?gprs:regs ?fprs:regs ~machine:rs6k
-                     ~baseline ~allocated:cfg alloc input
-                 with
-                 | Ok () -> true
-                 | Error _ -> false
-               in
-               (cycles, List.length alloc.Regalloc.spilled, Some ok)
+           match D.run_one ~elements:64 ~seed:3 rs6k config task with
+           | Error e ->
+               Fmt.epr "R1: %s: %a@." name D.pp_error e;
+               exit 1
+           | Ok { D.cfg; stats; sim; _ } -> (
+               let s = Option.get sim in
+               match stats.Pipeline.regalloc with
+               | None -> (s, 0, None)
+               | Some alloc ->
+                   ( s,
+                     List.length alloc.Regalloc.spilled,
+                     Some
+                       (Regalloc.verify ?gprs:regs ?fprs:regs ~machine:rs6k
+                          ~baseline:s.D.baseline ~allocated:cfg alloc
+                          s.D.input
+                       = Ok ()) ))
          in
          let off, _, _ = run ~regalloc:false () in
          let on, on_spills, on_ok = run ~regalloc:true () in
@@ -707,21 +702,21 @@ let bench_regalloc () =
            Fmt.epr "R1: allocation verifier failed on %s@." name;
            exit 1
          end;
+         let cycles (s : D.simulation) = Json.Int s.D.sched.Simulator.cycles in
          Json.Obj
            [
              ("program", Json.String name);
              (* the symbolic BASE run the verifier compares against *)
-             ( "base_cycles",
-               Json.Int (Simulator.run rs6k baseline input).Simulator.cycles );
-             ("off_cycles", Json.Int off);
-             ("on_cycles", Json.Int on);
+             ("base_cycles", Json.Int off.D.base.Simulator.cycles);
+             ("off_cycles", cycles off);
+             ("on_cycles", cycles on);
              ("on_spilled_regs", Json.Int on_spills);
              ("tight_regs", Json.Int 6);
-             ("tight_cycles", Json.Int tight);
+             ("tight_cycles", cycles tight);
              ("tight_spilled_regs", Json.Int tight_spills);
              ("verified", Json.Bool verified);
            ])
-       sources)
+       (D.workload_tasks ()))
 
 (* ------------------------------------------------------------------ *)
 (* P1: parallel batch compilation                                      *)

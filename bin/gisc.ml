@@ -8,6 +8,13 @@
      gisc my_program.tc --level useful --width 4 --simulate
      gisc --workload minmax --simulate --trace-issue
      gisc --workload minmax --simulate --stats out.json
+
+   Every subcommand that compiles one program (the default command,
+   explain, bound, check, profile) does it through one
+   [Driver.run_one], so they all number instructions, pick inputs and
+   compare BASE against scheduled observables the same way; a failed
+   run exits through [exit_on_error]. Batch mode runs the same function
+   once per file on the driver pool.
 *)
 
 open Gis_ir
@@ -66,18 +73,22 @@ let setup source level width regalloc pressure_aware regs no_disambig verbose =
     verbose;
   }
 
-(* The file is read here, so an unreadable one fails the same way in
-   every subcommand. Files ending in .s hold pseudo-assembly in the
-   paper's Figure 2 notation; everything else is Tiny-C. *)
+(* The file is read here, so an unreadable one is an input error (exit
+   1) in every subcommand. Files ending in .s hold pseudo-assembly in
+   the paper's Figure 2 notation; everything else is Tiny-C. *)
 let task_of_source = function
-  | From_file path ->
-      let src = In_channel.with_open_bin path In_channel.input_all in
-      {
-        Driver.name = Filename.basename path;
-        source =
-          (if Filename.check_suffix path ".s" then Driver.Asm src
-           else Driver.Tiny_c src);
-      }
+  | From_file path -> (
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error m ->
+          Fmt.epr "%s@." m;
+          exit Exit.compile_error
+      | src ->
+          {
+            Driver.name = Filename.basename path;
+            source =
+              (if Filename.check_suffix path ".s" then Driver.Asm src
+               else Driver.Tiny_c src);
+          })
   | Workload name -> (
       let workloads = Driver.workload_tasks () in
       match
@@ -90,22 +101,31 @@ let task_of_source = function
             (List.map (fun (t : Driver.task) -> t.Driver.name) workloads);
           exit Exit.usage_error)
 
-(* A front-end error exits with the compile-error code. *)
-let compile (task : Driver.task) =
-  match Driver.compile_task task with
-  | compiled -> compiled
-  | exception
-      (Parser.Error m | Lexer.Error m | Codegen.Error m | Asm.Error m) ->
-      Fmt.epr "%s: %s@." task.Driver.name m;
-      exit Exit.compile_error
+(* The one map from a failed run to gisc's exit code. A crash is a
+   compiler bug: it exits with the verification code, as an observable
+   mismatch does, under the INTERNAL ERROR prefix. *)
+let exit_on_error name e =
+  let code, prefix =
+    match e with
+    | Driver.Compile_error _ -> (Exit.compile_error, "")
+    | Driver.Mismatch _ -> (Exit.verification_failure, "")
+    | Driver.Crashed _ -> (Exit.verification_failure, "INTERNAL ERROR: ")
+    | Driver.Infeasible _ -> (Exit.regalloc_infeasible, "")
+    (* only the batch pool reports timeouts *)
+    | Driver.Timed_out _ -> (Exit.batch_timeout_only, "")
+  in
+  Fmt.epr "%s%s: %a@." prefix name Driver.pp_error e;
+  exit code
 
-(* [Pipeline.run], exiting with the infeasible-allocation code when the
-   register file is too small to spill into. *)
-let schedule (task : Driver.task) machine config cfg =
-  try Pipeline.run machine config cfg
-  with Gis_regalloc.Regalloc.Infeasible m ->
-    Fmt.epr "%s: regalloc infeasible: %s@." task.Driver.name m;
-    exit Exit.regalloc_infeasible
+(* [Driver.run_one] on the setup's program and machine, exiting on
+   failure. *)
+let run_one ?simulate ?trace ?elements ?seed s config =
+  let task = task_of_source s.source in
+  match
+    Driver.run_one ?simulate ?trace ?elements ?seed s.machine config task
+  with
+  | Ok run -> (task.Driver.name, run)
+  | Error e -> exit_on_error task.Driver.name e
 
 let move_to_json (m : Global_sched.move) =
   Json.Obj
@@ -148,6 +168,14 @@ let write_file path s =
       close_out oc
 
 let write_json path json = write_file path (Json.to_string json)
+
+(* The fields every single-program JSON report opens with. *)
+let report_head name machine config =
+  [
+    ("program", Json.String name);
+    ("machine", Json.String (Machine.name machine));
+    ("level", Json.String (Fmt.str "%a" Config.pp_level config.Config.level));
+  ]
 
 (* Batch mode: schedule every file in DIR (plus nothing else) across a
    pool of [jobs] domains. Exit code 0 when the whole batch succeeds,
@@ -239,8 +267,6 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
       run_batch dir jobs machine simulate elements seed deterministic
         stats_file s.config timeout
   | None -> ());
-  let task = task_of_source s.source in
-  let name = task.Driver.name in
   let sink, sink_events = Sink.memory () in
   (* A provenance table costs a hashtable insert per instruction and
      motion, so only attach one when a JSON report will use it. Same
@@ -260,16 +286,10 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
     | None -> None
     | Some p -> ( match Prof.roots p with r :: _ -> Some r | [] -> None)
   in
-  let compiled = compile task in
-  (* Only the simulation reads the BASE compile. The copy is taken
-     either way: each copied block draws a uid from the generator the
-     scheduled copy shares, so skipping it would renumber the scheduled
-     code. *)
-  let baseline = Cfg.deep_copy compiled.Codegen.cfg in
-  if simulate then ignore (Pipeline.run machine Config.base baseline);
-  let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-  let stats = schedule task machine config cfg in
-  Validate.check_exn cfg;
+  let want_trace = trace_issue || trace_out <> None || pipeline_view in
+  let name, { Driver.cfg; stats; sim; _ } =
+    run_one ~simulate ~trace:want_trace ~elements ~seed s config
+  in
   Fmt.pr "%s: %d blocks, %d instructions; machine %a; level %a@." name
     (Cfg.num_blocks cfg) (Cfg.instr_count cfg) Machine.pp machine
     Config.pp_level config.Config.level;
@@ -295,19 +315,13 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
   if show_code then Fmt.pr "@.%a@." Cfg.pp cfg;
   if (trace_out <> None || pipeline_view) && not simulate then
     Fmt.epr "note: --trace-out and --pipeline-view need --simulate@.";
-  let want_trace = trace_issue || trace_out <> None || pipeline_view in
   let simulation =
-    if not simulate then None
-    else begin
-      let input = Driver.default_input compiled ~elements ~seed in
-      (* With --regalloc the scheduled code runs on physical names:
-         feed it the remapped input, route spill traffic through the
-         frame register's spill segment, and run the full
-         post-allocation verifier. Observables compare exactly —
-         spill storage is disjoint by construction. *)
-      let sched_input, frame =
-        Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc input
-      in
+    match sim with
+    | None -> None
+    | Some { Driver.baseline; input; base = ob; sched = os; _ } ->
+      (* With --regalloc the scheduled code ran on physical names; the
+         full post-allocation verifier checks it against the symbolic
+         baseline. *)
       Option.iter
         (fun alloc ->
           match
@@ -320,18 +334,6 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
               Fmt.epr "INTERNAL ERROR: allocation verifier failed: %s@." m;
               exit Exit.verification_failure)
         stats.Pipeline.regalloc;
-      let ob = Simulator.run machine baseline input in
-      let os =
-        Simulator.run ~trace:want_trace ?frame machine cfg sched_input
-      in
-      let base_obs = Simulator.observables ob in
-      let sched_obs = Simulator.observables os in
-      if not (String.equal base_obs sched_obs) then begin
-        Fmt.epr "INTERNAL ERROR: scheduling changed observable behaviour@.";
-        Fmt.epr "--- base observables ---@.%s@." base_obs;
-        Fmt.epr "--- scheduled observables ---@.%s@." sched_obs;
-        exit Exit.verification_failure
-      end;
       Fmt.pr "@.simulation (%d array elements):@." elements;
       Fmt.pr "  base      %7d cycles, %6d instructions@." ob.Simulator.cycles
         ob.Simulator.instructions;
@@ -375,7 +377,6 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
           Fmt.pr "@.chrome trace written to %s (load in Perfetto)@." path)
         trace_out;
       Some (ob, os, bounds)
-    end
   in
   match stats_file with
   | None -> ()
@@ -384,10 +385,8 @@ let run_gisc s batch jobs show_code simulate elements seed trace_issue
          from different runs and machines diff cleanly. *)
       let report =
         Json.Obj
-          ([
-             ("program", Json.String name);
-             ("machine", Json.String (Machine.name machine));
-             ("level", Json.String (Fmt.str "%a" Config.pp_level config.Config.level));
+          (report_head name machine config
+          @ [
              ("elements", Json.Int elements);
              ("seed", Json.Int seed);
              ( "metrics",
@@ -487,12 +486,7 @@ let run_explain s elements seed json_file trace_out =
   match
     Gis_driver.Explain.explain ~elements ~seed ~trace s.machine s.config task
   with
-  | Error (Driver.Infeasible _ as e) ->
-      Fmt.epr "%s: %a@." name Driver.pp_error e;
-      exit Exit.regalloc_infeasible
-  | Error e ->
-      Fmt.epr "%s: %a@." name Driver.pp_error e;
-      exit Exit.compile_error
+  | Error e -> exit_on_error name e
   | Ok e ->
       Fmt.pr "%a" Gis_driver.Explain.pp e;
       if not (Gis_driver.Explain.identity_holds e) then begin
@@ -522,17 +516,9 @@ let run_explain s elements seed json_file trace_out =
    cycles and the bound per stall category under an exact accounting
    identity (exit 3 on violation). *)
 let run_bound s elements seed top_k json_file =
-  let task = task_of_source s.source in
-  let name = task.Driver.name and machine = s.machine and config = s.config in
-  let compiled = compile task in
-  let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-  let stats = schedule task machine config cfg in
-  Validate.check_exn cfg;
-  let input = Driver.default_input compiled ~elements ~seed in
-  let sched_input, frame =
-    Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc input
-  in
-  let os = Simulator.run ?frame machine cfg sched_input in
+  let machine = s.machine and config = s.config in
+  let name, { Driver.cfg; sim; _ } = run_one ~elements ~seed s config in
+  let os = (Option.get sim).Driver.sched in
   let bounds =
     Gis_bounds.Bounds.compute ~top_k ~disambig:config.Config.disambiguate
       ~machine
@@ -546,16 +532,12 @@ let run_bound s elements seed top_k json_file =
     (fun path ->
       write_json path
         (Json.Obj
-           [
-             ("program", Json.String name);
-             ("machine", Json.String (Machine.name machine));
-             ( "level",
-               Json.String (Fmt.str "%a" Config.pp_level config.Config.level)
-             );
-             ("elements", Json.Int elements);
-             ("seed", Json.Int seed);
-             ("bound", Gis_bounds.Bounds.to_json bounds);
-           ]);
+           (report_head name machine config
+           @ [
+               ("elements", Json.Int elements);
+               ("seed", Json.Int seed);
+               ("bound", Gis_bounds.Bounds.to_json bounds);
+             ]));
       Fmt.pr "bound report written to %s@." path)
     json_file;
   if not (Gis_bounds.Bounds.identity_holds bounds) then begin
@@ -574,8 +556,6 @@ let run_bound s elements seed top_k json_file =
    report holds no timing, so --deterministic (still accepted, as by
    every reporting subcommand) changes nothing. *)
 let run_check s json_file _deterministic =
-  let task = task_of_source s.source in
-  let name = task.Driver.name and machine = s.machine in
   let prov = Provenance.create () in
   let collector =
     Gis_check.Check.collector ~prov
@@ -588,10 +568,12 @@ let run_check s json_file _deterministic =
   check = Some (Gis_check.Check.hook collector);
     }
   in
-  let compiled = compile task in
-  let cfg = compiled.Codegen.cfg in
-  let input_lint = Gis_check.Lint.run ~stage:"input" cfg in
-  let pstats = schedule task machine config cfg in
+  let name, { Driver.compiled; cfg; stats = pstats; _ } =
+    run_one ~simulate:false s config
+  in
+  (* The run scheduled a copy, so the compiled program is still the
+     source the pipeline started from. *)
+  let input_lint = Gis_check.Lint.run ~stage:"input" compiled.Codegen.cfg in
   let staged_slots =
     match pstats.Pipeline.regalloc with
     | Some alloc -> Gis_regalloc.Regalloc.staged_slots alloc
@@ -645,14 +627,10 @@ let run_check s json_file _deterministic =
    compiled region, under the exact accounting identity of
    [Gis_obs.Prof] (checked on every run; exit 3 on violation). *)
 let run_profile s json_file folded_file folded_alloc trace_file deterministic =
-  let task = task_of_source s.source in
-  let name = task.Driver.name and machine = s.machine in
+  let machine = s.machine in
   let prof = Prof.create () in
   let config = { s.config with Config.prof = Some prof } in
-  let compiled = compile task in
-  let cfg = Cfg.deep_copy compiled.Codegen.cfg in
-  let stats = schedule task machine config cfg in
-  Validate.check_exn cfg;
+  let name, { Driver.cfg; stats; _ } = run_one ~simulate:false s config in
   match Prof.roots prof with
   | [] ->
       Fmt.epr "INTERNAL ERROR: pipeline recorded no profile tree@.";
@@ -676,14 +654,8 @@ let run_profile s json_file folded_file folded_alloc trace_file deterministic =
           let node = if deterministic then Prof.scrub root else root in
           write_json path
             (Json.Obj
-               [
-                 ("program", Json.String name);
-                 ("machine", Json.String (Machine.name machine));
-                 ( "level",
-                   Json.String
-                     (Fmt.str "%a" Config.pp_level config.Config.level) );
-                 ("profile", Prof.to_json node);
-               ]);
+               (report_head name machine config
+               @ [ ("profile", Prof.to_json node) ]));
           Fmt.pr "profile written to %s@." path)
         json_file;
       Option.iter

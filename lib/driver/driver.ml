@@ -4,6 +4,7 @@ open Gis_sim
 open Gis_frontend
 open Gis_workloads
 open Gis_obs
+module Regalloc = Gis_regalloc.Regalloc
 
 type source =
   | Tiny_c of string
@@ -14,12 +15,6 @@ type source =
 type task = { name : string; source : source }
 
 let task_of_file path = { name = Filename.basename path; source = File path }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let workload_tasks () =
   { name = "minmax"; source = Tiny_c Minmax.source }
@@ -129,7 +124,7 @@ let run_counts ?sim ?bounds ~events (stats : Pipeline.stats) =
       | Some b -> float_of_int (f b)
       | None -> 0.0)
   in
-  let open Gis_regalloc.Regalloc in
+  let open Regalloc in
   let open Gis_bounds.Bounds in
   Sink.count events
   @ Global_sched.counts (stats.Pipeline.pass1 @ stats.Pipeline.pass2)
@@ -162,10 +157,10 @@ let run_counts ?sim ?bounds ~events (stats : Pipeline.stats) =
   @ pool_counts []
 
 (* ------------------------------------------------------------------ *)
-(* One task, start to finish.                                          *)
+(* One run per program: source to compared cycles.                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors gisc's default simulation input: every declared array gets
+(* The default simulation input: every declared array gets
    deterministic pseudo-random contents, and a variable called [n], if
    any, is set to the element count. *)
 let default_input compiled ~elements ~seed =
@@ -187,8 +182,6 @@ let default_input compiled ~elements ~seed =
     memory = Codegen.array_input compiled arrays;
   }
 
-exception Observable_mismatch of string
-
 let compile_task task =
   match task.source with
   | Tiny_c src -> Codegen.compile_string src
@@ -196,121 +189,139 @@ let compile_task task =
   | File path ->
       (* Read inside the worker so batch IO runs in parallel and an
          unreadable file fails only its own task. *)
-      let src = read_file path in
+      let src = In_channel.with_open_bin path In_channel.input_all in
       if Filename.check_suffix path ".s" then
         { Codegen.cfg = Asm.parse src; vars = []; arrays = [] }
       else Codegen.compile_string src
   | Generated seed -> Random_prog.generate_compiled ~seed
 
-let run_task machine config ~simulate ~elements ~seed task =
+type simulation = {
+  baseline : Cfg.t;
+  input : Simulator.input;
+  base : Simulator.outcome;
+  sched : Simulator.outcome;
+  observables : string;
+}
+
+type run = {
+  compiled : Codegen.compiled;
+  cfg : Cfg.t;
+  stats : Pipeline.stats;
+  sim : simulation option;
+}
+
+let run_one ?(simulate = true) ?(trace = false) ?(elements = 128) ?(seed = 3)
+    machine config task =
   (* Label streams must depend only on the task, not on which worker
      runs it or what ran before — the determinism guarantee. *)
   Label.reset_fresh_counter ();
-  (* Fresh flight-recorder history per task, so a dump after a failure
-     shows only the events that led up to it. *)
-  Flight.clear ();
-  Flight.notef "task %s: start" task.name;
   match compile_task task with
-  | exception Parser.Error m | exception Lexer.Error m
-  | exception Codegen.Error m | exception Asm.Error m ->
+  | exception (Parser.Error m | Lexer.Error m | Codegen.Error m | Asm.Error m)
+    ->
       Error (Compile_error m)
   | exception e -> Error (Crashed (Printexc.to_string e))
   | compiled -> (
       Flight.notef "task %s: compiled, %d blocks" task.name
         (Cfg.num_blocks compiled.Codegen.cfg);
-      let sink, sink_events = Sink.memory () in
-      (* The recorder rides along on the task's own sink: every
-         scheduler event lands in the ring too, memory sink first so
-         the events count is unaffected. *)
-      let config =
-        {
-          config with
-          Config.obs = Sink.tee sink (Flight.sink ());
-          prov = Option.map (fun _ -> Provenance.create ()) config.Config.prov;
-        }
-      in
       match
+        (* The baseline copy is taken even when nothing will read it:
+           every copied block draws a uid from the generator the
+           scheduled copy shares, so skipping it would renumber the
+           scheduled code. Only the simulation reads the BASE compile. *)
         let baseline = Cfg.deep_copy compiled.Codegen.cfg in
-        ignore (Pipeline.run machine Config.base baseline);
+        if simulate then ignore (Pipeline.run machine Config.base baseline);
         let cfg = Cfg.deep_copy compiled.Codegen.cfg in
         let stats = Pipeline.run machine config cfg in
         Validate.check_exn cfg;
-        let moves = Pipeline.moves stats in
-        let events = sink_events () in
-        let base_cycles, sched_cycles, observables, sim =
-          if not simulate then (-1, -1, "", None)
-          else begin
-            Flight.notef "task %s: scheduled, simulating" task.name;
-            let input =
-              match task.source with
-              | Generated gseed -> Random_prog.random_input ~seed:gseed compiled
-              | Tiny_c _ | Asm _ | File _ -> default_input compiled ~elements ~seed
-            in
-            (* With allocation on, the scheduled code runs on physical
-               names: its input moves through the assignment, and spill
-               traffic is routed through the frame register to the
-               simulator's dedicated spill segment — so observables
-               compare exactly, no filtering. *)
-            let sched_input, frame =
-              Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc
-                input
-            in
-            let ob = Simulator.run machine baseline input in
-            let os = Simulator.run ?frame machine cfg sched_input in
-            let base_obs = Simulator.observables ob in
-            let sched_obs = Simulator.observables os in
-            if not (String.equal base_obs sched_obs) then
-              raise
-                (Observable_mismatch
-                   (Fmt.str "base:@,%s@,scheduled:@,%s" base_obs sched_obs));
-            (ob.Simulator.cycles, os.Simulator.cycles, sched_obs, Some os)
-          end
-        in
-        let spilled_regs, spill_instrs, spill_slots, max_pressure =
-          match stats.Pipeline.regalloc with
-          | None -> (0, 0, 0, 0)
-          | Some a ->
-              ( List.length a.Gis_regalloc.Regalloc.spilled,
-                a.Gis_regalloc.Regalloc.spill_loads
-                + a.Gis_regalloc.Regalloc.spill_stores,
-                a.Gis_regalloc.Regalloc.slots,
-                List.fold_left
-                  (fun acc (s : Gis_regalloc.Regalloc.cls_stat) ->
-                    max acc s.Gis_regalloc.Regalloc.pressure)
-                  0 a.Gis_regalloc.Regalloc.per_class )
-        in
-        {
-          blocks = Cfg.num_blocks cfg;
-          instrs = Cfg.instr_count cfg;
-          unrolled = stats.Pipeline.unrolled;
-          rotated = stats.Pipeline.rotated;
-          moves = List.length moves;
-          spec_moves =
-            List.length
-              (List.filter
-                 (fun (m : Global_sched.move) -> m.Global_sched.speculative)
-                 moves);
-          renames =
-            List.length
-              (List.filter
-                 (fun (m : Global_sched.move) -> m.Global_sched.renamed <> None)
-                 moves);
-          events = List.length events;
-          spilled_regs;
-          spill_instrs;
-          spill_slots;
-          max_pressure;
-          base_cycles;
-          sched_cycles;
-          observables;
-          code = Fmt.str "%a" Cfg.pp cfg;
-          counts = run_counts ?sim ~events stats;
-        }
+        let run = { compiled; cfg; stats; sim = None } in
+        if not simulate then Ok run
+        else begin
+          Flight.notef "task %s: scheduled, simulating" task.name;
+          let input =
+            match task.source with
+            | Generated gseed -> Random_prog.random_input ~seed:gseed compiled
+            | Tiny_c _ | Asm _ | File _ ->
+                default_input compiled ~elements ~seed
+          in
+          (* With allocation on, the scheduled code runs on physical
+             names: its input moves through the assignment, and spill
+             traffic is routed through the frame register to the
+             simulator's dedicated spill segment — so observables
+             compare exactly, no filtering. *)
+          let sched_input, frame =
+            Regalloc.remap_with_frame stats.Pipeline.regalloc input
+          in
+          let base = Simulator.run machine baseline input in
+          let sched = Simulator.run ~trace ?frame machine cfg sched_input in
+          let base_obs = Simulator.observables base in
+          let observables = Simulator.observables sched in
+          if String.equal base_obs observables then
+            Ok
+              {
+                run with
+                sim = Some { baseline; input; base; sched; observables };
+              }
+          else
+            Error
+              (Mismatch
+                 (Fmt.str "base:@,%s@,scheduled:@,%s" base_obs observables))
+        end
       with
-      | summary -> Ok summary
-      | exception Observable_mismatch m -> Error (Mismatch m)
-      | exception Gis_regalloc.Regalloc.Infeasible m -> Error (Infeasible m)
+      | result -> result
+      | exception Regalloc.Infeasible m -> Error (Infeasible m)
       | exception e -> Error (Crashed (Printexc.to_string e)))
+
+(* One pool task: [run_one] on a private sink and provenance table,
+   folded into its summary. *)
+let run_task machine config ~simulate ~elements ~seed task =
+  (* Fresh flight-recorder history per task, so a dump after a failure
+     shows only the events that led up to it. *)
+  Flight.clear ();
+  Flight.notef "task %s: start" task.name;
+  let sink, sink_events = Sink.memory () in
+  (* The recorder rides along on the task's own sink: every scheduler
+     event lands in the ring too, memory sink first so the events count
+     is unaffected. *)
+  let config =
+    {
+      config with
+      Config.obs = Sink.tee sink (Flight.sink ());
+      prov = Option.map (fun _ -> Provenance.create ()) config.Config.prov;
+    }
+  in
+  Result.map
+    (fun { cfg; stats; sim; _ } ->
+      let moves = Pipeline.moves stats in
+      let count p = List.length (List.filter p moves) in
+      let events = sink_events () in
+      let alloc f = Option.fold ~none:0 ~some:f stats.Pipeline.regalloc in
+      let simulated ~none f = Option.fold ~none ~some:f sim in
+      {
+        blocks = Cfg.num_blocks cfg;
+        instrs = Cfg.instr_count cfg;
+        unrolled = stats.Pipeline.unrolled;
+        rotated = stats.Pipeline.rotated;
+        moves = List.length moves;
+        spec_moves = count (fun m -> m.Global_sched.speculative);
+        renames = count (fun m -> m.Global_sched.renamed <> None);
+        events = List.length events;
+        spilled_regs = alloc (fun a -> List.length a.Regalloc.spilled);
+        spill_instrs =
+          alloc (fun a -> a.Regalloc.spill_loads + a.spill_stores);
+        spill_slots = alloc (fun a -> a.Regalloc.slots);
+        max_pressure =
+          alloc (fun a ->
+              List.fold_left
+                (fun acc s -> max acc s.Regalloc.pressure)
+                0 a.Regalloc.per_class);
+        base_cycles = simulated ~none:(-1) (fun s -> s.base.Simulator.cycles);
+        sched_cycles = simulated ~none:(-1) (fun s -> s.sched.Simulator.cycles);
+        observables = simulated ~none:"" (fun s -> s.observables);
+        code = Fmt.str "%a" Cfg.pp cfg;
+        counts =
+          run_counts ?sim:(Option.map (fun s -> s.sched) sim) ~events stats;
+      })
+    (run_one ~simulate ~elements ~seed machine config task)
 
 (* ------------------------------------------------------------------ *)
 (* The pool.                                                           *)

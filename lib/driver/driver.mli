@@ -1,14 +1,19 @@
-(** Parallel batch compilation service.
+(** One run per program, and a parallel batch service over many.
 
-    Takes N independent compilation units and schedules them across a
-    fixed pool of OCaml 5 domains pulling from a shared work queue.
-    The paper's regions are per-procedure, so whole compilation units
-    are embarrassingly parallel — each task compiles, schedules,
-    validates and (optionally) simulates one unit with no shared
-    mutable state.
+    {!run_one} is the paper's unit of measurement — one program compiled
+    by BASE and by the global scheduler, both simulated on one input —
+    and the only place that pair is built: the pool, [gisc explain] and
+    every [gisc] subcommand call it. {!run} spreads tasks, one
+    {!run_one} each, across a fixed pool of OCaml 5 domains pulling
+    from a shared queue; whole compilation units are embarrassingly
+    parallel.
 
     Guarantees:
 
+    - {b One numbering}: whether or not it simulates, {!run_one} takes
+      the baseline copy before the scheduled one, and each copied block
+      draws a uid from the generator both share — so every caller sees
+      the same uids.
     - {b Deterministic results}: the report lists task results in input
       order, and every result is byte-identical regardless of
       [~jobs] — worker count and queue interleaving only affect
@@ -103,7 +108,8 @@ val pp_error : error Fmt.t
 val compile_task : task -> Gis_frontend.Codegen.compiled
 (** Compile the task's source to a CFG; raises the frontend's own
     exceptions ([Parser.Error], [Lexer.Error], [Codegen.Error],
-    [Asm.Error]). Exposed for {!Explain} and single-program tools. *)
+    [Asm.Error]). Exposed for tools that replay a run stage by
+    stage. *)
 
 val default_input :
   Gis_frontend.Codegen.compiled ->
@@ -113,6 +119,41 @@ val default_input :
 (** The simulation input [gisc] uses by default: deterministic
     pseudo-random contents for every declared array, and the variable
     [n] (if declared) bound to [elements]. *)
+
+type simulation = {
+  baseline : Gis_ir.Cfg.t;  (** the BASE-compiled copy *)
+  input : Gis_sim.Simulator.input;  (** before the allocation's remap *)
+  base : Gis_sim.Simulator.outcome;
+  sched : Gis_sim.Simulator.outcome;
+  observables : string;  (** the trace both runs produced *)
+}
+
+type run = {
+  compiled : Gis_frontend.Codegen.compiled;  (** never scheduled *)
+  cfg : Gis_ir.Cfg.t;  (** the scheduled (and possibly allocated) copy *)
+  stats : Gis_core.Pipeline.stats;
+  sim : simulation option;  (** [Some] exactly when simulated *)
+}
+
+val run_one :
+  ?simulate:bool ->
+  ?trace:bool ->
+  ?elements:int ->
+  ?seed:int ->
+  Gis_machine.Machine.t ->
+  Gis_core.Config.t ->
+  task ->
+  (run, error) result
+(** Reset the label counter, compile, copy for BASE then for the
+    scheduler, schedule the second copy under [config] (whose sink,
+    provenance, profiler and check hook see only it) and validate it.
+    With [simulate] (default true) also compile BASE, simulate both on
+    one input ([Generated] tasks their own, others {!default_input}
+    with [elements]/[seed], defaults 128/3; remapped through the
+    allocation for the scheduled code, whose event log [trace] records)
+    and compare observables. Errors: frontend exceptions are
+    [Compile_error], differing observables [Mismatch], an infeasible
+    allocation [Infeasible], any other exception [Crashed]. *)
 
 type task_result = {
   task : string;
@@ -160,10 +201,8 @@ val run :
 (** Compile and schedule every task. [jobs] (default 1) is the domain
     pool size, clamped to the task count; workers always run in spawned
     domains, so the caller's domain-local state is never touched.
-    [simulate] (default true) runs base and scheduled code on the
-    simulator and checks observable equality; [elements]/[seed]
-    (defaults 128/3) parameterize the default simulation input exactly
-    as [gisc] does. [config.obs] is replaced by a private per-task sink
+    [simulate], [elements] and [seed] are {!run_one}'s. [config.obs]
+    is replaced by a private per-task sink
     — a shared sink would race across domains; use the [events] count
     in each summary instead. Likewise, when [config.prov] is set, each
     task records into a fresh table of its own (which also turns on

@@ -10,8 +10,8 @@ val compile_error : int  (** 1 — the input program failed to compile *)
 val usage_error : int  (** 2 — bad flags or arguments *)
 
 val verification_failure : int
-(** 3 — a simulation mismatch, identity failure, or static
-    schedule-legality violation *)
+(** 3 — a simulation mismatch, identity failure, static
+    schedule-legality violation, or internal crash *)
 
 val batch_partial_failure : int  (** 4 — batch run, ≥1 program failed *)
 

@@ -3,9 +3,10 @@ open Gis_core
 open Gis_sim
 open Gis_obs
 
-(* `gisc explain`: run one program through the full pipeline with a
-   provenance table attached, simulate the base and scheduled versions,
-   and attribute the cycle difference to the motion kinds.
+(* `gisc explain`: one [Driver.run_one] of the program with a
+   provenance table attached — base and scheduled versions simulated
+   and their observables compared — and the cycle difference
+   attributed to the motion kinds.
 
    The accounting identity behind the attribution: the simulator's
    per-block stall gaps telescope to the program's last issue cycle, so
@@ -24,7 +25,6 @@ type t = {
   sched_last_issue : int;
   base_cycles : int;
   sched_cycles : int;
-  base_telemetry : Trace.summary;
   sched_telemetry : Trace.summary;
   bounds : Gis_bounds.Bounds.t;
       (** lower bounds and gap attribution for the scheduled run *)
@@ -40,36 +40,15 @@ let delta_total e = e.base_last_issue - e.sched_last_issue
 let identity_holds e =
   Provenance.attribution_total e.attribution = delta_total e
 
-let explain ?(elements = 128) ?(seed = 3) ?(trace = false) machine
-    (config : Config.t) (task : Driver.task) =
-  Label.reset_fresh_counter ();
-  match Driver.compile_task task with
-  | exception Gis_frontend.Parser.Error m
-  | exception Gis_frontend.Lexer.Error m
-  | exception Gis_frontend.Codegen.Error m
-  | exception Asm.Error m ->
-      Error (Driver.Compile_error m)
-  | exception e -> Error (Driver.Crashed (Printexc.to_string e))
-  | compiled -> (
+let explain ?elements ?seed ?trace machine (config : Config.t)
+    (task : Driver.task) =
+  let prov = Provenance.create () in
+  let config = { config with Config.prov = Some prov } in
+  Result.bind
+    (Driver.run_one ~simulate:true ?trace ?elements ?seed machine config task)
+    (fun { Driver.cfg; stats; sim; _ } ->
+      let { Driver.base = ob; sched = os; _ } = Option.get sim in
       match
-        let prov = Provenance.create () in
-        let config = { config with Config.prov = Some prov } in
-        let baseline = Cfg.deep_copy compiled.Gis_frontend.Codegen.cfg in
-        ignore (Pipeline.run machine Config.base baseline);
-        let cfg = Cfg.deep_copy compiled.Gis_frontend.Codegen.cfg in
-        let stats = Pipeline.run machine config cfg in
-        let input =
-          match task.Driver.source with
-          | Driver.Generated gseed ->
-              Gis_workloads.Random_prog.random_input ~seed:gseed compiled
-          | Driver.Tiny_c _ | Driver.Asm _ | Driver.File _ ->
-              Driver.default_input compiled ~elements ~seed
-        in
-        let sched_input, frame =
-          Gis_regalloc.Regalloc.remap_with_frame stats.Pipeline.regalloc input
-        in
-        let ob = Simulator.run ~trace machine baseline input in
-        let os = Simulator.run ~trace ?frame machine cfg sched_input in
         let attribution =
           Provenance.attribute prov ~base:ob.Simulator.telemetry
             ~sched:os.Simulator.telemetry
@@ -89,7 +68,6 @@ let explain ?(elements = 128) ?(seed = 3) ?(trace = false) machine
           sched_last_issue = os.Simulator.telemetry.Trace.last_issue;
           base_cycles = ob.Simulator.cycles;
           sched_cycles = os.Simulator.cycles;
-          base_telemetry = ob.Simulator.telemetry;
           sched_telemetry = os.Simulator.telemetry;
           bounds;
           mem_edges_kept = Gis_ddg.Ddg.tally_kept stats.Pipeline.alias;
@@ -97,8 +75,6 @@ let explain ?(elements = 128) ?(seed = 3) ?(trace = false) machine
         }
       with
       | e -> Ok e
-      | exception Gis_regalloc.Regalloc.Infeasible m ->
-          Error (Driver.Infeasible m)
       | exception exn -> Error (Driver.Crashed (Printexc.to_string exn)))
 
 (* ---- rendering ---- *)

@@ -1,8 +1,10 @@
 (** [gisc explain]: provenance-tracked run of one program.
 
-    Compiles the task, schedules it with a fresh provenance table on
-    [config], simulates the base and scheduled versions, and attributes
-    the per-block issue-cycle difference to motion kinds. The deltas
+    One {!Driver.run_one} of the task with a fresh provenance table on
+    [config] — the base and scheduled versions simulated and their
+    observables compared, so a schedule that changes behaviour is
+    [Error (Mismatch _)] — with the per-block issue-cycle difference
+    attributed to motion kinds. The deltas
     sum to [base_last_issue - sched_last_issue] exactly (the E−A
     accounting identity; {!identity_holds} checks it and the test suite
     pins it on every workload). *)
@@ -16,7 +18,6 @@ type t = {
   sched_last_issue : int;
   base_cycles : int;
   sched_cycles : int;
-  base_telemetry : Gis_obs.Trace.summary;
   sched_telemetry : Gis_obs.Trace.summary;
   bounds : Gis_bounds.Bounds.t;
       (** schedule-quality lower bounds and gap attribution for the
@@ -41,10 +42,11 @@ val explain :
   Gis_core.Config.t ->
   Driver.task ->
   (t, Driver.error) result
-(** [trace] (default false) additionally records per-issue event logs
-    in both telemetry summaries (for {!Gis_obs.Chrome_trace} export or
-    the ASCII pipeline view). Any [Config.prov] already on [config] is
-    replaced by the fresh table. *)
+(** [trace] (default false) additionally records the scheduled run's
+    per-issue event log in [sched_telemetry] (for
+    {!Gis_obs.Chrome_trace} export or the ASCII pipeline view).
+    [elements]/[seed] pick the input as {!Driver.run_one} does. Any
+    [Config.prov] already on [config] is replaced by the fresh table. *)
 
 val pp : t Fmt.t
 (** Per-instruction provenance grouped by block, motion-kind counts,

@@ -425,6 +425,111 @@ let test_explain_minmax_motions () =
       | _ -> Alcotest.fail "identity_exact missing or false in JSON")
 
 (* ------------------------------------------------------------------ *)
+(* One run per program                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [gisc ARGS --json FILE] and return the report. *)
+let gisc_json args =
+  let out = Filename.temp_file "gisc" ".json" in
+  let cmd =
+    Filename.quote_command ~stdout:Filename.null
+      Filename.(concat (dirname Sys.executable_name) "../bin/gisc.exe")
+      (args @ [ "--json"; out ])
+  in
+  let code = Sys.command cmd in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 code;
+  match Gis_obs.Json.of_string text with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "%s: bad JSON: %s" (String.concat " " args) m
+
+(* Every integer under a [uid], [src_uid] or [dst_uid] key. *)
+let rec uids acc = function
+  | Gis_obs.Json.Obj kvs ->
+      List.fold_left
+        (fun acc (k, v) ->
+          match (k, v) with
+          | ("uid" | "src_uid" | "dst_uid"), Gis_obs.Json.Int u -> u :: acc
+          | _ -> uids acc v)
+        acc kvs
+  | Gis_obs.Json.List vs -> List.fold_left uids acc vs
+  | _ -> acc
+
+(* `gisc bound` and `gisc explain` run the same [Driver.run_one], so
+   every instruction the bound report names is one of the instructions
+   explain's provenance lists for the same program. *)
+let test_bound_explain_one_numbering () =
+  List.iter
+    (fun args ->
+      let explained =
+        match
+          Gis_obs.Json.member "provenance" (gisc_json ("explain" :: args))
+        with
+        | Some p -> (
+            match Gis_obs.Json.member "instructions" p with
+            | Some is -> uids [] is
+            | None -> Alcotest.fail "provenance lacks instructions")
+        | None -> Alcotest.fail "explain report lacks provenance"
+      in
+      let bound = uids [] (gisc_json ("bound" :: args)) in
+      Alcotest.(check bool) "bound names instructions" true (bound <> []);
+      Alcotest.(check (list int))
+        (String.concat " " args ^ ": bound uids explain does not list")
+        []
+        (List.sort_uniq compare
+           (List.filter (fun u -> not (List.mem u explained)) bound)))
+    [
+      [ "-w"; "espresso"; "-l"; "speculative" ];
+      [ "-w"; "minmax"; "-l"; "speculative"; "--regalloc"; "--regs"; "6" ];
+    ]
+
+(* With memory dependences dropped, the schedule of generated program 1
+   reorders a load across a store and changes what it prints: explain
+   must report the mismatch, not attribute its cycles. *)
+let test_explain_catches_mismatch () =
+  let flag = Gis_ddg.Ddg.drop_mem_edges_for_testing in
+  flag := true;
+  Fun.protect
+    ~finally:(fun () -> flag := false)
+    (fun () ->
+      match
+        Explain.explain machine Config.speculative
+          { name = "rand-1"; source = Generated 1 }
+      with
+      | Error (Mismatch _) -> ()
+      | Error e -> Alcotest.failf "expected a mismatch, got %a" pp_error e
+      | Ok _ -> Alcotest.fail "divergent schedule explained as Ok")
+
+(* The BASE compile only feeds the simulation: an unsimulated batch
+   skips it and schedules exactly the same code, uids included. *)
+let test_unsimulated_same_code () =
+  let config =
+    {
+      Config.speculative with
+      Config.regalloc = true;
+      regs = Some 6;
+      pressure_aware = true;
+    }
+  in
+  let tasks = workload_tasks () @ corpus_tasks ~seeds:[ 0; 1; 2; 3 ] in
+  let codes ~simulate =
+    List.map
+      (fun (r : task_result) ->
+        match r.outcome with
+        | Ok s -> (s.code, s.base_cycles)
+        | Error e -> Alcotest.failf "%s: %a" r.task pp_error e)
+      (Driver.run ~simulate machine config tasks).results
+  in
+  List.iter2
+    (fun task ((off, off_base), (on, on_base)) ->
+      Alcotest.(check string) (task.name ^ ": same code") on off;
+      Alcotest.(check int) (task.name ^ ": unsimulated") (-1) off_base;
+      Alcotest.(check bool) (task.name ^ ": simulated") true (on_base > 0))
+    tasks
+    (List.combine (codes ~simulate:false) (codes ~simulate:true))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "gis_driver"
@@ -451,5 +556,14 @@ let () =
           Alcotest.test_case "zero cost when off" `Quick
             test_provenance_zero_cost;
           Alcotest.test_case "minmax explain" `Quick test_explain_minmax_motions;
+        ] );
+      ( "one run",
+        [
+          Alcotest.test_case "bound and explain share uids" `Quick
+            test_bound_explain_one_numbering;
+          Alcotest.test_case "explain catches a mismatch" `Quick
+            test_explain_catches_mismatch;
+          Alcotest.test_case "unsimulated batch, same code" `Quick
+            test_unsimulated_same_code;
         ] );
     ]

@@ -26,26 +26,6 @@ let workloads =
        (fun (p : Spec_proxy.t) -> (p.Spec_proxy.name, p.Spec_proxy.source))
        Spec_proxy.all
 
-(* Same default input rule as gisc and the batch driver. *)
-let default_input compiled ~elements ~seed =
-  let rng = Prng.create ~seed in
-  let arrays =
-    List.map
-      (fun (name, _, len) ->
-        (name, List.init (min len elements) (fun _ -> Prng.int rng 1000)))
-      compiled.Codegen.arrays
-  in
-  let n_binding =
-    match List.assoc_opt "n" compiled.Codegen.vars with
-    | Some reg -> [ (reg, elements) ]
-    | None -> []
-  in
-  {
-    Simulator.no_input with
-    Simulator.int_regs = n_binding;
-    memory = Codegen.array_input compiled arrays;
-  }
-
 let compile_schedule ?regs ?(pressure_aware = false) src =
   Label.reset_fresh_counter ();
   let compiled = Codegen.compile_string src in
@@ -69,7 +49,7 @@ let test_workloads_verify () =
       List.iter
         (fun regs ->
           let compiled, baseline, cfg, stats = compile_schedule ?regs src in
-          let input = default_input compiled ~elements:64 ~seed:3 in
+          let input = Gis_driver.Driver.default_input compiled ~elements:64 ~seed:3 in
           match stats.Pipeline.regalloc with
           | None -> Alcotest.failf "%s: pipeline produced no allocation" name
           | Some alloc -> (
@@ -257,7 +237,7 @@ let test_cr_spill_only_under_pressure () =
 let test_verifier_catches_conflict () =
   let compiled, baseline, cfg, stats = compile_schedule Minmax.source in
   let alloc = Option.get stats.Pipeline.regalloc in
-  let input = default_input compiled ~elements:64 ~seed:3 in
+  let input = Gis_driver.Driver.default_input compiled ~elements:64 ~seed:3 in
   (* Find two overlapping GPR intervals and force them into the same
      physical register. *)
   let gprs =
@@ -317,7 +297,7 @@ let test_pressure_aware_tight_still_correct () =
       let compiled, baseline, cfg, stats =
         compile_schedule ~regs:6 ~pressure_aware:true src
       in
-      let input = default_input compiled ~elements:64 ~seed:3 in
+      let input = Gis_driver.Driver.default_input compiled ~elements:64 ~seed:3 in
       let alloc = Option.get stats.Pipeline.regalloc in
       match
         R.verify ~gprs:6 ~fprs:6 ~machine ~baseline ~allocated:cfg alloc input
