@@ -5,7 +5,7 @@
    result on a parametric superscalar machine:
 
      gisc --workload minmax --level speculative --show-code --simulate
-     gisc my_program.tc --level useful --width 4 --simulate
+     gisc --level useful --width 4 --simulate my_program.tc
      gisc --workload minmax --simulate --trace-issue
      gisc --workload minmax --simulate --stats out.json
 
@@ -909,6 +909,11 @@ let main_term =
     $ trace_out_arg $ pipeline_view_arg $ deterministic_arg $ stats_arg
     $ timeout_arg $ flight_cap_arg)
 
+(* The exit statuses every command's man page lists. *)
+let exits =
+  List.map (fun c -> Cmd.Exit.info c ~doc:(Exit.describe c)) Exit.all
+  @ [ Cmd.Exit.info Cmd.Exit.internal_error ~doc:"uncaught exception" ]
+
 let explain_cmd =
   let doc =
     "show where every scheduled instruction came from (motion kind, \
@@ -916,7 +921,7 @@ let explain_cmd =
      block"
   in
   Cmd.v
-    (Cmd.info "explain" ~doc)
+    (Cmd.info "explain" ~doc ~exits)
     Term.(
       const run_explain $ setup_term () $ elements_arg $ seed_arg
       $ explain_json_arg $ trace_out_arg)
@@ -963,7 +968,7 @@ let profile_cmd =
      exits 3 if they do not)"
   in
   Cmd.v
-    (Cmd.info "profile" ~doc)
+    (Cmd.info "profile" ~doc ~exits)
     Term.(
       const run_profile
       $ setup_term ~no_disambig:(const false) ()
@@ -997,7 +1002,7 @@ let bound_cmd =
      identity (exits 3 if it does not hold)"
   in
   Cmd.v
-    (Cmd.info "bound" ~doc)
+    (Cmd.info "bound" ~doc ~exits)
     Term.(
       const run_bound $ setup_term () $ elements_arg $ seed_arg $ top_k_arg
       $ bound_json_arg)
@@ -1019,7 +1024,7 @@ let check_cmd =
      simulation involved; exits 3 on any legality violation"
   in
   Cmd.v
-    (Cmd.info "check" ~doc)
+    (Cmd.info "check" ~doc ~exits)
     Term.(
       const run_check $ setup_term () $ check_json_arg $ deterministic_arg)
 
@@ -1091,7 +1096,7 @@ let fuzz_cmd =
      reproducers in the corpus directory (exit 6 if any)"
   in
   Cmd.v
-    (Cmd.info "fuzz" ~doc)
+    (Cmd.info "fuzz" ~doc ~exits)
     Term.(
       const run_fuzz $ fuzz_seeds_arg $ fuzz_start_arg $ fuzz_corpus_arg
       $ fuzz_max_findings_arg $ fuzz_shrink_fuel_arg $ fuzz_jobs_arg
@@ -1103,7 +1108,11 @@ let cmd =
      Rodeh, PLDI 1991)"
   in
   Cmd.group ~default:main_term
-    (Cmd.info "gisc" ~version:"1.0.0" ~doc)
+    (Cmd.info "gisc" ~version:"1.0.0" ~doc ~exits)
     [ explain_cmd; bound_cmd; check_cmd; profile_cmd; fuzz_cmd ]
 
-let () = exit (Cmd.eval cmd)
+(* A command line cmdliner cannot parse is a usage error, as every
+   other bad flag is. *)
+let () =
+  let code = Cmd.eval ~term_err:Exit.usage_error cmd in
+  exit (if code = Cmd.Exit.cli_error then Exit.usage_error else code)

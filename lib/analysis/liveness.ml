@@ -65,13 +65,11 @@ let scan nm b =
 
 (* Each block has four bitset rows over register numbers, of capacity
    [cap]: [use] and [def], its upward-exposed uses and its definitions,
-   and [live_in] and [live_out], the fixpoint over them. A detached
-   block's rows stay empty. [uses] and [defs] list the elements of each
-   layout block's [use] and [def] rows, so a re-scan finds what left a
-   row without reading the row. The rows are regrown, doubling, when
-   the numbers outrun [cap]. [preds] and [succs] are each layout
-   block's layout neighbours, the only edges the fixpoint propagates
-   along. *)
+   and [live_in] and [live_out], the fixpoint over them. [uses] and
+   [defs] list the elements of each block's [use] and [def] rows, so a
+   re-scan finds what left a row without reading the row. The rows are
+   regrown, doubling, when the numbers outrun [cap]. The fixpoint
+   propagates along the CFG's own edges. *)
 type t = {
   names : names;
   mutable cap : int;
@@ -81,9 +79,6 @@ type t = {
   live_out : Bitset.t array;
   uses : int list array;
   defs : int list array;
-  in_layout : bool array;
-  preds : int list array;
-  succs : int list array;
 }
 
 (* Regrow the rows when the numbers have outrun them. *)
@@ -105,8 +100,6 @@ let set_rows t id (uses, defs) =
 let compute cfg =
   let n = Cfg.num_blocks cfg in
   let layout = Cfg.layout cfg in
-  let in_layout = Array.make n false in
-  List.iter (fun id -> in_layout.(id) <- true) layout;
   let names =
     {
       num = Ints.Int_table.create (Cfg.instr_count cfg);
@@ -120,17 +113,6 @@ let compute cfg =
   let scanned = List.map (fun id -> (id, scan names (Cfg.block cfg id))) layout in
   let cap = Vec.length names.regs + Sys.int_size in
   let rows () = Array.init n (fun _ -> Bitset.create cap) in
-  let layout_only ids = List.filter (fun b -> in_layout.(b)) ids in
-  let preds =
-    Array.mapi
-      (fun id ps -> if in_layout.(id) then layout_only ps else [])
-      (Cfg.predecessors cfg)
-  in
-  let succs =
-    Array.init n (fun id ->
-        if in_layout.(id) then layout_only (List.map fst (Cfg.successors cfg id))
-        else [])
-  in
   let t =
     {
       names;
@@ -141,9 +123,6 @@ let compute cfg =
       live_out = rows ();
       uses = Array.make n [];
       defs = Array.make n [];
-      in_layout;
-      preds;
-      succs;
     }
   in
   List.iter (fun (id, scan) -> set_rows t id scan) scanned;
@@ -151,7 +130,7 @@ let compute cfg =
      mostly-forward graphs; a block is re-evaluated only when a
      successor's [live_in] changed since its last evaluation. *)
   let rev_layout = List.rev layout in
-  let dirty = Array.copy in_layout in
+  let dirty = Array.make n true in
   let step () =
     let changed = ref false in
     List.iter
@@ -159,13 +138,15 @@ let compute cfg =
         if dirty.(id) then begin
           dirty.(id) <- false;
           let out = t.live_out.(id) in
-          List.iter (fun s -> Bitset.union_into ~dst:out t.live_in.(s)) succs.(id);
+          List.iter
+            (fun (s, _) -> Bitset.union_into ~dst:out t.live_in.(s))
+            (Cfg.successors cfg id);
           if
             Bitset.transfer ~dst:t.live_in.(id) ~gen:t.use.(id) ~kill:t.def.(id)
               out
           then begin
             changed := true;
-            List.iter (fun p -> dirty.(p) <- true) preds.(id)
+            List.iter (fun p -> dirty.(p) <- true) (Cfg.predecessors cfg id)
           end
         end)
       rev_layout;
@@ -192,7 +173,7 @@ let compute cfg =
 
    The result is the least fixpoint, exactly what a fresh {!compute}
    gives [x]. *)
-let resolve t x changed =
+let resolve t cfg x changed =
   let stack = ref [] and cleared = ref [] in
   let clear_in b =
     if Bitset.mem t.live_in.(b) x && not (Bitset.mem t.use.(b) x) then begin
@@ -213,7 +194,7 @@ let resolve t x changed =
               cleared := p :: !cleared;
               clear_in p
             end)
-          t.preds.(b);
+          (Cfg.predecessors cfg b);
         unpropagate ()
   in
   unpropagate ();
@@ -226,7 +207,9 @@ let resolve t x changed =
   let rederive b =
     if
       (not (Bitset.mem t.live_out.(b) x))
-      && List.exists (fun s -> Bitset.mem t.live_in.(s) x) t.succs.(b)
+      && List.exists
+           (fun (s, _) -> Bitset.mem t.live_in.(s) x)
+           (Cfg.successors cfg b)
     then Bitset.add t.live_out.(b) x;
     if
       Bitset.mem t.use.(b) x
@@ -246,7 +229,7 @@ let resolve t x changed =
               Bitset.add t.live_out.(p) x;
               if not (Bitset.mem t.def.(p) x) then gain_in p
             end)
-          t.preds.(b);
+          (Cfg.predecessors cfg b);
         propagate ()
   in
   propagate ()
@@ -275,7 +258,7 @@ let update t cfg ~blocks =
     diff t.def.(id) t.names.def_seen t.defs.(id) defs;
     set_rows t id scan
   in
-  List.iter (fun id -> if t.in_layout.(id) then rescan id) blocks;
+  List.iter rescan blocks;
   let rec by_register = function
     | [] -> ()
     | (x, b) :: rest ->
@@ -284,7 +267,7 @@ let update t cfg ~blocks =
           | rest -> (acc, rest)
         in
         let changed, rest = blocks_of [ b ] rest in
-        resolve t x changed;
+        resolve t cfg x changed;
         by_register rest
   in
   by_register (List.sort_uniq compare !changes)

@@ -11,10 +11,8 @@
     Registers are numbered densely per {!compute}, and each block's
     upward-exposed uses, definitions, live-in and live-out sets are
     bitset rows over those numbers, so no array is sized by a register
-    id.
-
-    Only blocks in {!Gis_ir.Cfg.layout} take part: a detached block has
-    empty live sets and contributes nothing to its layout neighbours. *)
+    id. The fixpoint runs along the CFG's own edges
+    ({!Gis_ir.Cfg.successors}). *)
 
 type t
 

@@ -38,11 +38,10 @@ let retreating_edges cfg =
 
 let natural_loop_body cfg (tail, header) =
   let body = ref (Int_set.singleton header) in
-  let preds = Cfg.predecessors cfg in
   let rec pull v =
     if not (Int_set.mem v !body) then begin
       body := Int_set.add v !body;
-      List.iter pull preds.(v)
+      List.iter pull (Cfg.predecessors cfg v)
     end
   in
   pull tail;
@@ -154,3 +153,16 @@ let pp ppf t =
         l.depth Ints.pp_int_set l.blocks)
     t.loops;
   Fmt.pf ppf "@]"
+
+let last_block ~rank loop =
+  Int_set.fold
+    (fun b last -> if rank.(b) > rank.(last) then b else last)
+    loop.blocks loop.header
+
+let small_innermost ~max_blocks cfg =
+  let t = compute cfg in
+  if not t.reducible then []
+  else
+    List.filter
+      (fun l -> l.children = [] && Int_set.cardinal l.blocks <= max_blocks)
+      (innermost_first t)

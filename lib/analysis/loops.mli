@@ -31,4 +31,13 @@ val innermost_first : t -> loop list
 (** Loops sorted by decreasing depth — the scheduling order of
     Section 5.1 ("innermost regions are scheduled first"). *)
 
+val small_innermost : max_blocks:int -> Gis_ir.Cfg.t -> loop list
+(** The innermost loops of [cfg] with at most [max_blocks] blocks,
+    innermost first, from one loop forest; none when [cfg] is
+    irreducible. The targets of unrolling and rotation. *)
+
+val last_block : rank:int array -> loop -> int
+(** The loop's block placed last in the layout, given each block's
+    layout position [rank] ({!Gis_ir.Cfg.layout_rank}). *)
+
 val pp : t Fmt.t

@@ -14,8 +14,7 @@ let equal_site a b =
   | Def _, External | External, Def _ -> false
 
 (* Everything is numbered densely per call, so no array is sized by a
-   uid or a [Reg.hash]. Instructions are numbered in visiting order:
-   the layout blocks in layout order, then the detached blocks by id.
+   uid or a [Reg.hash]. Instructions are numbered in layout order.
    Registers are numbered by first mention. Each instruction's use and
    def operands are slots in flat arrays: instruction [k]'s uses are
    slots [use_off.(k)] to [use_off.(k + 1) - 1], in [Instr.uses] order,
@@ -25,10 +24,9 @@ let equal_site a b =
    grouped by register: each register's sites take one contiguous
    range, so a definition's kill is a range and a use's chain is a scan
    of its register's range. Within a range the sites run newest first
-   in interning order, where a register's definitions in the layout
-   come first, then its [External] site (when the layout mentions it),
-   then its definitions in detached blocks. Chains read off a range in
-   order, so they list sites in that order. *)
+   in interning order, where a register's definitions come first, then
+   its [External] site. Chains read off a range in order, so they list
+   sites in that order. *)
 type t = {
   dense : Ints.Int_table.t;  (* uid -> instruction number *)
   reg_num : Ints.Int_table.t;  (* [Reg.hash] -> register number *)
@@ -44,27 +42,18 @@ type t = {
 let compute cfg =
   let nb = Cfg.num_blocks cfg in
   let layout = Cfg.layout cfg in
-  let in_layout = Array.make nb false in
-  List.iter (fun id -> in_layout.(id) <- true) layout;
-  (* Blocks in numbering order: the layout, then the detached ones. *)
-  let each_block f =
-    List.iter f layout;
-    for id = 0 to nb - 1 do
-      if not in_layout.(id) then f id
-    done
-  in
   (* 1. Count, then number, the instructions, their operand slots and
      the registers; [lo.(id)] and [hi.(id)] bound block [id]'s
-     instruction numbers, and the layout's operands come first, up to
-     [layout_uses] and [layout_defs]. *)
+     instruction numbers. *)
   let n = ref 0 and nuses = ref 0 and ndefs = ref 0 in
-  each_block (fun id ->
+  List.iter (fun id ->
       Block.iter
         (fun i ->
           incr n;
           nuses := !nuses + List.length (Instr.uses i);
           ndefs := !ndefs + List.length (Instr.defs i))
-        (Cfg.block cfg id));
+        (Cfg.block cfg id))
+    layout;
   let n = !n in
   let dense = Ints.Int_table.create n in
   let reg_num = Ints.Int_table.create n in
@@ -84,8 +73,7 @@ let compute cfg =
   let def_off = Array.make (n + 1) 0 and def_reg = Array.make !ndefs 0 in
   let lo = Array.make nb 0 and hi = Array.make nb 0 in
   let k = ref 0 and nu = ref 0 and nd = ref 0 in
-  let layout_uses = ref 0 and layout_defs = ref 0 in
-  each_block (fun id ->
+  List.iter (fun id ->
       lo.(id) <- !k;
       Block.iter
         (fun i ->
@@ -105,35 +93,19 @@ let compute cfg =
             (Instr.defs i);
           incr k)
         (Cfg.block cfg id);
-      hi.(id) <- !k;
-      if in_layout.(id) then begin
-        layout_uses := !nu;
-        layout_defs := !nd
-      end);
+      hi.(id) <- !k)
+    layout;
   use_off.(n) <- !nu;
   def_off.(n) <- !nd;
   let nregs = !nregs and ndefs = !ndefs in
-  let layout_uses = !layout_uses and layout_defs = !layout_defs in
-  (* 2. Lay out the site ranges: [layout_defs_of], [external_of] and
-     [detached_defs_of] count each register's sites by kind. *)
-  let layout_defs_of = Array.make nregs 0 in
-  let external_of = Array.make nregs 0 in
-  let detached_defs_of = Array.make nregs 0 in
-  for j = 0 to layout_uses - 1 do
-    external_of.(use_reg.(j)) <- 1
-  done;
-  for j = 0 to ndefs - 1 do
-    let r = def_reg.(j) in
-    if j < layout_defs then begin
-      external_of.(r) <- 1;
-      layout_defs_of.(r) <- layout_defs_of.(r) + 1
-    end
-    else detached_defs_of.(r) <- detached_defs_of.(r) + 1
-  done;
+  (* 2. Lay out the site ranges: register [r]'s range starts at
+     [start.(r)] with its [External] site, then a site per definition. *)
   let start = Array.make (nregs + 1) 0 in
+  for j = 0 to ndefs - 1 do
+    start.(def_reg.(j) + 1) <- start.(def_reg.(j) + 1) + 1
+  done;
   for r = 0 to nregs - 1 do
-    start.(r + 1) <-
-      start.(r) + layout_defs_of.(r) + external_of.(r) + detached_defs_of.(r)
+    start.(r + 1) <- start.(r) + start.(r + 1) + 1
   done;
   let nsites = start.(nregs) in
   (* The site of interning rank [rank] among register [r]'s. *)
@@ -144,10 +116,7 @@ let compute cfg =
   for k = 0 to n - 1 do
     for j = def_off.(k) to def_off.(k + 1) - 1 do
       let r = def_reg.(j) in
-      let s =
-        if j < layout_defs then site_at r rank.(r)
-        else site_at r (rank.(r) + external_of.(r))
-      in
+      let s = site_at r rank.(r) in
       rank.(r) <- rank.(r) + 1;
       def_site.(j) <- s;
       site_val.(s) <- Def uid_of.(k)
@@ -160,31 +129,22 @@ let compute cfg =
     Bitset.remove_range running start.(r) start.(r + 1);
     Bitset.add running def_site.(j)
   in
-  (* 3. gen/kill per layout block; a detached block's [out] stays the
-     shared empty set. *)
-  let empty = Bitset.create nsites in
-  let fresh () = Bitset.create nsites in
-  let gen = Array.make nb empty and kill = Array.make nb empty in
-  let in_ = Array.make nb empty and out = Array.make nb empty in
-  List.iter
-    (fun id ->
-      gen.(id) <- fresh ();
-      kill.(id) <- fresh ();
-      in_.(id) <- fresh ();
-      out.(id) <- fresh ();
-      for j = def_off.(lo.(id)) to def_off.(hi.(id)) - 1 do
-        let r = def_reg.(j) in
-        define gen.(id) j;
-        Bitset.add_range kill.(id) start.(r) start.(r + 1)
-      done)
-    layout;
+  (* 3. gen/kill per block. *)
+  let fresh _ = Bitset.create nsites in
+  let gen = Array.init nb fresh and kill = Array.init nb fresh in
+  let in_ = Array.init nb fresh and out = Array.init nb fresh in
+  for id = 0 to nb - 1 do
+    for j = def_off.(lo.(id)) to def_off.(hi.(id)) - 1 do
+      let r = def_reg.(j) in
+      define gen.(id) j;
+      Bitset.add_range kill.(id) start.(r) start.(r + 1)
+    done
+  done;
   (* 4. Forward dataflow. *)
   let external_sites = Bitset.create nsites in
   for r = 0 to nregs - 1 do
-    if external_of.(r) = 1 then
-      Bitset.add external_sites (site_at r layout_defs_of.(r))
+    Bitset.add external_sites start.(r)
   done;
-  let preds = Cfg.predecessors cfg in
   let entry = Cfg.entry cfg in
   let inn = Bitset.create nsites in
   let step () =
@@ -193,7 +153,9 @@ let compute cfg =
       (fun id ->
         Bitset.clear inn;
         if id = entry then Bitset.union_into ~dst:inn external_sites;
-        List.iter (fun p -> Bitset.union_into ~dst:inn out.(p)) preds.(id);
+        List.iter
+          (fun p -> Bitset.union_into ~dst:inn out.(p))
+          (Cfg.predecessors cfg id);
         let in_changed = Bitset.assign ~dst:in_.(id) inn in
         let out_changed =
           Bitset.transfer ~dst:out.(id) ~gen:gen.(id) ~kill:kill.(id) inn
@@ -281,30 +243,11 @@ let sole_def_of_all_uses t ~uid ~reg =
 (* ---- demand-driven queries ---- *)
 
 module Query = struct
-  (* [succs] and [preds] keep only layout-to-layout edges, the only ones
-     [compute]'s dataflow propagates along. [stamp] marks the blocks one
-     walk has visited: those holding the walk's [epoch]. *)
-  type nonrec t = {
-    cfg : Cfg.t;
-    in_layout : bool array;
-    succs : int list array;
-    preds : int list array;
-    stamp : int array;
-    mutable epoch : int;
-  }
+  (* [stamp] marks the blocks one walk has visited: those holding the
+     walk's [epoch]. *)
+  type nonrec t = { cfg : Cfg.t; stamp : int array; mutable epoch : int }
 
-  let create cfg =
-    let n = Cfg.num_blocks cfg in
-    let in_layout = Array.make n false in
-    List.iter (fun id -> in_layout.(id) <- true) (Cfg.layout cfg);
-    let layout_only id ps =
-      if in_layout.(id) then List.filter (fun p -> in_layout.(p)) ps else []
-    in
-    let succs =
-      Array.init n (fun id -> layout_only id (List.map fst (Cfg.successors cfg id)))
-    in
-    let preds = Array.mapi layout_only (Cfg.predecessors cfg) in
-    { cfg; in_layout; succs; preds; stamp = Array.make n 0; epoch = 0 }
+  let create cfg = { cfg; stamp = Array.make (Cfg.num_blocks cfg) 0; epoch = 0 }
 
   (* Starts a walk: the returned [first id] is true only the first time
      the walk asks about [id]. *)
@@ -349,7 +292,6 @@ module Query = struct
            uid Reg.pp reg);
     match last_def b reg k with
     | Some d -> [ Def d ]
-    | None when not q.in_layout.(block) -> []
     | None ->
         (* Walk back through the blocks whose entry the use's value
            flows through, to the last definition on each path; the
@@ -367,7 +309,7 @@ module Query = struct
               match last_def pb reg (length pb) with
               | Some d -> add (Def d)
               | None -> if first p then enter p)
-            q.preds.(x)
+            (Cfg.predecessors q.cfg x)
         in
         ignore (first block);
         enter block;
@@ -395,8 +337,8 @@ module Query = struct
     let first = new_walk q in
     let rec leave x =
       List.iter
-        (fun s -> if first s && scan s (Cfg.block q.cfg s) 0 then leave s)
-        q.succs.(x)
+        (fun (s, _) -> if first s && scan s (Cfg.block q.cfg s) 0 then leave s)
+        (Cfg.successors q.cfg x)
     in
     if scan block b (k + 1) then leave block;
     List.rev !uses

@@ -15,11 +15,9 @@
     proof and [Global_sched]'s rename check) uses it, so the checker
     shares no reaching-definitions code path with the scheduler.
 
-    Only blocks in {!Gis_ir.Cfg.layout} take part in the dataflow: a
-    definition in a detached block reaches only later uses in its own
-    block, and a use there sees only earlier definitions in its own
-    block. As {!Gis_ir.Validate} checks, uids are assumed distinct and
-    no instruction defines a register twice. *)
+    Edges are the CFG's own ({!Gis_ir.Cfg.successors}). As
+    {!Gis_ir.Validate} checks, uids are assumed distinct and no
+    instruction defines a register twice. *)
 
 type site =
   | Def of int  (** uid of the defining instruction *)
@@ -45,11 +43,10 @@ val compute : Gis_ir.Cfg.t -> t
 
 val defs_of_use : t -> uid:int -> reg:Gis_ir.Reg.t -> site list
 (** Definition sites reaching the given use operand, each once. Within
-    the list, a register's definitions in layout blocks come last, the
-    latest-visited first (layout order, then position); its
-    {!External} site comes before them, and its definitions in detached
-    blocks before that. Raises [Invalid_argument] if the instruction
-    does not use [reg]. *)
+    the list, a register's definitions come last, the latest-visited
+    first (layout order, then position), and its {!External} site
+    before them. Raises [Invalid_argument] if the instruction does not
+    use [reg]. *)
 
 val uses_of_def : t -> uid:int -> reg:Gis_ir.Reg.t -> int list
 (** Uids of instructions with a use of [reg] reached by this
@@ -68,9 +65,13 @@ module Query : sig
   type t
 
   val create : Gis_ir.Cfg.t -> t
-  (** Records the CFG's edges, layout and block count, which must not
-      change while [t] is in use; instructions may move between bodies
-      freely. *)
+  (** A query on [cfg]. It reads the CFG's current edges and bodies at
+      every answer and records only the block count, which must not
+      change while [t] is in use. So one query stays valid across any
+      number of motions, which move instructions between bodies and
+      leave edges and blocks alone: a global scheduling pass makes one
+      and shares it across every region's DDG build and rename
+      check. *)
 
   val defs_of_use :
     t -> block:int -> uid:int -> reg:Gis_ir.Reg.t -> site list

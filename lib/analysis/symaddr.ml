@@ -314,16 +314,21 @@ let compute cfg =
   let dirty = Array.init n (fun _ -> Vec.create ()) in
   (* Per reached block: the positions it defines and its exposed reads. *)
   let defs = Array.make n [] and reads = Array.make n [] in
-  let preds = Cfg.predecessors cfg in
-  let succs = Array.make n [] in
-  Array.iteri (fun b ps -> List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps) preds;
+  (* Each block's successors, from the predecessor lists: by
+     descending id, a block once per edge. *)
+  let succs = Array.make n [] and max_preds = ref 0 in
+  for b = 0 to n - 1 do
+    let ps = Cfg.predecessors cfg b in
+    max_preds := max !max_preds (List.length ps);
+    List.iter (fun p -> succs.(p) <- b :: succs.(p)) ps
+  done;
   let succs = Array.map Array.of_list succs in
   let entry = Cfg.entry cfg in
   full.(entry) <- true;
   (* [srcs.(0 .. !nsrc - 1)] are the environments the join at the
      visited block reads: each reached predecessor's exit, and the entry
      environment at the entry. *)
-  let srcs = Array.make (Array.fold_left (fun a ps -> max a (List.length ps)) 0 preds + 1) [||] in
+  let srcs = Array.make (!max_preds + 1) [||] in
   let nsrc = ref 0 in
   let gather id =
     nsrc := 0;
@@ -332,7 +337,7 @@ let compute cfg =
       incr nsrc
     in
     if id = entry then add entry_env;
-    List.iter (fun p -> if reached.(p) then add out.(p)) preds.(id)
+    List.iter (fun p -> if reached.(p) then add out.(p)) (Cfg.predecessors cfg id)
   in
   (* The pointwise join at [p]: the common value when every source
      agrees, [Top] otherwise. *)

@@ -160,7 +160,7 @@ let compute cfg =
   let n = Cfg.num_blocks cfg in
   let in_ : av array option array = Array.make n None in
   let out : av array option array = Array.make n None in
-  let preds = Cfg.predecessors cfg in
+  let preds = Edges.preds cfg in
   let entry = Cfg.entry cfg in
   let entry_env () =
     Array.init nr (fun i -> Ref { def = -1; reg = Vec.get hashes i; add = 0 })
@@ -204,9 +204,7 @@ let compute cfg =
             if stale then begin
               in_.(id) <- Some inn;
               out.(id) <- Some (run_block (Array.copy inn) id);
-              List.iter
-                (fun (s, _) -> Fix.Worklist.add wl s)
-                (Cfg.successors cfg id)
+              List.iter (Fix.Worklist.add wl) (Edges.succs cfg id)
             end);
         drain ()
   in

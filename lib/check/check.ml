@@ -627,7 +627,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                                     in
                                     if defs <> [] then
                                       List.iter
-                                        (fun (s, _) ->
+                                        (fun s ->
                                           let off_path =
                                             match
                                               rv.rv_view.Regions.block_node s
@@ -670,7 +670,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ?ppre ~stage ~pre ~post () =
                                                            Reg.pp r Label.pp
                                                            s_label))
                                                   defs)
-                                        (Cfg.successors pre bt));
+                                        (Edges.succs pre bt));
                                 match kind_claimed with
                                 | Some Provenance.Speculative | None -> ()
                                 | Some k ->

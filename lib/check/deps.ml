@@ -49,10 +49,10 @@ let back_edges cfg =
     let rec go u =
       color.(u) <- 1;
       List.iter
-        (fun (v, _) ->
+        (fun v ->
           if color.(v) = 1 then acc := (u, v) :: !acc
           else if color.(v) = 0 then go v)
-        (Cfg.successors cfg u);
+        (Edges.succs cfg u);
       color.(u) <- 2
     in
     go (Cfg.entry cfg);
@@ -60,14 +60,9 @@ let back_edges cfg =
   end
 
 let of_cfg ?(disambig = true) cfg =
-  let layout_set =
-    List.fold_left
-      (fun acc id -> Ints.Int_set.add id acc)
-      Ints.Int_set.empty (Cfg.layout cfg)
-  in
   let flow =
-    Gis_analysis.Flow.of_cfg ~blocks:layout_set
-      ~masked_edges:(back_edges cfg) ~entry:(Cfg.entry cfg) cfg
+    Gis_analysis.Flow.of_cfg ~masked_edges:(back_edges cfg)
+      ~entry:(Cfg.entry cfg) cfg
   in
   let nb = Cfg.num_blocks cfg in
   let node = Array.make nb (-1) in

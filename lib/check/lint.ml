@@ -5,7 +5,7 @@ open Gis_ddg
 open Gis_obs
 
 (* Rules, in reporting order:
-     cfg.malformed-target   (E) successor label missing or detached
+     cfg.malformed-target   (E) successor label missing
      cfg.unreachable-block  (W) layout block the entry cannot reach
      cfg.irreducible        (W) back edge whose target does not dominate
      lint.maybe-uninit      (W) a use reached by External *and* a real def
@@ -20,32 +20,18 @@ open Gis_obs
 
 let structural ~stage cfg acc =
   let layout = Cfg.layout cfg in
-  let layout_set =
-    List.fold_left
-      (fun s id -> Ints.Int_set.add id s)
-      Ints.Int_set.empty layout
-  in
   let reach = Cfg.reachable cfg in
   List.iter
     (fun id ->
       let b = Cfg.block cfg id in
       List.iter
         (fun target ->
-          match Cfg.find_label cfg target with
-          | None ->
-              acc :=
-                Diagnostic.error ~rule:"cfg.malformed-target" ~stage
-                  ~uid:(Instr.uid b.Block.term) ~blocks:[ b.Block.label ]
-                  (Fmt.str "branch target %a does not exist" Label.pp target)
-                :: !acc
-          | Some tid when not (Ints.Int_set.mem tid layout_set) ->
-              acc :=
-                Diagnostic.error ~rule:"cfg.malformed-target" ~stage
-                  ~uid:(Instr.uid b.Block.term) ~blocks:[ b.Block.label ]
-                  (Fmt.str "branch target %a names a detached block" Label.pp
-                     target)
-                :: !acc
-          | Some _ -> ())
+          if Cfg.find_label cfg target = None then
+            acc :=
+              Diagnostic.error ~rule:"cfg.malformed-target" ~stage
+                ~uid:(Instr.uid b.Block.term) ~blocks:[ b.Block.label ]
+                (Fmt.str "branch target %a does not exist" Label.pp target)
+              :: !acc)
         (try Block.successor_labels b with Invalid_argument _ -> []);
       if not (Ints.Int_set.mem id reach) then
         acc :=

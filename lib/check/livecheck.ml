@@ -35,8 +35,8 @@ let compute cfg =
       (fun id ->
         let out =
           List.fold_left
-            (fun acc (s, _) -> Reg.Set.union acc live_in.(s))
-            Reg.Set.empty (Cfg.successors cfg id)
+            (fun acc s -> Reg.Set.union acc live_in.(s))
+            Reg.Set.empty (Edges.succs cfg id)
         in
         let inn = Reg.Set.union use.(id) (Reg.Set.diff out def.(id)) in
         if

@@ -117,9 +117,9 @@ let region_too_big config cfg (region : Regions.region) =
    records the blocks it rewrote, and the next read re-scans just those
    ({!Liveness.update}). Reaching definitions are asked one use at a
    time ({!Reaching.Query}) on the current code, so they never go
-   stale. [rank] is each block's position in the layout ([max_int] for
-   a detached block), the "original program order" of heuristic rule
-   7. *)
+   stale, and one query serves every region's DDG build and rename
+   check. [rank] is each block's position in the layout, the "original
+   program order" of heuristic rule 7. *)
 type dataflow = {
   mutable live : Liveness.t option;
   mutable touched : Ints.Int_set.t;
@@ -129,10 +129,8 @@ type dataflow = {
 }
 
 let new_dataflow cfg =
-  let rank = Array.make (Cfg.num_blocks cfg) max_int in
-  List.iteri (fun pos b -> rank.(b) <- pos) (Cfg.layout cfg);
   { live = None; touched = Ints.Int_set.empty;
-    reach = lazy (Reaching.Query.create cfg); rank }
+    reach = lazy (Reaching.Query.create cfg); rank = Cfg.layout_rank cfg }
 
 (* Scheduling state for one region. *)
 type state = {
@@ -194,7 +192,7 @@ let liveness st =
       l
 
 let make_state ?sym ~df machine config cfg regions view =
-  let ddg = Ddg.build ?sym cfg machine regions view in
+  let ddg = Ddg.build ?sym ~reach:(Lazy.force df.reach) cfg machine regions view in
   let ddg = if config.Config.prune_transitive then Ddg.prune_transitive ddg else ddg in
   let flow = view.Regions.flow in
   let dom = Dominance.compute flow in

@@ -67,20 +67,22 @@ let run_phases machine (config : Config.t) cfg =
   if config.Config.split_webs && global then
     stage "webs" ~runs:true ~skipped:() (fun () -> ignore (Webs.split cfg));
   (* Region analysis is a function of the CFG's shape, which interblock
-     motion preserves — only unrolling and rotation invalidate it. Both
-     global passes therefore share one analysis unless rotation ran in
-     between. Computed inside the profiled stages, as a child node of
-     whichever global pass forced it. *)
+     motion preserves — only unrolling and rotation change it. So it is
+     kept with the shape version it was computed at, and both global
+     passes share one analysis unless the shape moved in between.
+     Computed inside the profiled stages, as a child node of whichever
+     global pass forced it. *)
   let regions_cache = ref None in
   let regions () =
+    let shape = Cfg.shape_version cfg in
     match !regions_cache with
-    | Some r -> r
-    | None ->
+    | Some (at, r) when at = shape -> r
+    | Some _ | None ->
         let r =
           Gis_obs.Prof.record prof "regions" (fun () ->
               Gis_analysis.Regions.compute cfg)
         in
-        regions_cache := Some r;
+        regions_cache := Some (shape, r);
         r
   in
   let alias = Gis_ddg.Ddg.new_tally () in
@@ -100,7 +102,6 @@ let run_phases machine (config : Config.t) cfg =
       ~skipped:0 (fun () ->
         Rotate.rotate_small_inner_loops ?prov ~max_blocks:small cfg)
   in
-  if rotated > 0 then regions_cache := None;
   let pass2 =
     stage "global-pass2" ~runs:global ~skipped:[] (fun () ->
         Global_sched.schedule

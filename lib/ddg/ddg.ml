@@ -242,6 +242,7 @@ let intra_mem_conflict ~sym ~(nodes : node array)
    covers both the region builder and the single-block builder. Never
    set outside tests. *)
 let drop_mem_edges_for_testing = ref false
+let cross_check_reach_for_testing = ref false
 
 let make_edge_table () =
   let edges = Hashtbl.create 256 in
@@ -327,7 +328,7 @@ let build_single_block ?sym machine (blk : Block.t) =
   finalize ~nodes ~mem_access ~exec:(Vec.to_array tbl.t_exec)
     ~by_view_node:[| idxs |] ~tally edges
 
-let build ?sym cfg machine regions (view : Regions.view) =
+let build ?sym ?reach cfg machine regions (view : Regions.view) =
   let loops_blocks c = Regions.summary_blocks regions ~loop_index:c in
   (* ---- 1. Node table ---- *)
   let tbl = new_table () in
@@ -375,7 +376,9 @@ let build ?sym cfg machine regions (view : Regions.view) =
   (* Inter-block dependences over reachable view-node pairs. Reaching
      definitions power the cross-block base-value proof; each access's
      base is queried on demand, once, when some pair first needs it. *)
-  let reaching = lazy (Reaching.Query.create cfg) in
+  let reaching =
+    lazy (match reach with Some q -> q | None -> Reaching.Query.create cfg)
+  in
   let base_memo = Array.make (Array.length nodes) None in
   let base_sites idx =
     match
@@ -387,13 +390,19 @@ let build ?sym cfg machine regions (view : Regions.view) =
     | (Some _ as known), _, _, _ -> known
     | None, Some i, Some (Alias.Load_ref ri | Alias.Store_ref ri), Regions.Block block
       ->
-        let sites =
-          Some
-            (Reaching.Query.defs_of_use (Lazy.force reaching) ~block
-               ~uid:(Instr.uid i) ~reg:ri.Alias.base)
+        let ask q =
+          Reaching.Query.defs_of_use q ~block ~uid:(Instr.uid i)
+            ~reg:ri.Alias.base
         in
-        base_memo.(idx) <- sites;
-        sites
+        let sites = ask (Lazy.force reaching) in
+        if
+          !cross_check_reach_for_testing
+          && not
+               (List.equal Reaching.equal_site sites
+                  (ask (Reaching.Query.create cfg)))
+        then failwith "Ddg.build: the shared reaching query is stale";
+        base_memo.(idx) <- Some sites;
+        Some sites
     | None, _, _, _ -> None
   in
   let reach = Flow.reachable_matrix view.Regions.flow in

@@ -36,6 +36,7 @@ type t
 
 val build :
   ?sym:Gis_analysis.Symaddr.t ->
+  ?reach:Gis_analysis.Reaching.Query.t ->
   Gis_ir.Cfg.t ->
   Gis_machine.Machine.t ->
   Gis_analysis.Regions.t ->
@@ -50,7 +51,11 @@ val build :
     equal-origin bases and disjoint ranges are pruned; without it only
     the version/family and reaching-definition rules apply. Legal code
     motion preserves every address computation, so facts computed once
-    per scheduling pass stay valid as regions are scheduled. *)
+    per scheduling pass stay valid as regions are scheduled.
+
+    [reach], a query on the same CFG, answers the cross-block base
+    proof's reaching definitions; a scheduling pass shares one across
+    its builds. Without it the build makes its own. *)
 
 val build_single_block :
   ?sym:Gis_analysis.Symaddr.t -> Gis_machine.Machine.t -> Gis_ir.Block.t -> t
@@ -118,5 +123,10 @@ val drop_mem_edges_for_testing : bool ref
     builders omit every memory dependence edge, letting the scheduler
     reorder conflicting stores and loads. [false] by default; tests that
     set it must restore it ([Fun.protect]). *)
+
+val cross_check_reach_for_testing : bool ref
+(** For tests ONLY: while [true], {!build} repeats each [reach] query
+    on a fresh query and raises [Failure] if the answers differ.
+    Tests that set it must restore it ([Fun.protect]). *)
 
 val pp : t Fmt.t

@@ -24,8 +24,11 @@ type env = {
 let emit env kind =
   Gis_util.Vec.push env.current.Block.body (Cfg.make_instr env.cfg kind)
 
+let set_term env kind =
+  Cfg.set_term env.cfg env.current.Block.id (Cfg.make_instr env.cfg kind)
+
 let terminate env kind next =
-  env.current.Block.term <- Cfg.make_instr env.cfg kind;
+  set_term env kind;
   env.current <- next
 
 let new_block env = Cfg.add_block env.cfg ~label:(Label.fresh ~prefix:"L" ())
@@ -125,9 +128,8 @@ let rec compile_cond env (c : Ast.cond) ~if_true ~if_false =
         (* BT to the true target, falling through to the false one. The
            caller repoints [env.current] afterwards — every use of
            [compile_cond] continues in an explicitly created block. *)
-        env.current.Block.term <-
-          Cfg.make_instr env.cfg
-            (B.bt ~cr ~cond:(cond_of op) ~taken:if_true ~fallthru:if_false)
+        set_term env
+          (B.bt ~cr ~cond:(cond_of op) ~taken:if_true ~fallthru:if_false)
       in
       match rhs with
       | Ast.Int n ->
@@ -250,7 +252,7 @@ let compile (p : Ast.program) =
           Hashtbl.replace env.array_info name (base, len, r))
     p.Ast.decls;
   List.iter (compile_stmt env) p.Ast.body;
-  env.current.Block.term <- Cfg.make_instr cfg Instr.Halt;
+  set_term env Instr.Halt;
   let cfg = Cfg.compact cfg in
   Validate.check_exn cfg;
   {

@@ -348,7 +348,7 @@ let parse text =
             | Some next -> Instr.Jump { target = next }
             | None -> Instr.Halt)
       in
-      b.Block.term <- Cfg.make_instr cfg term_kind)
+      Cfg.set_term cfg b.Block.id (Cfg.make_instr cfg term_kind))
     ordered;
   Cfg.set_entry cfg (Cfg.block_of_label cfg (List.hd ordered).rb_label).Block.id;
   (match Validate.check cfg with

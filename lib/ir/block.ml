@@ -1,6 +1,6 @@
 open Gis_util
 
-type t = {
+type t = Block_rep.t = {
   id : int;
   label : Label.t;
   body : Instr.t Vec.t;

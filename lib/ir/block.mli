@@ -4,13 +4,16 @@
     single terminator (conditional branch, jump, or halt). Successor
     edges are derived from the terminator, so the CFG can never disagree
     with the code. Body vectors are mutable because the global scheduler
-    physically moves instructions between blocks. *)
+    physically moves instructions between blocks.
 
-type t = {
+    The record is private: only {!Cfg} makes blocks and writes their
+    terminators, through {!Cfg.set_term}, which keeps its edges current. *)
+
+type t = Block_rep.t = private {
   id : int;  (** dense index within the owning CFG *)
   label : Label.t;
   body : Instr.t Gis_util.Vec.t;
-  mutable term : Instr.t;
+  mutable term : Instr.t;  (** written only by {!Cfg.set_term} *)
 }
 
 val successor_labels : t -> Label.t list

@@ -54,7 +54,7 @@ let func ?reg_gen blocks =
                  label);
           Gis_util.Vec.push b.Block.body (Cfg.make_instr cfg kind))
         body;
-      b.Block.term <- Cfg.make_instr cfg term)
+      Cfg.set_term cfg b.Block.id (Cfg.make_instr cfg term))
     blocks;
   (match blocks with
   | [] -> invalid_arg "Builder.func: no blocks"

@@ -6,6 +6,12 @@ let pp_edge_kind ppf k =
   Fmt.string ppf
     (match k with Taken -> "taken" | Fallthru -> "fallthru" | Always -> "always")
 
+(* [shape] counts the writes that change the graph's shape: a new
+   block, or a terminator whose successor labels changed. [succ] and
+   [pred] are the edges decoded from the terminators when [shape] read
+   [decoded_at]; they are re-decoded on the first read after it moves
+   on, so a terminator may name a label whose block is added later, as
+   long as nothing reads the edges in between. *)
 type t = {
   blocks : Block.t Vec.t;
   layout_order : int Vec.t;
@@ -13,6 +19,10 @@ type t = {
   by_label : (Label.t, int) Hashtbl.t;
   reg_gen : Reg.Gen.t;
   instr_gen : Instr.Gen.t;
+  mutable shape : int;
+  mutable decoded_at : int;
+  mutable succ : (int * edge_kind) list array;
+  mutable pred : int list array;
 }
 
 let create ?(reg_gen = Reg.Gen.create ()) () =
@@ -23,12 +33,17 @@ let create ?(reg_gen = Reg.Gen.create ()) () =
     by_label = Hashtbl.create 16;
     reg_gen;
     instr_gen = Instr.Gen.create ();
+    shape = 0;
+    decoded_at = -1;
+    succ = [||];
+    pred = [||];
   }
 
 let regs t = t.reg_gen
 let fresh_reg t cls = Reg.Gen.fresh t.reg_gen cls
 let make_instr t kind = Instr.Gen.make t.instr_gen kind
 let copy_instr t i = Instr.Gen.copy t.instr_gen i
+let shape_version t = t.shape
 
 let new_block t ~label =
   if Hashtbl.mem t.by_label label then
@@ -36,7 +51,7 @@ let new_block t ~label =
   let id = Vec.length t.blocks in
   let b =
     {
-      Block.id;
+      Block_rep.id;
       label;
       body = Vec.create ();
       term = make_instr t Instr.Halt;
@@ -44,6 +59,7 @@ let new_block t ~label =
   in
   Vec.push t.blocks b;
   Hashtbl.add t.by_label label id;
+  t.shape <- t.shape + 1;
   b
 
 let add_block t ~label =
@@ -59,11 +75,6 @@ let insert_block_after t ~after ~label =
       Vec.insert t.layout_order (pos + 1) b.Block.id;
       b
 
-let remove_block t id =
-  match Vec.find_index (fun bid -> bid = id) t.layout_order with
-  | None -> invalid_arg "Cfg.remove_block: block not in layout"
-  | Some pos -> ignore (Vec.remove t.layout_order pos)
-
 let set_entry t id = t.entry_id <- id
 let entry t = t.entry_id
 let num_blocks t = Vec.length t.blocks
@@ -78,70 +89,99 @@ let block_of_label t label =
 
 let layout t = Vec.to_list t.layout_order
 
+let layout_rank t =
+  let rank = Array.make (num_blocks t) 0 in
+  Vec.iteri (fun pos id -> rank.(id) <- pos) t.layout_order;
+  rank
+
 let iter_blocks f t = Vec.iter (fun id -> f (block t id)) t.layout_order
 
 let fold_blocks f acc t =
   Vec.fold_left (fun acc id -> f acc (block t id)) acc t.layout_order
 
-let successors t id =
-  let b = block t id in
-  match Instr.kind b.Block.term with
-  | Instr.Branch_cond { taken; fallthru; _ } ->
-      [
-        ((block_of_label t fallthru).Block.id, Fallthru);
-        ((block_of_label t taken).Block.id, Taken);
-      ]
-  | Instr.Jump { target } -> [ ((block_of_label t target).Block.id, Always) ]
-  | Instr.Halt -> []
-  | Instr.Load _ | Instr.Store _ | Instr.Load_imm _ | Instr.Move _
-  | Instr.Binop _ | Instr.Fbinop _ | Instr.Compare _ | Instr.Fcompare _
-  | Instr.Call _ ->
-      invalid_arg "Cfg.successors: non-branch terminator"
+(* Do two terminators name the same successor labels in the same edge
+   order? *)
+let same_targets a b =
+  match Instr.kind a, Instr.kind b with
+  | Instr.Branch_cond x, Instr.Branch_cond y ->
+      Label.equal x.taken y.taken && Label.equal x.fallthru y.fallthru
+  | Instr.Jump x, Instr.Jump y -> Label.equal x.target y.target
+  | Instr.Halt, Instr.Halt -> true
+  | _, _ -> false
 
-let predecessors t =
-  let preds = Array.make (num_blocks t) [] in
-  for id = 0 to num_blocks t - 1 do
-    List.iter (fun (s, _) -> preds.(s) <- id :: preds.(s)) (successors t id)
-  done;
-  Array.map List.rev preds
+let set_term t id term =
+  let b = block t id in
+  if not (same_targets b.Block.term term) then t.shape <- t.shape + 1;
+  b.Block_rep.term <- term
+
+let retarget t id ~f =
+  let term = (block t id).Block.term in
+  let kind =
+    match Instr.kind term with
+    | Instr.Branch_cond br ->
+        Instr.Branch_cond { br with taken = f br.taken; fallthru = f br.fallthru }
+    | Instr.Jump { target } -> Instr.Jump { target = f target }
+    | Instr.Halt -> Instr.Halt
+    | Instr.Load _ | Instr.Store _ | Instr.Load_imm _ | Instr.Move _
+    | Instr.Binop _ | Instr.Fbinop _ | Instr.Compare _ | Instr.Fcompare _
+    | Instr.Call _ ->
+        invalid_arg "Cfg.retarget: non-branch terminator"
+  in
+  set_term t id (Instr.with_kind term kind)
+
+let decode t b =
+  let id l = (block_of_label t l).Block.id in
+  match Block.successor_labels b with
+  | [ fallthru; taken ] -> [ (id fallthru, Fallthru); (id taken, Taken) ]
+  | [ target ] -> [ (id target, Always) ]
+  | _ -> []
+
+(* Bring [succ] and [pred] up to the current shape. Predecessors are
+   pushed from the highest block id down, so each list ascends. *)
+let decode_edges t =
+  if t.decoded_at <> t.shape then begin
+    let n = num_blocks t in
+    let succ = Array.init n (fun id -> decode t (block t id)) in
+    let pred = Array.make n [] in
+    for id = n - 1 downto 0 do
+      List.iter (fun (s, _) -> pred.(s) <- id :: pred.(s)) succ.(id)
+    done;
+    t.succ <- succ;
+    t.pred <- pred;
+    t.decoded_at <- t.shape
+  end
+
+let edges_cached t = t.decoded_at = t.shape
+
+let successors t id =
+  decode_edges t;
+  t.succ.(id)
+
+let predecessors t id =
+  decode_edges t;
+  t.pred.(id)
 
 let instr_count t =
   fold_blocks (fun acc b -> acc + Block.instr_count b) 0 t
 
 let all_instrs t = List.concat_map Block.instrs (List.map (block t) (layout t))
 
-(* Apply [f] to the layout blocks in order, or to block [only] alone. *)
-let search t only f =
-  match only with Some id -> f (block t id) | None -> iter_blocks f t
-
-let owner_of_uid t u =
-  let found = ref None in
-  iter_blocks
-    (fun b -> if !found = None && Block.mem_uid b u then found := Some b.Block.id)
-    t;
-  !found
-
 let update_instr ?block:only t ~uid ~f =
-  let found = ref false in
-  search t only (fun b ->
-      if not !found then begin
-        if Instr.uid b.Block.term = uid then begin
-          let i' = f b.Block.term in
-          if Instr.uid i' <> uid then invalid_arg "Cfg.update_instr: uid changed";
-          b.Block.term <- i';
-          found := true
-        end
-        else
-          match Block.find_body_index b ~uid with
-          | Some idx ->
-              let i' = f (Vec.get b.Block.body idx) in
-              if Instr.uid i' <> uid then
-                invalid_arg "Cfg.update_instr: uid changed";
-              Vec.set b.Block.body idx i';
-              found := true
-          | None -> ()
-      end);
-  !found
+  let replace old set =
+    let i' = f old in
+    if Instr.uid i' <> uid then invalid_arg "Cfg.update_instr: uid changed";
+    set i'
+  in
+  let update (b : Block.t) =
+    if Instr.uid b.term = uid then (replace b.term (set_term t b.id); true)
+    else
+      match Block.find_body_index b ~uid with
+      | Some idx -> replace (Vec.get b.body idx) (Vec.set b.body idx); true
+      | None -> false
+  in
+  match only with
+  | Some id -> update (block t id)
+  | None -> Vec.exists (fun id -> update (block t id)) t.layout_order
 
 let reachable t =
   let open Ints in
@@ -155,44 +195,31 @@ let reachable t =
   if num_blocks t > 0 then go t.entry_id;
   !seen
 
-(* Copy [src]'s blocks into a fresh graph, keeping only ids in [keep]
-   (in layout order), preserving labels and instruction uids. Shared
-   helper for [compact] and [deep_copy]. *)
+(* Copy [src]'s layout blocks for which [keep] holds into a fresh
+   graph, preserving labels and instruction uids. Shared helper for
+   [compact] and [deep_copy]. *)
 let rebuild src ~keep =
-  let dst =
-    {
-      blocks = Vec.create ();
-      layout_order = Vec.create ();
-      entry_id = 0;
-      by_label = Hashtbl.create 16;
-      reg_gen = src.reg_gen;
-      instr_gen = src.instr_gen;
-    }
-  in
-  let kept = List.filter (fun id -> Ints.Int_set.mem id keep) (layout src) in
-  List.iter
-    (fun old_id ->
-      let old = block src old_id in
-      let b = add_block dst ~label:old.Block.label in
-      Vec.append b.Block.body old.Block.body;
-      b.Block.term <- old.Block.term)
-    kept;
+  let dst = { (create ~reg_gen:src.reg_gen ()) with instr_gen = src.instr_gen } in
+  iter_blocks
+    (fun old ->
+      if keep old.Block.id then begin
+        let b = add_block dst ~label:old.Block.label in
+        Vec.append b.Block.body old.Block.body;
+        set_term dst b.Block.id old.Block.term
+      end)
+    src;
   (match find_label dst (block src src.entry_id).Block.label with
   | Some id -> dst.entry_id <- id
   | None -> invalid_arg "Cfg.rebuild: entry block not kept");
   dst
 
-let compact t = rebuild t ~keep:(reachable t)
+let compact t =
+  let live = reachable t in
+  rebuild t ~keep:(fun id -> Ints.Int_set.mem id live)
 
-let deep_copy t =
-  let all =
-    List.fold_left
-      (fun acc id -> Ints.Int_set.add id acc)
-      Ints.Int_set.empty (layout t)
-  in
-  (* [rebuild] copies body vectors via [Vec.append], so the result shares
-     no mutable structure; instructions themselves are immutable. *)
-  rebuild t ~keep:all
+(* [rebuild] copies body vectors via [Vec.append], so the copy shares
+   no mutable structure; instructions themselves are immutable. *)
+let deep_copy t = rebuild t ~keep:(fun _ -> true)
 
 let pp ppf t =
   let first = ref true in

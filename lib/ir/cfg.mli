@@ -9,7 +9,15 @@
 
     Block *layout* (textual order, used by the pretty printer and by
     transformations that insert copied blocks "after" a loop) is tracked
-    separately from block ids, since fallthrough targets are explicit. *)
+    separately from block ids, since fallthrough targets are explicit.
+    Every block is in the layout.
+
+    The CFG owns its edges. {!set_term} is the one writer of a
+    terminator, and {!successors} and {!predecessors} read edges decoded
+    once per {!shape_version}, on the first read after it moved: a
+    terminator may name a block added later if no edge is read in
+    between. {!Validate.check} rejects cached edges that differ from the
+    terminators. *)
 
 type edge_kind =
   | Taken      (** the conditional branch was taken *)
@@ -37,13 +45,22 @@ val insert_block_after : t -> after:int -> label:Label.t -> Block.t
 (** Like {!add_block} but placed immediately after block [after] in the
     layout. *)
 
-val remove_block : t -> int -> unit
-(** Detach a block from the layout. The block's storage and label stay
-    registered (ids are stable, [find_label] still resolves), so any
-    branch still naming the label now targets a detached block — it is
-    the caller's burden to retarget those branches, and
-    {!Validate.check} rejects graphs where one was missed. Raises
-    [Invalid_argument] if the block is not in the layout. *)
+val set_term : t -> int -> Instr.t -> unit
+(** [set_term cfg id term] makes [term] block [id]'s terminator; it
+    draws no uid. Moves {!shape_version} on unless [term] names the
+    same successor labels, in the same edge order, as the terminator it
+    replaces (a register rename, say). A non-branch [term] is stored as
+    given, for {!Validate.check} to reject. *)
+
+val retarget : t -> int -> f:(Label.t -> Label.t) -> unit
+(** Rewrite each successor label [l] of block [id]'s terminator to
+    [f l], keeping its uid, through {!set_term}. Raises
+    [Invalid_argument] on a non-branch terminator. *)
+
+val shape_version : t -> int
+(** Moves on when a block is added or a terminator's successor labels
+    change, and at no other write: equal versions of one CFG mean equal
+    blocks and edges. *)
 
 val set_entry : t -> int -> unit
 val entry : t -> int
@@ -54,18 +71,26 @@ val find_label : t -> Label.t -> int option
 val layout : t -> int list
 (** Block ids in textual order. *)
 
+val layout_rank : t -> int array
+(** Each block's position in {!layout}, indexed by block id. *)
+
 val iter_blocks : (Block.t -> unit) -> t -> unit
 (** In layout order. *)
 
 val fold_blocks : ('a -> Block.t -> 'a) -> 'a -> t -> 'a
 
 val successors : t -> int -> (int * edge_kind) list
-(** Successor block ids with edge kinds; fallthrough edge first. *)
+(** Successor block ids with edge kinds; fallthrough edge first. A
+    decode raises [Invalid_argument] on a non-branch terminator or an
+    unknown label. *)
 
-val predecessors : t -> int list array
-(** [preds.(b)] lists the predecessors of block [b]. Recomputed on each
-    call — callers that mutate terminators must not cache it across
-    mutations. *)
+val edges_cached : t -> bool
+(** Were the edges decoded at the current {!shape_version}? Only then
+    do {!successors} and {!predecessors} read them without decoding. *)
+
+val predecessors : t -> int -> int list
+(** The predecessors of a block, by ascending id, a block once per edge
+    into it. Cached as {!successors} is. *)
 
 val instr_count : t -> int
 (** Total instructions including terminators. *)
@@ -73,16 +98,13 @@ val instr_count : t -> int
 val all_instrs : t -> Instr.t list
 (** In layout/program order. *)
 
-val owner_of_uid : t -> int -> int option
-(** Block id currently containing the instruction with this uid. Linear
-    scan; scheduling code knows each instruction's block instead. *)
-
 val update_instr :
   ?block:int -> t -> uid:int -> f:(Instr.t -> Instr.t) -> bool
 (** Rewrite the instruction with the given uid in place (body or
     terminator), wherever it currently lives in the layout, or only in
     [block] when given. Returns false when no such instruction exists
-    there. The replacement must keep the same uid. *)
+    there. The replacement must keep the same uid. A terminator is
+    replaced through {!set_term}. *)
 
 val reachable : t -> Gis_util.Ints.Int_set.t
 (** Block ids reachable from the entry. *)

@@ -62,6 +62,16 @@ let is_branch_kind = function
   | Instr.Call _ ->
       false
 
+(* Do [targets], a terminator's successor labels, name the blocks of
+   the cached [edges] in the same order? *)
+let rec same_edges cfg targets edges =
+  match targets, edges with
+  | [], [] -> true
+  | target :: targets, (s, _) :: edges ->
+      (match Cfg.find_label cfg target with Some id -> id = s | None -> false)
+      && same_edges cfg targets edges
+  | [], _ :: _ | _ :: _, [] -> false
+
 (* [where] locates the instruction in a message; it is a thunk because
    formatting it costs more than checking, and only a failure needs it. *)
 let check cfg =
@@ -90,6 +100,10 @@ let check cfg =
     layout;
   if layout <> [] && not (Hashtbl.mem layout_set (Cfg.entry cfg)) then
     err "entry block is not in the layout";
+  (* Edges decoded at an older shape version are decoded afresh on
+     their next read, so only current ones can be stale: those are
+     compared with the terminators, and nothing is decoded here. *)
+  let cached = Cfg.edges_cached cfg in
   Cfg.iter_blocks
     (fun b ->
       let label = b.Block.label in
@@ -102,22 +116,21 @@ let check cfg =
         Fmt.str "%a[term] %a" Label.pp label Instr.pp b.Block.term
       in
       check_instr ~where ~terminator:true b.Block.term;
+      let targets =
+        try Block.successor_labels b with Invalid_argument m -> err m; []
+      in
       List.iter
         (fun target ->
-          match Cfg.find_label cfg target with
-          | None ->
-              err
-                (Fmt.str "%a: unresolved branch target %a" Label.pp label
-                   Label.pp target)
-          | Some tid when not (Hashtbl.mem layout_set tid) ->
-              (* The label resolves, but its block was detached from the
-                 layout (e.g. a loop header removed after rotation): the
-                 branch escapes into dead storage. *)
-              err
-                (Fmt.str "%a: branch target %a names a detached block"
-                   Label.pp label Label.pp target)
-          | Some _ -> ())
-        (try Block.successor_labels b with Invalid_argument m -> err m; []))
+          if Cfg.find_label cfg target = None then
+            err
+              (Fmt.str "%a: unresolved branch target %a" Label.pp label
+                 Label.pp target))
+        targets;
+      if cached && not (same_edges cfg targets (Cfg.successors cfg b.Block.id))
+      then
+        err
+          (Fmt.str "%a: cached successor edges differ from the terminator"
+             Label.pp label))
     cfg;
   if Cfg.num_blocks cfg = 0 || layout = [] then err "empty graph";
   match List.rev !errors with [] -> Ok () | es -> Error es

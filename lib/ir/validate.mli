@@ -8,8 +8,9 @@ val check : Cfg.t -> (unit, string list) result
 (** All violations found, not just the first: unresolved branch targets,
     branches in block bodies, non-branch terminators, duplicate
     instruction uids, register-class violations (e.g. a branch testing a
-    general-purpose register), and update-form loads whose destination
-    equals the base. *)
+    general-purpose register), update-form loads whose destination
+    equals the base, and current cached edges ({!Cfg.edges_cached})
+    that differ from the terminators. *)
 
 val check_exn : Cfg.t -> unit
 (** Raises [Failure] with the formatted violation list. *)

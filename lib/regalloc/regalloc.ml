@@ -364,13 +364,13 @@ let rewrite ?prov cfg ~assignment ~spilled ~base ~scratch =
           reload_cr ~gpr_tmp ~cr_scratch r;
           Hashtbl.replace term_map (Reg.hash r) cr_scratch)
         (List.filter is_spilled (Instr.uses b.Block.term));
-      b.Block.term <-
-        Instr.map_regs
-          ~f:(fun r ->
-            match Hashtbl.find_opt term_map (Reg.hash r) with
-            | Some s -> s
-            | None -> phys_of r)
-          b.Block.term;
+      Cfg.set_term cfg b.Block.id
+        (Instr.map_regs
+           ~f:(fun r ->
+             match Hashtbl.find_opt term_map (Reg.hash r) with
+             | Some s -> s
+             | None -> phys_of r)
+           b.Block.term);
       Gis_util.Vec.clear b.Block.body;
       List.iter (fun i -> Gis_util.Vec.push b.Block.body i) (List.rev !out))
     cfg;

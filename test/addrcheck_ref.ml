@@ -123,7 +123,7 @@ let compute cfg =
   let n = Cfg.num_blocks cfg in
   let in_ : av array option array = Array.make n None in
   let out : av array option array = Array.make n None in
-  let preds = Cfg.predecessors cfg in
+  let preds = Test_support.preds cfg in
   let entry = Cfg.entry cfg in
   let entry_env () =
     Array.init nr (fun i -> Ref { def = -1; reg = Vec.get hashes i; add = 0 })
@@ -168,8 +168,8 @@ let compute cfg =
               in_.(id) <- Some inn;
               out.(id) <- Some (run_block (Array.copy inn) id);
               List.iter
-                (fun (s, _) -> Fix.Worklist.add wl s)
-                (Cfg.successors cfg id)
+                (fun s -> Fix.Worklist.add wl s)
+                (Test_support.succs cfg id)
             end);
         drain ()
   in

@@ -46,10 +46,10 @@ let back_edges cfg =
     let rec go u =
       color.(u) <- 1;
       List.iter
-        (fun (v, _) ->
+        (fun v ->
           if color.(v) = 1 then acc := (u, v) :: !acc
           else if color.(v) = 0 then go v)
-        (Cfg.successors cfg u);
+        (Test_support.succs cfg u);
       color.(u) <- 2
     in
     go (Cfg.entry cfg);

@@ -87,7 +87,7 @@ let compute cfg =
   (* 3. Forward dataflow. *)
   let in_ = Array.make n Int_set.empty in
   let out = Array.make n Int_set.empty in
-  let preds = Cfg.predecessors cfg in
+  let preds = Test_support.preds cfg in
   let entry = Cfg.entry cfg in
   let step () =
     let changed = ref false in

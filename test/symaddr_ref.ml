@@ -194,7 +194,7 @@ let compute cfg =
      obviously the same fixpoint. *)
   let in_ : env option array = Array.make n None in
   let out : env option array = Array.make n None in
-  let preds = Cfg.predecessors cfg in
+  let preds = Test_support.preds cfg in
   let entry = Cfg.entry cfg in
   let no_record _ _ = () in
   let step () =

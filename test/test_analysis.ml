@@ -669,9 +669,10 @@ let test_symaddr_later_predecessor () =
     (Symaddr.delta t ~a:a0 ~b:x0);
   check_reference cfg [ a0; b0; x0 ]
 
-(* A detached block is never reached: its access reads [Top], and its
-   branch into the layout does not join into its target. *)
-let test_symaddr_detached_block () =
+(* A block the entry cannot reach is never reached: its access reads
+   [Top], and its branch into a reached block does not join into its
+   target. *)
+let test_symaddr_unreachable_block () =
   let g = Reg.Gen.create () in
   let q = Reg.Gen.fresh g Reg.Gpr in
   let x = Reg.Gen.fresh g Reg.Gpr in
@@ -683,13 +684,12 @@ let test_symaddr_detached_block () =
         ("X", [ B.store ~src:x ~base:q ~offset:4 ], Instr.Halt);
       ]
   in
-  Cfg.remove_block cfg (Cfg.block_of_label cfg "D").Block.id;
   let t = Symaddr.compute cfg in
   let a0 = body_uid cfg "A" 0 and d1 = body_uid cfg "D" 1 in
   let x0 = body_uid cfg "X" 0 in
-  Alcotest.(check (option int)) "detached edge ignored" (Some 0)
+  Alcotest.(check (option int)) "unreachable edge ignored" (Some 0)
     (Symaddr.delta t ~a:a0 ~b:x0);
-  Alcotest.(check string) "detached access is Top" "top"
+  Alcotest.(check string) "unreachable access is Top" "top"
     (Fmt.str "%a" Symaddr.pp_value (Symaddr.base_value t d1));
   check_reference cfg [ a0; d1; x0 ]
 
@@ -788,6 +788,19 @@ let every_stage_of ?(disambiguate = true) cfg f =
 
 let every_stage_input ?disambiguate params seed f =
   every_stage_of ?disambiguate (random_cfg params seed) f
+
+(* The speculative pipeline with every DDG build asking each of its
+   cross-block base queries of the pass's shared [Reaching.Query] and
+   of a fresh one: true when they always agree. *)
+let shared_query_stays_fresh params seed =
+  let cfg = random_cfg params seed in
+  Gis_ddg.Ddg.cross_check_reach_for_testing := true;
+  Fun.protect
+    ~finally:(fun () -> Gis_ddg.Ddg.cross_check_reach_for_testing := false)
+    (fun () ->
+      match every_stage_of cfg (fun ~stage:_ _ -> true) with
+      | ok -> ok
+      | exception Failure m -> QCheck.Test.fail_reportf "seed %d: %s" seed m)
 
 (* Loops that carry affine bases around their back edge, which neither
    Tiny-C grammar produces (every compiled address is an opaque base
@@ -914,33 +927,6 @@ let test_reaching_paper_workloads () =
              reaching_matches_reference ~stage cfg)))
     (paper_cfgs ());
   Alcotest.(check bool) "a stage input defines two registers at once" true !two
-
-(* A detached block reading a register the layout never mentions: the
-   register has no [External] site and no definition, so the use's
-   chain is empty, while the block's own later definition still reaches
-   its later use. *)
-let test_reaching_detached_alien_register () =
-  let g = Reg.Gen.create () in
-  let x = Reg.Gen.fresh g Reg.Gpr in
-  let z = Reg.Gen.fresh g Reg.Gpr in
-  let cfg =
-    B.func ~reg_gen:g
-      [
-        ("A", [ B.li ~dst:x 1 ], B.jmp "D");
-        ("D", [ B.mr ~dst:x ~src:z; B.li ~dst:z 2; B.mr ~dst:x ~src:z ], B.jmp "X");
-        ("X", [ B.call "print_int" [ x ] ], Instr.Halt);
-      ]
-  in
-  let d = (Cfg.block_of_label cfg "D").Block.id in
-  Cfg.remove_block cfg d;
-  let reach = Reaching.compute cfg in
-  Alcotest.(check bool) "alien register: no reaching site" true
-    (Reaching.defs_of_use reach ~uid:(body_uid cfg "D" 0) ~reg:z = []);
-  Alcotest.(check bool) "its own earlier definition reaches" true
-    (Reaching.defs_of_use reach ~uid:(body_uid cfg "D" 2) ~reg:z
-    = [ Reaching.Def (body_uid cfg "D" 1) ]);
-  Alcotest.(check (list int)) "and only that use" [ body_uid cfg "D" 2 ]
-    (Reaching.uses_of_def reach ~uid:(body_uid cfg "D" 1) ~reg:z)
 
 let access_uids cfg =
   List.filter_map
@@ -1133,7 +1119,7 @@ let random_edit rng cfg =
                       (Cfg.update_instr cfg ~uid:u
                          ~f:(Instr.rename_uses ~from_reg:r ~to_reg:r')))
                   uses;
-                src :: List.filter_map (Cfg.owner_of_uid cfg) uses))
+                src :: List.filter_map (Test_support.owner_of_uid cfg) uses))
     | _ ->
         let _, body, k = pick_body () in
         let copy = Cfg.copy_instr cfg (Vec.get body k) in
@@ -1141,17 +1127,13 @@ let random_edit rng cfg =
         Vec.push (Cfg.block cfg dst).Block.body copy;
         [ dst ]
 
-(* Detach one random non-entry block (half the time), then apply twelve
-   bursts of one to three edits, each followed by one [Liveness.update]
-   over the blocks the burst touched — less the first of them when
-   [omit] is set. [Ok ()] when every update matched a fresh compute. *)
+(* Apply twelve bursts of one to three edits, each followed by one
+   [Liveness.update] over the blocks the burst touched — less the first
+   of them when [omit] is set. [Ok ()] when every update matched a
+   fresh compute. *)
 let liveness_edit_run ?(omit = false) ~seed cfg =
   let module Prng = Gis_workloads.Prng in
   let rng = Prng.create ~seed in
-  (match List.filter (fun b -> b <> Cfg.entry cfg) (Cfg.layout cfg) with
-  | _ :: _ as others when Prng.bool rng ->
-      Cfg.remove_block cfg (Prng.pick rng others)
-  | _ -> ());
   let live = Liveness.compute cfg in
   let rec go round =
     if round > 12 then Ok ()
@@ -1295,8 +1277,8 @@ let test_sparse_register_ids () =
 
 (* ---- demand-driven reaching queries against the full compute ---- *)
 
-(* Every use's and every definition's query answer, in every block
-   (layout and detached), equals the full compute's as a set. *)
+(* Every use's and every definition's query answer, in every block,
+   equals the full compute's as a set. *)
 let query_matches_compute ~stage cfg =
   let full = Reaching.compute cfg and q = Reaching.Query.create cfg in
   let sorted l = List.sort compare l in
@@ -1361,32 +1343,6 @@ let test_query_entry_on_loop () =
   Alcotest.(check bool) "agrees with the full compute" true
     (query_matches_compute ~stage:"entry on a loop" cfg)
 
-(* A detached block that defines, uses and branches into the layout:
-   its definitions reach only its own later uses, and nothing reaches
-   into it. [Reaching.compute] used to raise on such a block. *)
-let test_query_detached_block () =
-  let g = Reg.Gen.create () in
-  let x = Reg.Gen.fresh g Reg.Gpr in
-  let y = Reg.Gen.fresh g Reg.Gpr in
-  let cfg =
-    B.func ~reg_gen:g
-      [
-        ("A", [ B.li ~dst:x 1 ], B.jmp "D");
-        ("D", [ B.mr ~dst:y ~src:x; B.li ~dst:x 2; B.mr ~dst:y ~src:x ], B.jmp "X");
-        ("X", [ B.call "print_int" [ x; y ] ], Instr.Halt);
-      ]
-  in
-  let d = (Cfg.block_of_label cfg "D").Block.id in
-  Cfg.remove_block cfg d;
-  let q = Reaching.Query.create cfg in
-  Alcotest.(check bool) "nothing reaches into a detached block" true
-    (Reaching.Query.defs_of_use q ~block:d ~uid:(body_uid cfg "D" 0) ~reg:x = []);
-  Alcotest.(check bool) "its own earlier definition does" true
-    (Reaching.Query.defs_of_use q ~block:d ~uid:(body_uid cfg "D" 2) ~reg:x
-    = [ Reaching.Def (body_uid cfg "D" 1) ]);
-  Alcotest.(check bool) "agrees with the full compute" true
-    (query_matches_compute ~stage:"detached block" cfg)
-
 let qtest name count prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
@@ -1432,10 +1388,6 @@ let () =
         [
           Alcotest.test_case "query: entry on a loop" `Quick
             test_query_entry_on_loop;
-          Alcotest.test_case "query: detached block" `Quick
-            test_query_detached_block;
-          Alcotest.test_case "detached block, alien register" `Quick
-            test_reaching_detached_alien_register;
           Alcotest.test_case "sole-def" `Quick test_reaching_sole_def;
           Alcotest.test_case "merge" `Quick test_reaching_merge;
           Alcotest.test_case "external" `Quick test_reaching_external;
@@ -1466,7 +1418,8 @@ let () =
             test_symaddr_self_loop;
           Alcotest.test_case "later predecessor" `Quick
             test_symaddr_later_predecessor;
-          Alcotest.test_case "detached block" `Quick test_symaddr_detached_block;
+          Alcotest.test_case "unreachable block" `Quick
+            test_symaddr_unreachable_block;
           Alcotest.test_case "empty slice" `Quick test_symaddr_empty_slice;
           Alcotest.test_case "late changes travel on" `Quick
             test_symaddr_late_changes;
@@ -1489,6 +1442,8 @@ let () =
                   every_stage_input params seed addrcheck_matches_reference);
               qtest ("liveness update = fresh reference, " ^ grammar) 25
                 (liveness_update_matches_reference params);
+              qtest ("shared reaching query = fresh query, " ^ grammar) 25
+                (shared_query_stays_fresh params);
               qtest ("reaching query = compute, disambig, " ^ grammar) 25
                 (fun seed -> every_stage_input params seed query_matches_compute);
               qtest ("reaching query = compute, no disambig, " ^ grammar) 25

@@ -1,7 +1,6 @@
 (* Static schedule-legality verification: the checker certifies every
    pipeline output over the workloads at every level (no simulator
    involved), rejects hand-mutated schedules with precise diagnostics,
-   the tightened IR validator catches branches into detached blocks,
    the exit-code table is pinned, and the linter is clean over the
    example programs (golden file). *)
 
@@ -16,13 +15,6 @@ module D = Gis_check.Diagnostic
 module L = Gis_check.Lint
 
 let machine = Machine.rs6k
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
-  in
-  m = 0 || go 0
 
 let workloads =
   ("minmax", Minmax.source)
@@ -338,57 +330,6 @@ let test_rejects_deletion () =
     (Fmt.str "deletion rejected: %s" (pp_diags ds))
     true
     (has_rule "conservation.removed" (C.errors ds))
-
-(* ---- validator: branch into a detached block ---- *)
-
-let test_validator_detached_block () =
-  let g, regs = fresh_gprs 1 in
-  let r1 = List.hd regs in
-  let cfg =
-    B.func ~reg_gen:g
-      [
-        ("L.entry", [ B.li ~dst:r1 1 ], B.jmp "L.dead");
-        ("L.dead", [], B.halt);
-      ]
-  in
-  (match Validate.check cfg with
-  | Ok () -> ()
-  | Error es ->
-      Alcotest.failf "well-formed graph rejected: %a"
-        Fmt.(list ~sep:cut string)
-        es);
-  (match Cfg.find_label cfg "L.dead" with
-  | Some id -> Cfg.remove_block cfg id
-  | None -> Alcotest.fail "L.dead not found");
-  match Validate.check cfg with
-  | Ok () -> Alcotest.fail "branch into a detached block accepted"
-  | Error es ->
-      Alcotest.(check bool)
-        (Fmt.str "error mentions detachment: %a"
-           Fmt.(list ~sep:cut string)
-           es)
-        true
-        (List.exists (fun m -> contains m "detached") es)
-
-(* The linter flags the same hazard on a full CFG. *)
-let test_lint_detached_target () =
-  let g, regs = fresh_gprs 1 in
-  let r1 = List.hd regs in
-  let cfg =
-    B.func ~reg_gen:g
-      [
-        ("L.entry", [ B.li ~dst:r1 1 ], B.jmp "L.dead");
-        ("L.dead", [], B.halt);
-      ]
-  in
-  (match Cfg.find_label cfg "L.dead" with
-  | Some id -> Cfg.remove_block cfg id
-  | None -> Alcotest.fail "L.dead not found");
-  let ds = L.run cfg in
-  Alcotest.(check bool)
-    (Fmt.str "lint flags detached target: %s" (pp_diags ds))
-    true
-    (has_rule "cfg.malformed-target" (C.errors ds))
 
 (* ---- memory disambiguation: the checker is independent ---- *)
 
@@ -725,13 +666,6 @@ let () =
           Alcotest.test_case "checker re-proves pruned reorder" `Quick
             test_checker_reproves_pruned_reorder;
           Alcotest.test_case "dead-store lint" `Quick test_dead_store_lint;
-        ] );
-      ( "validator",
-        [
-          Alcotest.test_case "detached branch target" `Quick
-            test_validator_detached_block;
-          Alcotest.test_case "lint flags detached target" `Quick
-            test_lint_detached_target;
         ] );
       ( "exit codes",
         [ Alcotest.test_case "pinned table" `Quick test_exit_codes ] );

@@ -32,8 +32,8 @@ let test_heuristics_bl1 () =
       B.load_update ~dst:v ~base:addr ~offset:8;
       B.cmp ~dst:cr7 ~lhs:u ~rhs:v;
     ];
-  b.Block.term <-
-    Cfg.make_instr cfg (B.bf ~cr:cr7 ~cond:Instr.Gt ~taken:"BL1" ~fallthru:"BL1");
+  Cfg.set_term cfg b.Block.id
+    (Cfg.make_instr cfg (B.bf ~cr:cr7 ~cond:Instr.Gt ~taken:"BL1" ~fallthru:"BL1"));
   let ddg = Ddg.build_single_block machine b in
   let h = Heuristics.compute ddg in
   Alcotest.(check int) "D(I4)" 0 (Heuristics.d h 3);
@@ -95,7 +95,7 @@ let test_local_fills_delay_slots () =
       B.load ~dst:b_ ~base ~offset:4;
       B.addi ~dst:y ~lhs:b_ 1;
     ];
-  blk.Block.term <- Cfg.make_instr cfg Instr.Halt;
+  Cfg.set_term cfg blk.Block.id (Cfg.make_instr cfg Instr.Halt);
   let len = Local_sched.schedule_block machine blk in
   (* loads at 0,1; adds at 2,3; halt issues beside the last add -> 4 *)
   Alcotest.(check int) "optimal length" 4 len;
@@ -123,7 +123,7 @@ let test_local_respects_anti () =
       B.li ~dst:x 2;        (* redefines x *)
       B.mr ~dst:z ~src:x;   (* reads x=2 *)
     ];
-  blk.Block.term <- Cfg.make_instr cfg Instr.Halt;
+  Cfg.set_term cfg blk.Block.id (Cfg.make_instr cfg Instr.Halt);
   ignore (Local_sched.schedule_block machine blk);
   let order =
     Gis_util.Vec.to_list blk.Block.body
@@ -153,7 +153,7 @@ let test_local_custom_rules () =
       B.addi ~dst:c ~lhs:b_ 1;
       B.li ~dst:base 99;
     ];
-  blk.Block.term <- Cfg.make_instr cfg Instr.Halt;
+  Cfg.set_term cfg blk.Block.id (Cfg.make_instr cfg Instr.Halt);
   List.iter
     (fun rules ->
       let copy = Cfg.deep_copy cfg in
@@ -195,7 +195,7 @@ let test_local_long_divide_chain () =
     Gis_util.Vec.push blk.Block.body
       (Cfg.make_instr cfg (B.binop Instr.Div ~dst:x ~lhs:x ~rhs:(Instr.Imm 3)))
   done;
-  blk.Block.term <- Cfg.make_instr cfg Instr.Halt;
+  Cfg.set_term cfg blk.Block.id (Cfg.make_instr cfg Instr.Halt);
   let len = Local_sched.schedule_block machine blk in
   Alcotest.(check bool)
     (Fmt.str "length %d covers the chain" len)

@@ -13,7 +13,7 @@ let single_block ?reg_gen kinds term =
   List.iter
     (fun k -> Gis_util.Vec.push b.Block.body (Cfg.make_instr cfg k))
     kinds;
-  b.Block.term <- Cfg.make_instr cfg term;
+  Cfg.set_term cfg b.Block.id (Cfg.make_instr cfg term);
   b
 
 let edge_set ddg =

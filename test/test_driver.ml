@@ -444,6 +444,44 @@ let gisc_json args =
   | Ok j -> j
   | Error m -> Alcotest.failf "%s: bad JSON: %s" (String.concat " " args) m
 
+(* Run [gisc ARGS] and return its exit code, stdout and stderr. *)
+let gisc_run args =
+  let out = Filename.temp_file "gisc" ".out"
+  and err = Filename.temp_file "gisc" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command ~stdout:out ~stderr:err
+         Filename.(concat (dirname Sys.executable_name) "../bin/gisc.exe")
+         args)
+  in
+  let read f =
+    let text = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    text
+  in
+  (code, read out, read err)
+
+(* A command line cmdliner cannot parse is a usage error (exit 2), with
+   the message on stderr and nothing on stdout; the header example's
+   form, flags before the file, compiles. *)
+let test_usage_errors () =
+  let file = Filename.temp_file "gisc" ".tc" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc "int s;\ns = 1;\nprint(s);\n");
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let code, out, err = gisc_run args in
+      Alcotest.(check int) (name ^ " exits 2") Exit_codes.usage_error code;
+      Alcotest.(check string) (name ^ ": no stdout") "" out;
+      Alcotest.(check bool) (name ^ ": message on stderr") true (err <> ""))
+    [ [ "--bogus"; file ]; [ "check"; "--bogus"; file ]; [ file; "--simulate" ] ];
+  let code, _, _ =
+    gisc_run [ "--level"; "useful"; "--width"; "4"; "--simulate"; file ]
+  in
+  Sys.remove file;
+  Alcotest.(check int) "flags before the file exit 0" Exit_codes.ok code
+
 (* Every integer under a [uid], [src_uid] or [dst_uid] key. *)
 let rec uids acc = function
   | Gis_obs.Json.Obj kvs ->
@@ -561,6 +599,7 @@ let () =
         [
           Alcotest.test_case "bound and explain share uids" `Quick
             test_bound_explain_one_numbering;
+          Alcotest.test_case "usage errors exit 2" `Quick test_usage_errors;
           Alcotest.test_case "explain catches a mismatch" `Quick
             test_explain_catches_mismatch;
           Alcotest.test_case "unsimulated batch, same code" `Quick

@@ -156,8 +156,7 @@ let test_cfg_structure () =
     "A succs"
     [ (2, "fallthru"); (1, "taken") ]
     (List.map (fun (b, k) -> (b, Fmt.str "%a" Cfg.pp_edge_kind k)) succs);
-  let preds = Cfg.predecessors cfg in
-  Alcotest.(check (list int)) "D preds" [ 1; 2 ] preds.(3);
+  Alcotest.(check (list int)) "D preds" [ 1; 2 ] (Cfg.predecessors cfg 3);
   Alcotest.(check int) "instr count" 7 (Cfg.instr_count cfg);
   Alcotest.(check (list int)) "layout" [ 0; 1; 2; 3 ] (Cfg.layout cfg)
 
@@ -218,10 +217,116 @@ let test_owner_of_uid () =
   let b = Cfg.block_of_label cfg "C" in
   let i = Gis_util.Vec.get b.Block.body 0 in
   Alcotest.(check (option int)) "owner" (Some b.Block.id)
-    (Cfg.owner_of_uid cfg (Instr.uid i));
+    (Test_support.owner_of_uid cfg (Instr.uid i));
   Alcotest.(check (option int)) "terminator owner" (Some b.Block.id)
-    (Cfg.owner_of_uid cfg (Instr.uid b.Block.term));
-  Alcotest.(check (option int)) "none" None (Cfg.owner_of_uid cfg 424242)
+    (Test_support.owner_of_uid cfg (Instr.uid b.Block.term));
+  Alcotest.(check (option int)) "none" None
+    (Test_support.owner_of_uid cfg 424242)
+
+(* ---- the edge cache ---- *)
+
+let shape_moves name cfg expected f =
+  let before = Cfg.shape_version cfg in
+  f ();
+  Alcotest.(check bool) name expected (Cfg.shape_version cfg <> before)
+
+let test_shape_version () =
+  let cfg = diamond () in
+  let a = Cfg.block_of_label cfg "A" and b = Cfg.block_of_label cfg "B" in
+  let cr = List.hd (Instr.uses a.Block.term) in
+  let cr' = Cfg.fresh_reg cfg Reg.Cr in
+  ignore (Cfg.successors cfg 0);
+  shape_moves "a rename keeps the shape" cfg false (fun () ->
+      ignore
+        (Cfg.update_instr cfg ~uid:(Instr.uid a.Block.term)
+           ~f:(Instr.map_regs ~f:(fun r -> if Reg.equal r cr then cr' else r))));
+  shape_moves "the same targets keep the shape" cfg false (fun () ->
+      Cfg.retarget cfg b.Block.id ~f:Fun.id);
+  shape_moves "a new target moves the shape" cfg true (fun () ->
+      Cfg.retarget cfg b.Block.id ~f:(fun _ -> "C"));
+  Alcotest.(check (list int)) "C preds" [ 0; 1 ] (Cfg.predecessors cfg 2);
+  Alcotest.(check (list int)) "D preds" [ 2 ] (Cfg.predecessors cfg 3);
+  shape_moves "a new block moves the shape" cfg true (fun () ->
+      ignore (Cfg.insert_block_after cfg ~after:1 ~label:"B2"));
+  let uid = Instr.uid b.Block.term in
+  Cfg.set_term cfg b.Block.id (Instr.with_kind b.Block.term (B.jmp "B2"));
+  Alcotest.(check int) "set_term keeps the uid" uid (Instr.uid b.Block.term);
+  Alcotest.(check (list int)) "B2 preds" [ 1 ] (Cfg.predecessors cfg 4);
+  Alcotest.(check (list int)) "C preds again" [ 0 ] (Cfg.predecessors cfg 2);
+  (match Validate.check cfg with
+  | Ok () -> ()
+  | Error es -> Alcotest.fail (String.concat "; " es))
+
+(* The cached edges against a from-scratch decode of every terminator. *)
+let edges_fresh cfg =
+  List.for_all
+    (fun id ->
+      let term = (Cfg.block cfg id).Block.term in
+      let kinds =
+        match Instr.kind term with
+        | Instr.Branch_cond _ -> [ Cfg.Fallthru; Cfg.Taken ]
+        | Instr.Jump _ -> [ Cfg.Always ]
+        | _ -> []
+      in
+      let succs = Test_support.succs cfg id in
+      Cfg.successors cfg id = List.combine succs kinds
+      && Cfg.predecessors cfg id = (Test_support.preds cfg).(id))
+    (Cfg.layout cfg)
+
+(* Random sequences of block insertions, terminator writes, retargets
+   and terminator updates (renames among them), with edge reads
+   scattered between them: the cache always equals a fresh decode, and
+   a write that keeps every successor label keeps the shape version. *)
+let prop_edge_cache seed =
+  let rng = Random.State.make [| seed |] in
+  let cfg = diamond () in
+  let crs = Array.init 3 (fun _ -> Cfg.fresh_reg cfg Reg.Cr) in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let label () =
+    (Cfg.block cfg (Random.State.int rng (Cfg.num_blocks cfg))).Block.label
+  in
+  let term_kind () =
+    match Random.State.int rng 3 with
+    | 0 -> Instr.Halt
+    | 1 -> B.jmp (label ())
+    | _ ->
+        B.bt ~cr:(pick crs) ~cond:Instr.Lt ~taken:(label ())
+          ~fallthru:(label ())
+  in
+  let ok = ref true in
+  for step = 1 to 1 + Random.State.int rng 30 do
+    let id = Random.State.int rng (Cfg.num_blocks cfg) in
+    let term = (Cfg.block cfg id).Block.term in
+    let before = Cfg.shape_version cfg in
+    (match Random.State.int rng 5 with
+    | 0 ->
+        ignore
+          (Cfg.insert_block_after cfg ~after:id
+             ~label:(Fmt.str "N%d" step));
+        if Cfg.shape_version cfg = before then ok := false
+    | 1 -> Cfg.set_term cfg id (Cfg.make_instr cfg (term_kind ()))
+    | 2 ->
+        Cfg.retarget cfg id ~f:(fun l ->
+            if Random.State.bool rng then label () else l)
+    | 3 ->
+        let cr = pick crs in
+        ignore
+          (Cfg.update_instr cfg ~uid:(Instr.uid term)
+             ~f:(Instr.map_regs ~f:(fun r -> if r.Reg.cls = Reg.Cr then cr else r)));
+        if Cfg.shape_version cfg <> before then ok := false
+    | _ ->
+        ignore
+          (Cfg.update_instr cfg ~uid:(Instr.uid term) ~f:(fun i ->
+               Instr.with_kind i (term_kind ()))));
+    if Random.State.bool rng && not (edges_fresh cfg) then ok := false
+  done;
+  !ok && edges_fresh cfg
+
+let edge_cache_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"edge cache = fresh decode" ~count:300
+       QCheck.(int_range 0 1_000_000)
+       prop_edge_cache)
 
 (* ---- validation ---- *)
 
@@ -298,12 +403,11 @@ let validate_messages () =
   let a = block "A" and b = block "B" and e = block "E" in
   Gis_util.Vec.set b.Block.body 0 (Gis_util.Vec.get a.Block.body 0);
   Gis_util.Vec.push b.Block.body (Cfg.make_instr cfg (B.jmp "C"));
-  e.Block.term <- Cfg.make_instr cfg (B.li ~dst:r 2);
-  Cfg.remove_block cfg (block "D").Block.id;
+  Cfg.set_term cfg e.Block.id (Cfg.make_instr cfg (B.li ~dst:r 2));
   let no_entry =
     B.func ~reg_gen:g [ ("X", [], B.jmp "Y"); ("Y", [], B.halt) ]
   in
-  Cfg.remove_block no_entry (Cfg.entry no_entry);
+  Cfg.set_entry no_entry 2;
   List.concat_map
     (fun c ->
       match Validate.check c with Ok () -> [ "ok" ] | Error es -> es)
@@ -336,7 +440,6 @@ let test_validate_messages () =
       "B[0] L     cr2=mem(r0,0): load destination must be gpr or fpr";
       "B[1] B     C: branch in block body";
       "B: unresolved branch target NOWHERE";
-      "C: branch target D names a detached block";
       "E[term] LI    r0=2: terminator is not a branch";
       "Block.successor_labels: non-branch terminator";
       "entry block is not in the layout";
@@ -373,6 +476,8 @@ let () =
           Alcotest.test_case "update-instr" `Quick test_update_instr;
           Alcotest.test_case "insert-after" `Quick test_insert_block_after;
           Alcotest.test_case "owner-of-uid" `Quick test_owner_of_uid;
+          Alcotest.test_case "shape version" `Quick test_shape_version;
+          edge_cache_property;
         ] );
       ( "validate",
         [

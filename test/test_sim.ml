@@ -546,7 +546,7 @@ let test_malformed_match_reference () =
   let a = Cfg.block cfg (Cfg.entry cfg) in
   Gis_util.Vec.push a.Block.body (Cfg.make_instr cfg (B.jmp "Z"));
   both cfg;
-  a.Block.term <- Cfg.make_instr cfg (B.li ~dst:x 2);
+  Cfg.set_term cfg a.Block.id (Cfg.make_instr cfg (B.li ~dst:x 2));
   both cfg;
   Alcotest.(check bool) "traps" true
     (match (run cfg).Simulator.stop with

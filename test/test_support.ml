@@ -60,3 +60,30 @@ let live_set iter live id =
   let s = ref Gis_ir.Reg.Set.empty in
   iter live id (fun r -> s := Gis_ir.Reg.Set.add r !s);
   !s
+
+(* The references' own edge decoder: each terminator's labels resolved
+   by name, never the CFG's edge cache, so a reference does not share
+   the edges of the code it checks. [succs] lists fallthrough first;
+   [preds] lists each block's predecessors by ascending id, once per
+   edge. *)
+let succs cfg id =
+  List.map
+    (fun l -> (Gis_ir.Cfg.block_of_label cfg l).Gis_ir.Block.id)
+    (Gis_ir.Block.successor_labels (Gis_ir.Cfg.block cfg id))
+
+let preds cfg =
+  let n = Gis_ir.Cfg.num_blocks cfg in
+  let preds = Array.make n [] in
+  for id = n - 1 downto 0 do
+    List.iter (fun s -> preds.(s) <- id :: preds.(s)) (succs cfg id)
+  done;
+  preds
+
+(* The layout block holding the instruction with this uid, by a linear
+   scan. *)
+let owner_of_uid cfg uid =
+  Gis_ir.Cfg.fold_blocks
+    (fun found b ->
+      if found = None && Gis_ir.Block.mem_uid b uid then Some b.Gis_ir.Block.id
+      else found)
+    None cfg
