@@ -21,15 +21,23 @@
     The fixpoint sweeps the block layout in order until a sweep changes
     no block entry, as a full re-join and re-transfer of every block at
     every sweep would; each sweep only skips the evaluations that cannot
-    change anything. Environments are arrays indexed by a dense position
-    per slice register. A block's entry is re-joined only at the
-    positions where some predecessor's exit changed since the block's
-    last visit (at every position when a predecessor was reached for the
-    first time), its body is re-transferred only when a position it
-    reads before defining changed, and only the exit positions that
-    changed are passed to its successors. Every value the sweep computes
-    is the one the full re-join computes at the same step, so the
-    layout-order fixpoint of the non-monotone transfer is unchanged.
+    change anything. Environments hold only the slice positions live at
+    each block boundary: a block's entry covers its live-in positions
+    and its exit every position live into a successor, as sorted
+    per-block rows, so storage and work grow with the live cells, not
+    with blocks × slice. Liveness comes from the analysis's own decoded
+    operations (reads: move and shift sources, add/sub operands, access
+    bases; definitions: destinations and update bases). A dead position
+    is overwritten before any read on every path, so no live value and
+    no recorded base value depends on it. A block's entry is re-joined
+    only at the live positions where some predecessor's exit changed
+    since the block's last visit (at every live position when a
+    predecessor was reached for the first time), its body is
+    re-transferred only when its entry changed, and only the exit
+    positions that changed are passed on, to the successors where they
+    are live. Every live value the sweep
+    computes is the one the full re-join computes at the same step, so
+    the layout-order fixpoint of the non-monotone transfer is unchanged.
 
     Soundness of origin comparison: a point maps a register to
     [Sym (o, k)] only when {e every} path to it passes through [o] with

@@ -18,28 +18,39 @@ open Gis_obs
                                 cr<->gpr transfer move
      spill.orphan-reload    (W) spill load from a slot nothing spilled to *)
 
-let structural ~stage cfg acc =
-  let layout = Cfg.layout cfg in
-  let reach = Cfg.reachable cfg in
+(* [cfg.malformed-target] for each branch to a missing label, in layout
+   order; [true] when there is none. Every other CFG rule reads edges,
+   which such a branch leaves undefined. *)
+let well_formed_targets ~stage cfg acc =
+  let clean = ref true in
   List.iter
     (fun id ->
       let b = Cfg.block cfg id in
       List.iter
         (fun target ->
-          if Cfg.find_label cfg target = None then
+          if Cfg.find_label cfg target = None then begin
+            clean := false;
             acc :=
               Diagnostic.error ~rule:"cfg.malformed-target" ~stage
                 ~uid:(Instr.uid b.Block.term) ~blocks:[ b.Block.label ]
                 (Fmt.str "branch target %a does not exist" Label.pp target)
-              :: !acc)
-        (try Block.successor_labels b with Invalid_argument _ -> []);
+              :: !acc
+          end)
+        (try Block.successor_labels b with Invalid_argument _ -> []))
+    (Cfg.layout cfg);
+  !clean
+
+let unreachable_blocks ~stage cfg acc =
+  let reach = Cfg.reachable cfg in
+  List.iter
+    (fun id ->
       if not (Ints.Int_set.mem id reach) then
         acc :=
           Diagnostic.warning ~rule:"cfg.unreachable-block" ~stage
-            ~blocks:[ b.Block.label ]
+            ~blocks:[ (Cfg.block cfg id).Block.label ]
             "block is unreachable from the entry"
           :: !acc)
-    layout
+    (Cfg.layout cfg)
 
 let irreducibility ~stage cfg acc =
   if Cfg.num_blocks cfg = 0 then ()
@@ -240,10 +251,12 @@ let spill_discipline ~stage ~prov ~staged_slots cfg acc =
 
 let run ?prov ?(staged_slots = []) ?(stage = "lint") cfg =
   let acc = ref [] in
-  structural ~stage cfg acc;
-  irreducibility ~stage cfg acc;
-  dataflow ~stage cfg acc;
-  dead_stores ~stage cfg acc;
+  if well_formed_targets ~stage cfg acc then begin
+    unreachable_blocks ~stage cfg acc;
+    irreducibility ~stage cfg acc;
+    dataflow ~stage cfg acc;
+    dead_stores ~stage cfg acc
+  end;
   (match prov with
   | Some p -> spill_discipline ~stage ~prov:p ~staged_slots cfg acc
   | None -> ());

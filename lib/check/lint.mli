@@ -9,7 +9,9 @@
     ([lint.dead-store], proved with the checker-side affine address
     analysis {!Addrcheck}), and spill code must follow the allocator's
     slot discipline. Hard malformations are [Error]s; heuristic
-    findings are [Warning]s. *)
+    findings are [Warning]s. A branch to a missing label leaves the
+    edges undefined, so when any is reported the rules that read edges
+    (reachability, reducibility, dataflow, dead stores) are skipped. *)
 
 val run :
   ?prov:Gis_obs.Provenance.t ->

@@ -766,6 +766,65 @@ let test_symaddr_empty_slice () =
     uids;
   check_reference cfg uids
 
+(* Liveness prunes the environments: [p] is live around the back edge
+   of [L] and on to [X], while [q] dies inside [A] after its last use
+   and is redefined and dies again inside [L], so neither block carries
+   it in or out. [k] is read by an add in [L] before [L] redefines it,
+   so it is live in around the back edge and joins to [Top] there,
+   though a stale copy would read a constant. The base values are those
+   of the sweeps over every position. *)
+let test_symaddr_dead_inside_block () =
+  let g = Reg.Gen.create () in
+  let p = Reg.Gen.fresh g Reg.Gpr in
+  let q = Reg.Gen.fresh g Reg.Gpr in
+  let r = Reg.Gen.fresh g Reg.Gpr in
+  let k = Reg.Gen.fresh g Reg.Gpr in
+  let t = Reg.Gen.fresh g Reg.Gpr in
+  let i = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "A",
+          [
+            B.li ~dst:i 0;
+            B.li ~dst:k 8;
+            B.addi ~dst:q ~lhs:r 8;
+            B.store ~src:x ~base:q ~offset:0;
+            B.store ~src:x ~base:q ~offset:4;
+          ],
+          B.jmp "L" );
+        ( "L",
+          [
+            B.store ~src:x ~base:p ~offset:0;
+            B.li ~dst:q 128;
+            B.store ~src:x ~base:q ~offset:0;
+            B.add ~dst:t ~lhs:r ~rhs:k;
+            B.store ~src:x ~base:t ~offset:0;
+            B.li ~dst:k 16;
+            B.addi ~dst:p ~lhs:p 4;
+            B.addi ~dst:i ~lhs:i 1;
+            B.cmpi ~dst:c ~lhs:i 10;
+          ],
+          B.bt ~cr:c ~cond:Instr.Lt ~taken:"L" ~fallthru:"X" );
+        ("X", [ B.store ~src:x ~base:p ~offset:0 ], Instr.Halt);
+      ]
+  in
+  let t' = Symaddr.compute cfg in
+  let a3 = body_uid cfg "A" 3 and a4 = body_uid cfg "A" 4 in
+  let l0 = body_uid cfg "L" 0 and l2 = body_uid cfg "L" 2 in
+  let l4 = body_uid cfg "L" 4 and x0 = body_uid cfg "X" 0 in
+  Alcotest.(check (option int)) "q before it dies in A" (Some 0)
+    (Symaddr.delta t' ~a:a3 ~b:a4);
+  Alcotest.(check string) "q redefined in L" "const 128"
+    (Fmt.str "%a" Symaddr.pp_value (Symaddr.base_value t' l2));
+  Alcotest.(check (option int)) "k joins to Top around the back edge" None
+    (Symaddr.delta t' ~a:a3 ~b:l4);
+  Alcotest.(check (option int)) "p stepped around the back edge" None
+    (Symaddr.delta t' ~a:l0 ~b:x0);
+  check_reference cfg [ a3; a4; l0; l2; l4; x0 ]
+
 (* ---- reference properties over every pipeline stage ---- *)
 
 let random_cfg params seed = Test_support.pinned_cfg params ~seed
@@ -948,6 +1007,16 @@ let symaddr_matches_reference ~stage cfg =
       || QCheck.Test.fail_reportf "%s: base value at uid %d is %s, reference %s"
            stage uid a b)
     (access_uids cfg)
+
+(* [Symaddr] = [Symaddr_ref] at every stage input of the paper
+   workloads, whose slices are wide and mostly dead at block
+   boundaries: each base is formed right before its access. *)
+let test_symaddr_paper_workloads () =
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool) name true
+        (every_stage_of cfg symaddr_matches_reference))
+    (paper_cfgs ())
 
 (* [Symaddr] and the checker's independent [Addrcheck] prove the same
    delta for every ordered pair of memory accesses. *)
@@ -1275,6 +1344,33 @@ let test_sparse_register_ids () =
   Alcotest.(check (float 0.)) "Symaddr.compute words" near_sym far_sym;
   Alcotest.(check (float 0.)) "Liveness.compute words" near_live far_live
 
+(* The CI many-loop program as compiled: [k] copies of a loop with an
+   if/else on [a[i]] and a store to [a[i + 3]]. *)
+let many_loop_cfg k =
+  let body =
+    "i = 0;\nwhile (i < n) {\n  if (a[i] > s) {\n    s = s + a[i];\n  } else \
+     {\n    s = s - a[i];\n  }\n  a[i + 3] = s;\n  i = i + 1;\n}\n"
+  in
+  Label.reset_fresh_counter ();
+  (Gis_frontend.Codegen.compile_string
+     ("int a[64];\nint n;\nint i;\nint s;\ns = 0;\n"
+     ^ String.concat "" (List.init k (fun _ -> body))
+     ^ "print(s);"))
+    .Gis_frontend.Codegen.cfg
+
+(* [Symaddr.compute] allocates in proportion to the program: four times
+   the loops cost at most five times the words, where environments
+   sized blocks × slice cost about fourteen times. *)
+let test_symaddr_linear_words () =
+  let cost k =
+    let cfg = many_loop_cfg k in
+    words (fun () -> ignore (Symaddr.compute cfg))
+  in
+  let small = cost 50 and large = cost 200 in
+  if large > 5. *. small then
+    Alcotest.failf "200 loops cost %.0f words, %.1fx the %.0f of 50 loops"
+      large (large /. small) small
+
 (* ---- demand-driven reaching queries against the full compute ---- *)
 
 (* Every use's and every definition's query answer, in every block,
@@ -1346,6 +1442,11 @@ let test_query_entry_on_loop () =
 let qtest name count prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
+
+(* The large-programs ladder's parameters: hardened programs of 64
+   top-level statements, 32 to 191 blocks. *)
+let ladder_params =
+  { Gis_workloads.Random_prog.hardened with Gis_workloads.Random_prog.body_len = 64 }
 
 let grammars =
   [ ("default", Gis_workloads.Random_prog.default);
@@ -1423,6 +1524,10 @@ let () =
           Alcotest.test_case "empty slice" `Quick test_symaddr_empty_slice;
           Alcotest.test_case "late changes travel on" `Quick
             test_symaddr_late_changes;
+          Alcotest.test_case "base dead inside its block" `Quick
+            test_symaddr_dead_inside_block;
+          Alcotest.test_case "words linear in the program" `Quick
+            test_symaddr_linear_words;
         ] );
       ( "reference properties",
         List.concat_map
@@ -1479,6 +1584,11 @@ let () =
             qtest "symaddr = layout-sweep reference, pointer loops" 50
               (fun seed ->
                 every_stage_of (pointer_loop_cfg seed) symaddr_matches_reference);
+            Alcotest.test_case "symaddr = layout-sweep reference, paper workloads"
+              `Quick test_symaddr_paper_workloads;
+            qtest "symaddr = layout-sweep reference, ladder programs" 4
+              (fun seed ->
+                every_stage_input ladder_params seed symaddr_matches_reference);
             qtest "symaddr delta = addrcheck delta, pointer loops" 50
               (fun seed ->
                 every_stage_of (pointer_loop_cfg seed) symaddr_matches_addrcheck);

@@ -541,6 +541,21 @@ let test_exit_codes () =
         (String.equal (E.describe c) "unknown"))
     E.all
 
+(* A branch to a missing label in an unreachable block is reported as
+   one [cfg.malformed-target] error; the rules that read edges, which
+   would fail to decode it, are skipped. *)
+let test_lint_missing_target () =
+  let cfg =
+    B.func [ ("A", [], B.halt); ("D", [], B.jmp "NOWHERE") ]
+  in
+  match L.run cfg with
+  | ds ->
+      Alcotest.(check (list string)) "one malformed-target error"
+        [ "cfg.malformed-target" ]
+        (List.map (fun d -> d.D.rule) ds);
+      Alcotest.(check int) "an error" 1 (List.length (C.errors ds))
+  | exception e -> Alcotest.failf "lint raised %s" (Printexc.to_string e)
+
 (* ---- golden lint over the example programs ---- *)
 
 let golden_path =
@@ -670,7 +685,11 @@ let () =
       ( "exit codes",
         [ Alcotest.test_case "pinned table" `Quick test_exit_codes ] );
       ( "lint golden",
-        [ Alcotest.test_case "examples are clean" `Quick test_golden_lint ] );
+        [
+          Alcotest.test_case "examples are clean" `Quick test_golden_lint;
+          Alcotest.test_case "missing branch target" `Quick
+            test_lint_missing_target;
+        ] );
       ( "properties",
         [
           qtest "random programs accepted (useful)" 40
