@@ -37,29 +37,36 @@ let number nm r =
 
 (* A block's upward-exposed uses and its definitions, as lists of
    numbers without repeats; the block is stamped [nm.epoch] in
-   [use_seen] and [def_seen]. *)
+   [use_seen] and [def_seen]. The register walks close over nothing, so
+   a scan allocates only the lists it returns. *)
+let rec scan_uses nm e acc = function
+  | [] -> acc
+  | r :: rest ->
+      let x = number nm r in
+      if nm.def_seen.(x) <> e && nm.use_seen.(x) <> e then begin
+        nm.use_seen.(x) <- e;
+        scan_uses nm e (x :: acc) rest
+      end
+      else scan_uses nm e acc rest
+
+let rec scan_defs nm e acc = function
+  | [] -> acc
+  | r :: rest ->
+      let x = number nm r in
+      if nm.def_seen.(x) <> e then begin
+        nm.def_seen.(x) <- e;
+        scan_defs nm e (x :: acc) rest
+      end
+      else scan_defs nm e acc rest
+
 let scan nm b =
   nm.epoch <- nm.epoch + 1;
   let e = nm.epoch in
   let uses = ref [] and defs = ref [] in
   Block.iter
     (fun i ->
-      List.iter
-        (fun r ->
-          let x = number nm r in
-          if nm.def_seen.(x) <> e && nm.use_seen.(x) <> e then begin
-            nm.use_seen.(x) <- e;
-            uses := x :: !uses
-          end)
-        (Instr.uses i);
-      List.iter
-        (fun r ->
-          let x = number nm r in
-          if nm.def_seen.(x) <> e then begin
-            nm.def_seen.(x) <- e;
-            defs := x :: !defs
-          end)
-        (Instr.defs i))
+      uses := scan_uses nm e !uses (Instr.uses i);
+      defs := scan_defs nm e !defs (Instr.defs i))
     b;
   (!uses, !defs)
 

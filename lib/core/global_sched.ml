@@ -325,10 +325,12 @@ let duplication_blocks st a equiv =
    dominate the join [b]: every path into [b] — through [a] or any other
    predecessor — must have produced the operands the copies read. *)
 let duplication_sources_ok st ~join i =
-  List.for_all
-    (fun (e : Ddg.edge) ->
-      Dominance.dominates st.dom st.home.(e.Ddg.src) join)
-    (Ddg.preds st.ddg i)
+  let rec from k =
+    k >= Ddg.num_preds st.ddg i
+    || Dominance.dominates st.dom st.home.((Ddg.pred st.ddg i k).Ddg.src) join
+       && from (k + 1)
+  in
+  from 0
 
 (* ---- speculation safety (Section 5.3) ---- *)
 
@@ -426,7 +428,10 @@ let schedule_block st a blk_id =
     | Config.Speculative -> duplication_blocks st a equiv
     | Config.Useful | Config.Local -> []
   in
-  let own = List.filter (fun i -> st.home.(i) = a) (List.init (Array.length st.home) Fun.id) in
+  (* Nodes only ever move into the block being scheduled, from blocks
+     later in topological order, so the block's own nodes are those of
+     its view node that no earlier block took. *)
+  let own = List.filter (fun i -> st.home.(i) = a) (Ddg.nodes_of_view_node st.ddg a) in
   let term_node =
     match Ddg.node_of_uid st.ddg (Instr.uid blk.Block.term) with
     | Some i -> i
@@ -704,10 +709,12 @@ let schedule_region ?sym ?alias ~df machine config cfg regions region =
                 (match view.Regions.nodes.(v) with
                 | Regions.Block blk_id -> schedule_block st v blk_id
                 | Regions.Inner_loop _ -> ());
-                (* Everything homed in this view node is now behind us. *)
-                Array.iteri
-                  (fun i h -> if h = v then st.done_.(i) <- true)
-                  st.home)
+                (* Everything homed in this view node is now behind us:
+                   its imports were marked as they issued, and the rest
+                   started here. *)
+                List.iter
+                  (fun i -> if st.home.(i) = v then st.done_.(i) <- true)
+                  (Ddg.nodes_of_view_node st.ddg v))
               topo;
             Log.debug (fun m ->
                 m "region %d: %d moves" region.Regions.id (List.length st.moves));

@@ -10,36 +10,21 @@ let compute ddg =
     cp.(i) <- Ddg.exec_time ddg i
   done;
   (* Intra-block edges always point from a smaller [pos] to a larger
-     one, so visiting each block's nodes in reverse position order
-     visits every node after its successors (paper: "by visiting I
-     after visiting its data dependence successors"). *)
-  let visit i =
-    let nd = Ddg.node ddg i in
-    List.iter
-      (fun (e : Ddg.edge) ->
-        if (Ddg.node ddg e.Ddg.dst).Ddg.view_node = nd.Ddg.view_node then begin
-          d.(i) <- max d.(i) (d.(e.Ddg.dst) + e.Ddg.delay);
-          cp.(i) <-
-            max cp.(i) (cp.(e.Ddg.dst) + e.Ddg.delay + Ddg.exec_time ddg i)
-        end)
-      (Ddg.succs ddg i)
-  in
-  (* Nodes of a block are returned in position order; iterate over all
-     blocks' lists reversed. *)
-  let rec each_view v =
-    if v >= 0 then begin
-      List.iter visit (List.rev (Ddg.nodes_of_view_node ddg v));
-      each_view (v - 1)
-    end
-  in
-  (* View nodes are 0..k-1; find k by probing node view indices. *)
-  let max_view =
-    let rec go i acc =
-      if i >= n then acc else go (i + 1) (max acc (Ddg.node ddg i).Ddg.view_node)
-    in
-    go 0 (-1)
-  in
-  each_view max_view;
+     one, and a block's nodes are numbered consecutively in position
+     order, so visiting nodes in decreasing index visits every node
+     after its successors (paper: "by visiting I after visiting its
+     data dependence successors"). *)
+  for i = n - 1 downto 0 do
+    let v = (Ddg.node ddg i).Ddg.view_node in
+    for k = 0 to Ddg.num_succs ddg i - 1 do
+      let e = Ddg.succ ddg i k in
+      let j = e.Ddg.dst in
+      if (Ddg.node ddg j).Ddg.view_node = v then begin
+        d.(i) <- max d.(i) (d.(j) + e.Ddg.delay);
+        cp.(i) <- max cp.(i) (cp.(j) + e.Ddg.delay + Ddg.exec_time ddg i)
+      end
+    done
+  done;
   { d; cp }
 
 let d t i = t.d.(i)

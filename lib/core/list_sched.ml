@@ -24,58 +24,80 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
   let issue = Array.make n (-1) in
   for i = 0 to n - 1 do
     if candidate.(i) then
-      List.iter
-        (fun (e : Ddg.edge) ->
-          let p = e.Ddg.src in
-          if fulfilled p then ()
-          else if candidate.(p) then pending.(i) <- pending.(i) + 1
-          else barred.(i) <- true)
-        (Ddg.preds ddg i)
+      for k = 0 to Ddg.num_preds ddg i - 1 do
+        let p = (Ddg.pred ddg i k).Ddg.src in
+        if fulfilled p then ()
+        else if candidate.(p) then pending.(i) <- pending.(i) + 1
+        else barred.(i) <- true
+      done
   done;
   let live i = candidate.(i) && issue.(i) = -1 in
   let emitted = Vec.create () in
   let own_left = ref (List.length own) in
   let cycle = ref 0 in
   let finished = ref false in
+  (* Functional units by index, with the issue slots each has left in
+     the current cycle. *)
+  let capacity =
+    Array.map (Gis_machine.Machine.units machine) [| Instr.Fixed; Instr.Float; Instr.Branch |]
+  in
+  let slots = Array.copy capacity in
   let unit_of i =
     match (Ddg.node ddg i).Ddg.instr with
-    | Some ins -> Instr.unit_ty ins
-    | None -> Instr.Fixed
+    | Some ins -> (
+        match Instr.unit_ty ins with
+        | Instr.Fixed -> 0
+        | Instr.Float -> 1
+        | Instr.Branch -> 2)
+    | None -> 0
   in
-  let slots = Hashtbl.create 3 in
-  let slots_left u =
-    match Hashtbl.find_opt slots u with
-    | Some k -> k
-    | None -> Gis_machine.Machine.units machine u
-  in
-  let take_slot u = Hashtbl.replace slots u (slots_left u - 1) in
   (* Ready-list machinery. Candidates whose dependences are satisfied
      sit in [ready_h]; candidates whose operands become available at a
-     known future cycle wait in [waiting] keyed by that cycle. A node's
-     [ready_at] is final once its last in-flight predecessor has issued,
-     which is exactly when it is released, so [waiting] keys never go
-     stale. Entries keep the [item] they were queued with until a
-     commit answers [Accept_rekeyed]. *)
-  let ready_h = Heap.create ~cmp:(Priority.compare ~rules) in
-  let waiting = Heap.create ~cmp:(fun (ra, _) (rb, _) -> Int.compare ra rb) in
-  let deferred = ref [] in
+     known future cycle wait in [waiting] ordered by [ready_at]. A
+     node's [ready_at] is final once its last in-flight predecessor has
+     issued, which is exactly when it is released, so [waiting] keys
+     never go stale. Entries keep the [item] they were queued with
+     until a commit answers [Accept_rekeyed]. No node is queued twice:
+     it enters once, on release, and every entry taken out goes back or
+     is decided. *)
+  let ready_h = Heap.create ~cmp:(fun a b -> Priority.compare ~rules a b) in
+  let waiting =
+    Heap.create ~cmp:(fun (a : Priority.item) (b : Priority.item) ->
+        Int.compare ready_at.(a.Priority.node) ready_at.(b.Priority.node))
+  in
+  let deferred = Vec.create () in
+  (* How many [ready_h] entries each unit has. While no unit with a free
+     slot has any, no entry can issue this cycle, and the heap is left
+     as it is rather than emptied into [deferred] and refilled next
+     cycle: nothing reads it again before then. *)
+  let queued = Array.make (Array.length capacity) 0 in
+  let enqueue (it : Priority.item) =
+    let u = unit_of it.Priority.node in
+    queued.(u) <- queued.(u) + 1;
+    Heap.push ready_h it
+  in
+  let dequeue () =
+    let it = Heap.pop ready_h in
+    let u = unit_of it.Priority.node in
+    queued.(u) <- queued.(u) - 1;
+    it
+  in
+  let rec issuable u =
+    u < Array.length slots && ((slots.(u) > 0 && queued.(u) > 0) || issuable (u + 1))
+  in
   let rekey () =
-    let rec drain h acc =
-      match Heap.pop h with Some x -> drain h (x :: acc) | None -> acc
-    in
-    List.iter
-      (fun it -> Heap.push ready_h (item it.Priority.node))
-      (drain ready_h []);
-    List.iter
-      (fun (r, it) -> Heap.push waiting (r, item it.Priority.node))
-      (drain waiting []);
-    deferred := List.map (fun it -> item it.Priority.node) !deferred
+    let fresh (it : Priority.item) = item it.Priority.node in
+    Heap.rekey fresh ready_h;
+    Heap.rekey fresh waiting;
+    for k = 0 to Vec.length deferred - 1 do
+      Vec.set deferred k (fresh (Vec.get deferred k))
+    done
   in
   let release i =
     if i <> term && live i && not barred.(i) then begin
       let it = item i in
-      if ready_at.(i) <= !cycle then Heap.push ready_h it
-      else Heap.push waiting (ready_at.(i), it)
+      if ready_at.(i) <= !cycle then enqueue it
+      else Heap.push waiting it
     end
   in
   for i = 0 to n - 1 do
@@ -84,7 +106,7 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
   let basic_ready i =
     live i && (not barred.(i)) && pending.(i) = 0
     && ready_at.(i) <= !cycle
-    && slots_left (unit_of i) > 0
+    && slots.(unit_of i) > 0
   in
   let term_item () =
     if
@@ -96,16 +118,16 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
   (* Best heap entry that can still issue this cycle; entries whose
      unit is saturated move to [deferred] for the next cycle. *)
   let rec pick_ready () =
-    match Heap.pop ready_h with
-    | None -> None
-    | Some it ->
-        let i = it.Priority.node in
-        if not (live i) then pick_ready ()
-        else if slots_left (unit_of i) > 0 then Some it
-        else begin
-          deferred := it :: !deferred;
-          pick_ready ()
-        end
+    if not (issuable 0) then None
+    else
+      let it = dequeue () in
+      let i = it.Priority.node in
+      if not (live i) then pick_ready ()
+      else if slots.(unit_of i) > 0 then Some it
+      else begin
+        Vec.push deferred it;
+        pick_ready ()
+      end
   in
   (* Best still-live entry left in the heap. Popped entries go straight
      back; the comparator is total, so re-pushing cannot perturb pop
@@ -113,11 +135,11 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
   let runner_up () =
     let popped = ref [] in
     let rec go () =
-      match Heap.pop ready_h with
-      | None -> None
-      | Some it ->
-          popped := it :: !popped;
-          if live it.Priority.node then Some it else go ()
+      if Heap.is_empty ready_h then None
+      else
+        let it = Heap.pop ready_h in
+        popped := it :: !popped;
+        if live it.Priority.node then Some it else go ()
     in
     let res = go () in
     List.iter (Heap.push ready_h) !popped;
@@ -135,7 +157,7 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
         let tally = Option.value tally ~default:(fun _ _ -> ()) in
         if Priority.compare ~rules t it < 0 then begin
           tally t it;
-          Heap.push ready_h it;
+          enqueue it;
           tt
         end
         else begin
@@ -145,23 +167,23 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
   in
   let accept i =
     issue.(i) <- !cycle;
-    take_slot (unit_of i);
+    slots.(unit_of i) <- slots.(unit_of i) - 1;
     Vec.push emitted i;
     if is_own.(i) then decr own_left;
-    List.iter
-      (fun (e : Ddg.edge) ->
-        let j = e.Ddg.dst in
-        if candidate.(j) then begin
-          pending.(j) <- pending.(j) - 1;
-          let avail =
-            match e.Ddg.kind with
-            | Ddg.Flow -> !cycle + Ddg.exec_time ddg i + e.Ddg.delay
-            | Ddg.Anti | Ddg.Output | Ddg.Mem -> !cycle + e.Ddg.delay
-          in
-          ready_at.(j) <- max ready_at.(j) avail;
-          if pending.(j) = 0 then release j
-        end)
-      (Ddg.succs ddg i);
+    for k = 0 to Ddg.num_succs ddg i - 1 do
+      let e = Ddg.succ ddg i k in
+      let j = e.Ddg.dst in
+      if candidate.(j) then begin
+        pending.(j) <- pending.(j) - 1;
+        let avail =
+          match e.Ddg.kind with
+          | Ddg.Flow -> !cycle + Ddg.exec_time ddg i + e.Ddg.delay
+          | Ddg.Anti | Ddg.Output | Ddg.Mem -> !cycle + e.Ddg.delay
+        in
+        ready_at.(j) <- max ready_at.(j) avail;
+        if pending.(j) = 0 then release j
+      end
+    done;
     if i = term then finished := true
   in
   let rec step () =
@@ -179,29 +201,28 @@ let run ?(fulfilled = fun _ -> false) ?(yields_to = []) ?tally ~machine ~rules
           step ()
   in
   while not !finished do
-    Hashtbl.reset slots;
+    Array.blit capacity 0 slots 0 (Array.length slots);
     (* Start-of-cycle: operands newly available this cycle, plus
        candidates shut out by unit saturation last cycle (units never
        free up mid-cycle, so they could not have issued any earlier). *)
-    List.iter (Heap.push ready_h) !deferred;
-    deferred := [];
-    let rec drain_waiting () =
-      match Heap.peek waiting with
-      | Some (r, it) when r <= !cycle ->
-          ignore (Heap.pop waiting);
-          Heap.push ready_h it;
-          drain_waiting ()
-      | Some _ | None -> ()
-    in
-    drain_waiting ();
+    for k = 0 to Vec.length deferred - 1 do
+      enqueue (Vec.get deferred k)
+    done;
+    Vec.clear deferred;
+    while
+      (not (Heap.is_empty waiting))
+      && ready_at.((Heap.top waiting).Priority.node) <= !cycle
+    do
+      enqueue (Heap.pop waiting)
+    done;
     step ();
     (* Stalled for good: nothing left to issue ever, and the terminator
        can only wait for a cycle when its gate is open and its operands
        are in flight. *)
     if
-      (not !finished) && !deferred = []
-      && Heap.peek ready_h = None
-      && Heap.peek waiting = None
+      (not !finished) && Vec.is_empty deferred
+      && Heap.is_empty ready_h
+      && Heap.is_empty waiting
       && not
            (!own_left = 1 && live term
            && (not barred.(term))

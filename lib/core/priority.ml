@@ -18,12 +18,13 @@ let apply_rule rule a b =
   | Priority_rule.Program_order -> Int.compare a.order b.order
   | Priority_rule.Min_pressure -> Int.compare a.pressure b.pressure
 
-let compare ~rules a b =
-  let rec go = function
-    | [] -> Int.compare a.order b.order
-    | r :: rest -> ( match apply_rule r a b with 0 -> go rest | c -> c)
-  in
-  go rules
+(* Recursing on the rule list itself, not through a local closure over
+   [a] and [b], keeps a heap comparison free of allocation. *)
+let rec compare ~rules a b =
+  match rules with
+  | [] -> Int.compare a.order b.order
+  | r :: rest -> (
+      match apply_rule r a b with 0 -> compare ~rules:rest a b | c -> c)
 
 let deciding_rule ~rules a b =
   let rec go = function

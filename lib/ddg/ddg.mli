@@ -15,13 +15,15 @@ type dep_kind = Flow | Anti | Output | Mem
 val pp_dep_kind : dep_kind Fmt.t
 
 type node = {
-  idx : int;  (** dense node index *)
+  idx : int;
+      (** dense node index; a block's nodes are numbered consecutively
+          in position order *)
   uid : int;  (** instruction uid; negative for loop summaries *)
   instr : Gis_ir.Instr.t option;  (** [None] for loop summaries *)
   view_node : int;  (** region-view node containing this instruction *)
   pos : int;  (** position within its block; the terminator is last *)
-  defs : Gis_ir.Reg.Set.t;
-  uses : Gis_ir.Reg.Set.t;
+  defs : Gis_ir.Reg.t array;  (** in [Reg.compare] order, no repeats *)
+  uses : Gis_ir.Reg.t array;  (** in [Reg.compare] order, no repeats *)
 }
 
 type edge = {
@@ -42,9 +44,14 @@ val build :
   Gis_analysis.Regions.t ->
   Gis_analysis.Regions.view ->
   t
-(** Dependences are computed pairwise with the transitive-closure
-    shortcut of Section 4.2 disabled (all edges are materialised); use
-    {!prune_transitive} to drop edges implied by longer paths.
+(** All edges are materialised (the transitive-closure shortcut of
+    Section 4.2 is off); use {!prune_transitive} to drop edges implied
+    by longer paths. Within a block one ordered scan finds each node's
+    dependences on earlier ones. Across blocks only node pairs that can
+    carry an edge are visited: pairs sharing a register one of them
+    defines, found through per-register occurrence lists, and pairs of
+    memory accesses of which at least one is not a load. Each pair keeps
+    one edge: the first candidate of the longest delay.
 
     When [sym] (the whole-procedure symbolic address analysis of the
     same CFG) is supplied, Mem edges between accesses with provably
@@ -103,8 +110,17 @@ val nodes_of_view_node : t -> int -> int list
 (** Node indices in block order (position order). *)
 
 val node_of_uid : t -> int -> int option
-val succs : t -> int -> edge list
-val preds : t -> int -> edge list
+(** The node of an instruction uid; [None] for loop summaries. *)
+
+(** Edges are stored flat, grouped by source and by destination, so
+    reading them allocates nothing. [succ t i k] is the [k]-th of the
+    [num_succs t i] edges leaving node [i]; [pred] likewise for edges
+    entering it. The order within a group is unspecified. *)
+
+val num_succs : t -> int -> int
+val succ : t -> int -> int -> edge
+val num_preds : t -> int -> int
+val pred : t -> int -> int -> edge
 val num_edges : t -> int
 
 val prune_transitive : t -> t

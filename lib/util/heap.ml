@@ -27,14 +27,15 @@ let rec sift_up h i =
 
 let rec sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.size && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
+  let smallest = if l < h.size && h.cmp h.data.(l) h.data.(i) < 0 then l else i in
+  let smallest =
+    if r < h.size && h.cmp h.data.(r) h.data.(smallest) < 0 then r else smallest
+  in
+  if smallest <> i then begin
     let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
+    h.data.(i) <- h.data.(smallest);
+    h.data.(smallest) <- tmp;
+    sift_down h smallest
   end
 
 let push h x =
@@ -43,16 +44,23 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let is_empty h = h.size = 0
+
+let top h = if h.size = 0 then invalid_arg "Heap.top: empty" else h.data.(0)
 
 let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some top
-  end
+  let top = top h in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end;
+  top
+
+let rekey f h =
+  for i = 0 to h.size - 1 do
+    h.data.(i) <- f h.data.(i)
+  done;
+  for i = (h.size / 2) - 1 downto 0 do
+    sift_down h i
+  done

@@ -22,14 +22,15 @@ module Int_table = struct
 
   (* The slot holding [key], or the empty slot ending its probe run.
      Fibonacci hashing spreads keys that share their low bits, as
-     register hashes do. *)
+     register hashes do. The probe loop is closed over nothing, so a
+     lookup allocates nothing. *)
+  let rec probe keys key mask i =
+    let k = keys.(i) in
+    if k = key || k < 0 then i else probe keys key mask ((i + 1) land mask)
+
   let slot keys key =
     let mask = Array.length keys - 1 in
-    let rec probe i =
-      let k = keys.(i) in
-      if k = key || k < 0 then i else probe ((i + 1) land mask)
-    in
-    probe (((key * 0x9E3779B97F4A7C1) lsr 20) land mask)
+    probe keys key mask (((key * 0x9E3779B97F4A7C1) lsr 20) land mask)
 
   (* [-1] for an absent key. *)
   let find t key =

@@ -2,6 +2,7 @@ open Gis_ir
 open Gis_analysis
 open Gis_util.Ints
 module B = Builder
+module Ddg = Gis_ddg.Ddg
 
 (* ---- synthetic flow graphs ---- *)
 
@@ -1439,6 +1440,83 @@ let test_query_entry_on_loop () =
   Alcotest.(check bool) "agrees with the full compute" true
     (query_matches_compute ~stage:"entry on a loop" cfg)
 
+(* [Ddg] = [Ddg_ref] on one CFG: every region graph, before and after
+   transitive pruning, and every single-block graph, with and without
+   the symbolic address analysis — the same nodes, the same edges as
+   (src, dst, kind, reg, delay) sets, and the same disambiguation
+   counts. *)
+let ddg_matches_on ~stage ?(single_blocks = true) cfg regions only =
+  let machine = Gis_machine.Machine.rs6k in
+  let ours g =
+    let l = ref [] in
+    Ddg.iter_edges
+      (fun e -> l := (e.Ddg.src, e.Ddg.dst, e.Ddg.kind, e.Ddg.reg, e.Ddg.delay) :: !l)
+      g;
+    List.sort compare !l
+  in
+  let counts g =
+    let t = Ddg.new_tally () in
+    Ddg.add_tally t g;
+    Ddg.tally_counts t
+  in
+  let same what g r =
+    let fail m = QCheck.Test.fail_reportf "%s: %s graph: %s differ" stage what m in
+    (Array.init (Ddg.num_nodes g) (fun i -> (Ddg.node g i).Ddg.uid) = Ddg_ref.uids r
+    || fail "nodes")
+    && (ours g = Ddg_ref.edges r || fail "edges")
+    && (counts g = Ddg_ref.counts r || fail "counts")
+  in
+  List.for_all
+    (fun sym ->
+      List.for_all
+        (fun region ->
+          match Regions.view cfg regions region with
+          | exception Invalid_argument _ -> true
+          | view ->
+              let g = Ddg.build ?sym cfg machine regions view
+              and r = Ddg_ref.build ?sym cfg machine regions view in
+              same "region" g r
+              && same "pruned region" (Ddg.prune_transitive g)
+                   (Ddg_ref.prune_transitive r))
+        only
+      && ((not single_blocks)
+         || List.for_all
+           (fun id ->
+             let b = Cfg.block cfg id in
+             same "single-block"
+               (Ddg.build_single_block ?sym machine b)
+               (Ddg_ref.build_single_block ?sym machine b))
+           (Cfg.layout cfg)))
+    [ Some (Symaddr.compute cfg); None ]
+
+(* At a stage input, and then at every region's input of a global pass
+   replayed over all regions of a copy of it: each region's graphs are
+   compared on the code the region is scheduled from. *)
+let ddg_matches_reference ~stage cfg =
+  let regions = Regions.compute cfg in
+  ddg_matches_on ~stage cfg regions (Regions.regions regions)
+  &&
+  let copy = Cfg.deep_copy cfg in
+  let regions = Regions.compute copy in
+  let ok = ref true in
+  ignore
+    (Gis_core.Global_sched.schedule
+       ~only:(fun region ->
+         ok :=
+           !ok
+           && ddg_matches_on ~stage:(stage ^ ", replayed pass")
+                ~single_blocks:false copy regions [ region ];
+         true)
+       ~regions Gis_machine.Machine.rs6k Gis_core.Config.speculative copy);
+  !ok
+
+(* [Ddg] = [Ddg_ref] at every stage input of the paper workloads. *)
+let test_ddg_paper_workloads () =
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool) name true (every_stage_of cfg ddg_matches_reference))
+    (paper_cfgs ())
+
 let qtest name count prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count QCheck.(int_range 1 1_000_000) prop)
@@ -1536,6 +1614,8 @@ let () =
               qtest ("reaching = Int_set reference, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed reaching_matches_reference);
+              qtest ("ddg = all-pairs reference, " ^ grammar) 25
+                (fun seed -> every_stage_input params seed ddg_matches_reference);
               qtest ("symaddr = layout-sweep reference, " ^ grammar) 25
                 (fun seed ->
                   every_stage_input params seed symaddr_matches_reference);
@@ -1572,6 +1652,10 @@ let () =
                   reaching_matches_reference);
             Alcotest.test_case "reaching = Int_set reference, paper workloads"
               `Quick test_reaching_paper_workloads;
+            qtest "ddg = all-pairs reference, pointer loops" 50 (fun seed ->
+                every_stage_of (pointer_loop_cfg seed) ddg_matches_reference);
+            Alcotest.test_case "ddg = all-pairs reference, paper workloads"
+              `Quick test_ddg_paper_workloads;
             qtest "liveness update = fresh reference, pointer loops" 50
               (fun seed ->
                 every_stage_of (pointer_loop_cfg seed) (fun ~stage pre ->
