@@ -24,6 +24,13 @@
      P1     driver        — batch results identical at jobs 1/2/4
      P2     self-profile  — allocation per pipeline phase
 
+   Every table except E6, R1 and P1 is a view over one cell store: each
+   (program, compile machine, simulation machine, configuration) is
+   compiled and simulated once, on first use, and every table that names
+   it reads that one cell. E6 reads the global scheduler's reports
+   directly; R1 and P1 measure [Driver.run_one] and the batch pool on
+   the driver's own inputs, which differ from the tables' (see [store]).
+
    Every number is a simulator count or an allocation count, so two runs
    write byte-identical reports. The compiler's own wall-clock time
    (Figure 7's compile-time overhead) is measured by gisbench
@@ -125,60 +132,97 @@ let table title ?note rows =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Shared workloads and measurements                                   *)
+(* The programs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let minmax_elements =
+(* A program and the input every table simulates it on. Each is built
+   once; a cell compiles a deep copy of [cfg0]. *)
+type program = { name : string; cfg0 : Cfg.t; input : Simulator.input }
+
+let minmax = Minmax.build ()
+
+let minmax_program =
   let rng = Prng.create ~seed:5 in
-  List.init 64 (fun _ -> Prng.int rng 1000)
+  let elements = List.init 64 (fun _ -> Prng.int rng 1000) in
+  { name = "minmax"; cfg0 = minmax.Minmax.cfg; input = Minmax.input minmax elements }
 
-let proxy_programs () =
-  ("minmax",
-   (let t = Minmax.build () in
-    (t.Minmax.cfg, Minmax.input t minmax_elements)))
-  :: List.map
-       (fun (p : Spec_proxy.t) ->
-         let compiled = Spec_proxy.compile p in
-         (p.Spec_proxy.name, (compiled.Codegen.cfg, p.Spec_proxy.setup compiled)))
-       Spec_proxy.all
+let spec_proxies =
+  List.map
+    (fun (p : Spec_proxy.t) ->
+      let c = Spec_proxy.compile p in
+      { name = p.Spec_proxy.name; cfg0 = c.Codegen.cfg; input = p.Spec_proxy.setup c })
+    Spec_proxy.all
 
-(* Compile a fresh copy of [cfg0] under [config] for [machine], then
-   simulate it on [sim] (default: the same machine). *)
-let simulate ?(machine = rs6k) ?(sim = machine) config cfg0 input =
-  let cfg = Cfg.deep_copy cfg0 in
-  let stats = Pipeline.run machine config cfg in
-  (stats, cfg, Simulator.run sim cfg input)
+(* The five programs of the paper's evaluation. *)
+let proxies = minmax_program :: spec_proxies
 
-let cycles ?machine ?sim config cfg0 input =
-  let _, _, os = simulate ?machine ?sim config cfg0 input in
-  os.Simulator.cycles
+(* ------------------------------------------------------------------ *)
+(* The cell store                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One compiled and simulated configuration of one program: the
+   pipeline's stats, the scheduled CFG, the simulator's outcome and the
+   allocation tree of its compile. *)
+type cell = { stats : Pipeline.stats; cfg : Cfg.t; os : Simulator.outcome; prof : Prof.t }
+
+(* Every table reads its cells from here, so each (program, compile
+   machine, simulation machine, configuration) is compiled and simulated
+   once, on first use. The configuration part of the key is [Config.pp],
+   which prints every field that changes a run: rows that different
+   tables label differently (A2's "paper", A3's "full pipeline", E5's
+   speculative column) land on one cell. Machines are keyed by name, and
+   a profile-guided configuration only by the presence of its profile,
+   which is always the keyed program's own run.
+
+   The store does not go through [Driver.run_one]: that runs each
+   program on [Driver.default_input] (seed 3), while the tables simulate
+   minmax on seed 5 and the proxies on [Spec_proxy.setup], so every
+   cycle figure would change. R1 and P1 measure the driver itself and
+   call it directly. *)
+let store : (string, cell) Hashtbl.t = Hashtbl.create 256
+
+let cell ?(machine = rs6k) ?(sim = machine) config p =
+  let key =
+    Fmt.str "%s %s %s %a" p.name (Machine.name machine) (Machine.name sim)
+      Config.pp config
+  in
+  match Hashtbl.find_opt store key with
+  | Some c -> c
+  | None ->
+      let prof = Prof.create () in
+      let cfg = Cfg.deep_copy p.cfg0 in
+      let stats = Pipeline.run machine { config with Config.prof = Some prof } cfg in
+      let c = { stats; cfg; os = Simulator.run sim cfg p.input; prof } in
+      Hashtbl.add store key c;
+      c
+
+let cycles_of c = c.os.Simulator.cycles
 
 (* One row per program: its name, then the fields [f] measures on it. *)
-let per_program ?(programs = proxy_programs ()) f =
+let per_program ?(programs = proxies) f =
   Json.List
     (List.map
-       (fun (name, (cfg0, input)) ->
-         Json.Obj (("program", Json.String name) :: f name cfg0 input))
+       (fun p -> Json.Obj (("program", Json.String p.name) :: f p))
        programs)
 
 (* Run-time improvement of [x] cycles over [base], in percent. *)
 let rti ~base x = 100.0 *. (1.0 -. (float_of_int x /. float_of_int base))
 
-let count_moves p stats = List.length (List.filter p (Pipeline.moves stats))
+let count_moves p c = List.length (List.filter p (Pipeline.moves c.stats))
 
-let run_variant cfg0 input config =
-  let stats, _, os = simulate config cfg0 input in
-  ( os.Simulator.cycles,
-    List.length (Pipeline.moves stats),
-    count_moves (fun (m : Global_sched.move) -> m.Global_sched.renamed <> None) stats )
-
-let variant_json (cycles, moves, renames) =
+let variant_json c =
   Json.Obj
     [
-      ("cycles", Json.Int cycles);
-      ("moves", Json.Int moves);
-      ("renames", Json.Int renames);
+      ("cycles", Json.Int (cycles_of c));
+      ("moves", Json.Int (List.length (Pipeline.moves c.stats)));
+      ("renames", Json.Int (count_moves (fun m -> m.Global_sched.renamed <> None) c));
     ]
+
+(* The dependence/resource lower bound of a cell's schedule. *)
+let bound ?disambig machine c =
+  Gis_bounds.Bounds.compute ?disambig ~machine
+    ~halted:(c.os.Simulator.stop = Simulator.Halted)
+    c.cfg c.os.Simulator.telemetry
 
 let levels =
   [
@@ -200,12 +244,10 @@ let fig_config level =
   }
 
 let bench_figures_256 () =
-  let t = Minmax.build () in
-  let input = Minmax.input t minmax_elements in
   let measure level =
-    let cfg = Cfg.deep_copy t.Minmax.cfg in
-    ignore (Pipeline.run rs6k (fig_config level) cfg);
-    Simulator.cycles_per_iteration rs6k cfg ~header:t.Minmax.loop_header input
+    Simulator.cycles_per_iteration rs6k
+      (cell (fig_config level) minmax_program).cfg
+      ~header:minmax.Minmax.loop_header minmax_program.input
   in
   Json.List
     (List.map
@@ -230,28 +272,20 @@ let bench_figures_256 () =
 let bench_figure8 () =
   let paper = [ ("li", ("2.0%", "6.9%")); ("eqntott", ("7.1%", "7.3%"));
                 ("espresso", ("-0.5%", "0%")); ("gcc", ("-1.5%", "0%")) ] in
-  Json.List
-    (List.map
-       (fun (p : Spec_proxy.t) ->
-         let compiled = Spec_proxy.compile p in
-         let input = p.Spec_proxy.setup compiled in
-         let cycles config = cycles config compiled.Codegen.cfg input in
-         let base = cycles Config.base in
-         let useful = cycles Config.useful_only in
-         let spec = cycles Config.speculative in
-         let pu, ps = List.assoc p.Spec_proxy.name paper in
-         Json.Obj
-           [
-             ("program", Json.String p.Spec_proxy.name);
-             ("base_cycles", Json.Int base);
-             ("useful_cycles", Json.Int useful);
-             ("speculative_cycles", Json.Int spec);
-             ("useful_rti_percent", Json.Float (rti ~base useful));
-             ("speculative_rti_percent", Json.Float (rti ~base spec));
-             ("paper_useful_rti", Json.String pu);
-             ("paper_speculative_rti", Json.String ps);
-           ])
-       Spec_proxy.all)
+  per_program ~programs:spec_proxies (fun p ->
+      let base = cycles_of (cell Config.base p) in
+      let useful = cycles_of (cell Config.useful_only p) in
+      let spec = cycles_of (cell Config.speculative p) in
+      let pu, ps = List.assoc p.name paper in
+      [
+        ("base_cycles", Json.Int base);
+        ("useful_cycles", Json.Int useful);
+        ("speculative_cycles", Json.Int spec);
+        ("useful_rti_percent", Json.Float (rti ~base useful));
+        ("speculative_rti_percent", Json.Float (rti ~base spec));
+        ("paper_useful_rti", Json.String pu);
+        ("paper_speculative_rti", Json.String ps);
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* E6: Section 5.3 — the rejected motion                               *)
@@ -290,40 +324,19 @@ let bench_section53 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The level x issue-width sweep that A1, M1 and G1 read               *)
-(* ------------------------------------------------------------------ *)
-
-let widths = [ 1; 2; 4; 8 ]
-
-(* One (program, level, width) cell: the scheduled CFG and its
-   simulation, compiled and simulated on first use and shared by every
-   table that reads it. Cells are keyed by program name, which names
-   the same program and input in every table. *)
-let sweep_cell =
-  let cells = Hashtbl.create 64 in
-  fun name cfg0 input lname width ->
-    let key = (name, lname, width) in
-    match Hashtbl.find_opt cells key with
-    | Some cell -> cell
-    | None ->
-        let machine = Machine.superscalar ~width in
-        let _, cfg, os =
-          simulate ~machine (List.assoc lname levels) cfg0 input
-        in
-        Hashtbl.add cells key (cfg, os);
-        (cfg, os)
-
-let sweep_cycles name cfg0 input lname width =
-  (snd (sweep_cell name cfg0 input lname width)).Simulator.cycles
-
-(* ------------------------------------------------------------------ *)
 (* A1: issue-width sweep                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A1, M1 and G1 read the same level x issue-width cells. *)
+let widths = [ 1; 2; 4; 8 ]
+
+let width_cell lname width =
+  cell ~machine:(Machine.superscalar ~width) (List.assoc lname levels)
+
 let bench_width_sweep () =
-  per_program (fun name cfg0 input ->
+  per_program (fun p ->
       let rti width =
-        let cycles lname = sweep_cycles name cfg0 input lname width in
+        let cycles lname = cycles_of (width_cell lname width p) in
         ( string_of_int width,
           Json.Float (rti ~base:(cycles "local") (cycles "speculative")) )
       in
@@ -335,7 +348,6 @@ let bench_width_sweep () =
 
 (* One row per labelled configuration: rs6k cycles on every program. *)
 let cycles_by_config ~key configs =
-  let programs = proxy_programs () in
   Json.List
     (List.map
        (fun (label, config) ->
@@ -345,9 +357,8 @@ let cycles_by_config ~key configs =
              ( "cycles",
                Json.Obj
                  (List.map
-                    (fun (name, (cfg0, input)) ->
-                      (name, Json.Int (cycles config cfg0 input)))
-                    programs) );
+                    (fun p -> (p.name, Json.Int (cycles_of (cell config p))))
+                    proxies) );
            ])
        configs)
 
@@ -390,11 +401,9 @@ let bench_ablation () =
    percentages, these are absolute [_cycles] metrics, so the
    --baseline --check regression gate covers every cell. *)
 let bench_machine_sweep () =
-  per_program (fun name cfg0 input ->
-      let cell width =
-        let cycles lname =
-          Json.Int (sweep_cycles name cfg0 input lname width)
-        in
+  per_program (fun p ->
+      let by_width width =
+        let cycles lname = Json.Int (cycles_of (width_cell lname width p)) in
         ( string_of_int width,
           Json.Obj
             [
@@ -403,7 +412,7 @@ let bench_machine_sweep () =
               ("speculative_cycles", cycles "speculative");
             ] )
       in
-      [ ("by_width", Json.Obj (List.map cell widths)) ])
+      [ ("by_width", Json.Obj (List.map by_width widths)) ])
 
 (* ------------------------------------------------------------------ *)
 (* G1: gap to lower bound                                              *)
@@ -418,17 +427,11 @@ let bench_machine_sweep () =
    cycle counts stay within tolerance elsewhere. *)
 let bench_gap_bounds () =
   let module Bounds = Gis_bounds.Bounds in
-  per_program (fun name cfg0 input ->
-      let cell lname width =
-        let machine = Machine.superscalar ~width in
-        let cfg, os = sweep_cell name cfg0 input lname width in
-        let b =
-          Bounds.compute ~machine
-            ~halted:(os.Simulator.stop = Simulator.Halted)
-            cfg os.Simulator.telemetry
-        in
+  per_program (fun p ->
+      let by_cell lname width =
+        let b = bound (Machine.superscalar ~width) (width_cell lname width p) in
         if not (Bounds.identity_holds b) then begin
-          Fmt.epr "G1: bound identity violated on %s/%s/w%d@." name lname width;
+          Fmt.epr "G1: bound identity violated on %s/%s/w%d@." p.name lname width;
           exit 1
         end;
         ( Fmt.str "%s.w%d" lname width,
@@ -443,7 +446,7 @@ let bench_gap_bounds () =
         ( "by_cell",
           Json.Obj
             (List.concat_map
-               (fun (lname, _) -> List.map (cell lname) widths)
+               (fun (lname, _) -> List.map (by_cell lname) widths)
                levels) );
       ])
 
@@ -464,73 +467,69 @@ let bench_gap_bounds () =
    pruned. *)
 let bench_mem_disambiguation () =
   let module Bounds = Gis_bounds.Bounds in
-  per_program (fun name cfg0 input ->
-      let cell (lname, config) =
+  per_program (fun p ->
+      let by_level (lname, config) =
         let run disambig =
-          let stats, cfg, os =
-            simulate { config with Config.disambiguate = disambig } cfg0 input
-          in
-          let b =
-            Bounds.compute ~disambig ~machine:rs6k
-              ~halted:(os.Simulator.stop = Simulator.Halted)
-              cfg os.Simulator.telemetry
-          in
-          (os, b, stats.Pipeline.alias)
+          let c = cell { config with Config.disambiguate = disambig } p in
+          (c, bound ~disambig rs6k c, c.stats.Pipeline.alias)
         in
-        let ooff, boff, aoff = run false in
-        let oon, bon, aon = run true in
+        let off, boff, aoff = run false in
+        let on, bon, aon = run true in
         if
           not
-            (String.equal (Simulator.observables ooff) (Simulator.observables oon))
+            (String.equal (Simulator.observables off.os) (Simulator.observables on.os))
         then begin
-          Fmt.epr "A1: disambiguation changed observables on %s/%s@." name lname;
+          Fmt.epr "A1: disambiguation changed observables on %s/%s@." p.name
+            lname;
           exit 1
         end;
         ( lname,
           Json.Obj
             [
-              ("off_cycles", Json.Int ooff.Simulator.cycles);
+              ("off_cycles", Json.Int (cycles_of off));
               ("off_lower_bound_cycles", Json.Int boff.Bounds.lower_bound);
               ("off_gap_cycles", Json.Int boff.Bounds.gap);
               ("off_mem_kept", Json.Int (Gis_ddg.Ddg.tally_kept aoff));
               ("off_mem_pruned", Json.Int (Gis_ddg.Ddg.tally_pruned aoff));
-              ("on_cycles", Json.Int oon.Simulator.cycles);
+              ("on_cycles", Json.Int (cycles_of on));
               ("on_lower_bound_cycles", Json.Int bon.Bounds.lower_bound);
               ("on_gap_cycles", Json.Int bon.Bounds.gap);
               ("on_mem_kept", Json.Int (Gis_ddg.Ddg.tally_kept aon));
               ("on_mem_pruned", Json.Int (Gis_ddg.Ddg.tally_pruned aon));
             ] )
       in
-      [ ("by_level", Json.Obj (List.map cell levels)) ])
+      [ ("by_level", Json.Obj (List.map by_level levels)) ])
 
 (* ------------------------------------------------------------------ *)
 (* A4-A8: extension ablations                                          *)
 (* ------------------------------------------------------------------ *)
 
 let bench_webs () =
-  per_program (fun _ cfg0 input ->
-      let off = run_variant cfg0 input Config.speculative in
-      let on =
-        run_variant cfg0 input { Config.speculative with Config.split_webs = true }
-      in
-      [ ("webs_off", variant_json off); ("webs_on", variant_json on) ])
+  per_program (fun p ->
+      [
+        ("webs_off", variant_json (cell Config.speculative p));
+        ( "webs_on",
+          variant_json (cell { Config.speculative with Config.split_webs = true } p) );
+      ])
 
 let bench_speculation_degree () =
-  per_program (fun _ cfg0 input ->
-      let cell d =
-        let c, m, _ =
-          run_variant cfg0 input
-            { Config.speculative with Config.max_speculation_degree = d }
-        in
-        (string_of_int d, Json.Obj [ ("cycles", Json.Int c); ("moves", Json.Int m) ])
+  per_program (fun p ->
+      let by_degree d =
+        let c = cell { Config.speculative with Config.max_speculation_degree = d } p in
+        ( string_of_int d,
+          Json.Obj
+            [
+              ("cycles", Json.Int (cycles_of c));
+              ("moves", Json.Int (List.length (Pipeline.moves c.stats)));
+            ] )
       in
-      [ ("by_degree", Json.Obj (List.map cell [ 1; 2; 3 ])) ])
+      [ ("by_degree", Json.Obj (List.map by_degree [ 1; 2; 3 ])) ])
 
 let bench_profile_guided () =
-  per_program (fun _ cfg0 input ->
-      let profiled = Simulator.run rs6k cfg0 input in
+  per_program (fun p ->
+      let profiled = Simulator.run rs6k p.cfg0 p.input in
       let profile = Simulator.profile_fn profiled in
-      let cell threshold =
+      let guided threshold =
         let config =
           if threshold <= 0.0 then Config.speculative
           else
@@ -540,33 +539,29 @@ let bench_profile_guided () =
               min_speculation_probability = threshold;
             }
         in
-        let stats, _, os = simulate config cfg0 input in
+        let c = cell config p in
         Json.Obj
           [
-            ("cycles", Json.Int os.Simulator.cycles);
+            ("cycles", Json.Int (cycles_of c));
             ( "spec_moves",
               Json.Int
-                (count_moves
-                   (fun (m : Global_sched.move) -> m.Global_sched.speculative)
-                   stats) );
+                (count_moves (fun m -> m.Global_sched.speculative) c) );
           ]
       in
-      let blind = cell 0.0 in
-      let g3 = cell 0.3 in
-      let g7 = cell 0.7 in
       [
         ("profiled_cycles", Json.Int profiled.Simulator.cycles);
-        ("blind", blind);
-        ("guided_0_3", g3);
-        ("guided_0_7", g7);
+        ("blind", guided 0.0);
+        ("guided_0_3", guided 0.3);
+        ("guided_0_7", guided 0.7);
       ])
 
-let stencil_program () =
-  (* A store-then-reload kernel: the detailed model's store->load delay
-     gives the local scheduler a reason to pull independent work in
-     between. *)
-  let source =
-    {|
+(* A store-then-reload kernel: the detailed model's store->load delay
+   gives the local scheduler a reason to pull independent work in
+   between. *)
+let stencil =
+  let compiled =
+    Codegen.compile_string
+      {|
 int a[256];
 int b[256];
 int n;
@@ -586,32 +581,32 @@ while (i < n) {
 print(h);
 |}
   in
-  let compiled = Codegen.compile_string source in
-  let input =
-    {
-      Simulator.no_input with
-      Simulator.int_regs = [ (Codegen.var_reg compiled "n", 200) ];
-      memory =
-        Codegen.array_input compiled
-          [ ("a", List.init 200 (fun k -> k * 7 mod 113)) ];
-    }
-  in
-  ("stencil", (compiled.Codegen.cfg, input))
+  {
+    name = "stencil";
+    cfg0 = compiled.Codegen.cfg;
+    input =
+      {
+        Simulator.no_input with
+        Simulator.int_regs = [ (Codegen.var_reg compiled "n", 200) ];
+        memory =
+          Codegen.array_input compiled
+            [ ("a", List.init 200 (fun k -> k * 7 mod 113)) ];
+      };
+  }
 
 let bench_two_model () =
   let detailed = Machine.rs6k_detailed in
-  per_program ~programs:(proxy_programs () @ [ stencil_program () ])
-    (fun _ cfg0 input ->
-      let run config = Json.Int (cycles ~sim:detailed config cfg0 input) in
-      let coarse = run Config.speculative in
-      let refined =
-        run { Config.speculative with Config.local_machine = Some detailed }
-      in
-      [ ("coarse_cycles", coarse); ("detailed_cycles", refined) ])
+  per_program ~programs:(proxies @ [ stencil ]) (fun p ->
+      let run config = Json.Int (cycles_of (cell ~sim:detailed config p)) in
+      [
+        ("coarse_cycles", run Config.speculative);
+        ( "detailed_cycles",
+          run { Config.speculative with Config.local_machine = Some detailed } );
+      ])
 
 (* A diamond join fed by a slow divide: only duplication can lift the
    join's dependent add into the arms (see test_extensions.ml). *)
-let join_div_program () =
+let join_div =
   let module B = Gis_ir.Builder in
   let g = Reg.Gen.create () in
   let p = Reg.Gen.reserve g Reg.Gpr 1 in
@@ -636,29 +631,20 @@ let join_div_program () =
           Instr.Halt );
       ]
   in
-  let input =
-    { Simulator.no_input with Simulator.int_regs = [ (p, 41); (q, 7) ] }
-  in
-  ("join-div", (cfg, input))
+  let input = { Simulator.no_input with Simulator.int_regs = [ (p, 41); (q, 7) ] } in
+  { name = "join-div"; cfg0 = cfg; input }
 
 let bench_duplication () =
-  per_program
-    ~programs:(proxy_programs () @ [ stencil_program (); join_div_program () ])
-    (fun _ cfg0 input ->
-      let run on =
-        simulate { Config.speculative with Config.allow_duplication = on } cfg0
-          input
-      in
-      let _, _, off = run false in
-      let stats, _, on = run true in
+  per_program ~programs:(proxies @ [ stencil; join_div ]) (fun p ->
+      let run on = cell { Config.speculative with Config.allow_duplication = on } p in
+      let off = run false in
+      let on = run true in
       [
-        ("off_cycles", Json.Int off.Simulator.cycles);
-        ("on_cycles", Json.Int on.Simulator.cycles);
+        ("off_cycles", Json.Int (cycles_of off));
+        ("on_cycles", Json.Int (cycles_of on));
         ( "duplicated_moves",
           Json.Int
-            (count_moves
-               (fun (m : Global_sched.move) -> m.Global_sched.duplicated_into <> [])
-               stats) );
+            (count_moves (fun m -> m.Global_sched.duplicated_into <> []) on) );
       ])
 
 (* ------------------------------------------------------------------ *)
@@ -766,33 +752,32 @@ let bench_parallel_batch () =
 (* P2: compiler self-profile                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One profiled pipeline run per workload. The [_bytes] keys join the
-   regression gate (looser tolerance + absolute floor, see Regress), so
-   an allocation blow-up in one phase fails CI like a cycle regression
-   would; [cycles] holds the profiled schedule to the cycle gate. *)
+(* The allocation tree each workload's rs6k speculative cell recorded
+   while it compiled. The [_bytes] keys join the regression gate (looser
+   tolerance + absolute floor, see Regress), so an allocation blow-up in
+   one phase fails CI like a cycle regression would; [cycles] holds the
+   profiled schedule to the cycle gate. *)
 let bench_self_profile () =
-  per_program (fun name cfg0 input ->
-      let prof = Prof.create () in
-      let config = { Config.speculative with Config.prof = Some prof } in
-      let _, _, os = simulate config cfg0 input in
+  per_program (fun p ->
+      let c = cell Config.speculative p in
       let root =
-        match Prof.roots prof with
+        match Prof.roots c.prof with
         | [ r ] -> r
         | _ ->
-            Fmt.epr "P2: expected exactly one profile tree for %s@." name;
+            Fmt.epr "P2: expected exactly one profile tree for %s@." p.name;
             exit 1
       in
       if not (Prof.identity_ok root) then begin
-        Fmt.epr "P2: profile accounting identity violated on %s@." name;
+        Fmt.epr "P2: profile accounting identity violated on %s@." p.name;
         exit 1
       end;
-      let phase_bytes p =
+      let phase_bytes name =
         match
           List.find_opt
-            (fun (c : Prof.node) -> String.equal c.Prof.name p)
+            (fun (n : Prof.node) -> String.equal n.Prof.name name)
             root.Prof.children
         with
-        | Some c -> c.Prof.alloc_bytes
+        | Some n -> n.Prof.alloc_bytes
         | None -> 0
       in
       [
@@ -800,9 +785,9 @@ let bench_self_profile () =
         ( "phases",
           Json.Obj
             (List.map
-               (fun p -> (p ^ "_bytes", Json.Int (phase_bytes p)))
+               (fun name -> (name ^ "_bytes", Json.Int (phase_bytes name)))
                Pipeline.phase_names) );
-        ("cycles", Json.Int os.Simulator.cycles);
+        ("cycles", Json.Int (cycles_of c));
       ])
 
 (* ------------------------------------------------------------------ *)
@@ -925,10 +910,11 @@ let () =
          schedule"
       (bench_regalloc ())
   in
-  (* P2 must run before P1 spawns worker domains: [Gc.allocated_bytes]
-     folds a terminated domain's counters into the survivors at an
-     unpredictable GC point, which would land ~1MB in whichever phase
-     was open when the merge happened and break byte-determinism. *)
+  (* Every cell, and so every allocation tree P2 reads, is computed
+     before P1 spawns worker domains: [Gc.allocated_bytes] folds a
+     terminated domain's counters into the survivors at an unpredictable
+     GC point, which would land ~1MB in whichever phase was open when
+     the merge happened and break byte-determinism. *)
   let p2 =
     table "P2: compiler self-profile (allocation per pipeline phase)"
       ~note:

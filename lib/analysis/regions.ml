@@ -4,10 +4,6 @@ open Ints
 
 type node = Block of int | Inner_loop of int
 
-let pp_node ppf = function
-  | Block b -> Fmt.pf ppf "blk%d" b
-  | Inner_loop l -> Fmt.pf ppf "loop%d" l
-
 type region = {
   id : int;
   loop : Loops.loop option;

@@ -12,8 +12,6 @@ type node =
   | Block of int      (** CFG block id *)
   | Inner_loop of int (** index of a collapsed immediately-nested loop *)
 
-val pp_node : node Fmt.t
-
 type region = {
   id : int;
   loop : Loops.loop option;  (** [None] for the top-level region *)

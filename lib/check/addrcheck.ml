@@ -6,13 +6,6 @@ type av =
   | Ref of { def : int; reg : int; add : int }
   | Any
 
-let pp_av ppf = function
-  | Num k -> Fmt.pf ppf "num %d" k
-  | Ref { def; reg; add } ->
-      if def < 0 then Fmt.pf ppf "entry(r%d)%+d" reg add
-      else Fmt.pf ppf "def#%d(r%d)%+d" def reg add
-  | Any -> Fmt.string ppf "any"
-
 let equal_av a b =
   match a, b with
   | Num x, Num y -> x = y

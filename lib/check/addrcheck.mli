@@ -26,8 +26,6 @@ type av =
           procedure entry — plus the constant [add] *)
   | Any  (** no claim *)
 
-val pp_av : av Fmt.t
-
 type t
 
 val compute : Gis_ir.Cfg.t -> t

@@ -81,14 +81,32 @@ let of_level = function
   | Useful -> useful_only
   | Speculative -> speculative
 
-let pp ppf c =
+(* Every field that can change a run, so that two configurations print
+   alike only if they compile alike: the bench keys its cell store on
+   this text. The record pattern names every field, so a new field does
+   not compile until it is placed here. The observers only watch a run;
+   [profile] is a closure and prints as present or absent. *)
+let pp ppf
+    { level; rename; prune_transitive; rules; max_region_blocks;
+      max_region_instrs; max_nesting_levels; unroll_small_loops;
+      rotate_small_loops; small_loop_blocks; local_post_pass; disambiguate;
+      split_webs; max_speculation_degree; profile; min_speculation_probability;
+      local_machine; allow_duplication; pressure_aware; regalloc; regs;
+      obs = _; prov = _; prof = _; check = _ } =
+  let opt pp = Fmt.(option ~none:(any "-") pp) in
   Fmt.pf ppf
     "level=%a rename=%b prune=%b rules=[%a] limits=%db/%di nesting<=%d \
-     unroll=%b rotate=%b post=%b"
-    pp_level c.level c.rename c.prune_transitive
+     unroll=%b rotate=%b small=%d post=%b disambig=%b webs=%b degree=%d \
+     profile=%b min_prob=%h local_machine=%a dup=%b pressure=%b regalloc=%b \
+     regs=%a"
+    pp_level level rename prune_transitive
     Fmt.(list ~sep:comma Priority_rule.pp)
-    c.rules c.max_region_blocks c.max_region_instrs c.max_nesting_levels
-    c.unroll_small_loops c.rotate_small_loops c.local_post_pass
+    rules max_region_blocks max_region_instrs max_nesting_levels
+    unroll_small_loops rotate_small_loops small_loop_blocks local_post_pass
+    disambiguate split_webs max_speculation_degree (Option.is_some profile)
+    min_speculation_probability
+    (opt (Fmt.of_to_string Gis_machine.Machine.name))
+    local_machine allow_duplication pressure_aware regalloc (opt Fmt.int) regs
 
 let emit c e =
   c.obs.Gis_obs.Sink.emit e;

@@ -131,6 +131,10 @@ val of_level : level -> t
 (** [base], [useful_only] or [speculative]. *)
 
 val pp : t Fmt.t
+(** Every field that can change a run, so two configurations that
+    print alike compile alike. The observers ([obs], [prov], [prof],
+    [check]) are left out, and [profile] prints only as present or
+    absent. *)
 
 val emit : t -> Gis_obs.Sink.sched_event -> unit
 (** The global scheduler's one decision channel: hands the event to

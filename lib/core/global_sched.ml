@@ -42,14 +42,6 @@ type region_report = {
   rule_decides : int array;
 }
 
-let pp_region_report ppf r =
-  Fmt.pf ppf "@[<v>region %d (nesting %d): %s%a%a@]" r.region_id r.nesting
-    (if r.scheduled then "scheduled" else "skipped")
-    Fmt.(option (fun ppf s -> pf ppf " (%s)" s))
-    r.skip_reason
-    Fmt.(list ~sep:(any "") (fun ppf m -> pf ppf "@,  move %a" pp_move m))
-    r.moves
-
 let src = Logs.Src.create "gis.global" ~doc:"global instruction scheduler"
 
 module Log = (val Logs.src_log src : Logs.LOG)

@@ -56,8 +56,6 @@ type region_report = {
           [[||]] otherwise, and no pick is tallied *)
 }
 
-val pp_region_report : region_report Fmt.t
-
 val schedule :
   ?only:(Gis_analysis.Regions.region -> bool) ->
   ?regions:Gis_analysis.Regions.t ->

@@ -2,9 +2,6 @@ open Gis_ir
 
 type family = Int_mem | Float_mem
 
-let pp_family ppf f =
-  Fmt.string ppf (match f with Int_mem -> "int" | Float_mem -> "float")
-
 type ref_info = {
   base : Reg.t;
   version : int;

@@ -22,8 +22,6 @@ type family =
           spaces (its [mem]/[fmem] tables), so accesses of different
           families never alias regardless of address. *)
 
-val pp_family : family Fmt.t
-
 type ref_info = {
   base : Gis_ir.Reg.t;
   version : int;

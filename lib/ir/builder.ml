@@ -11,7 +11,6 @@ let binop op ~dst ~lhs ~rhs = Instr.Binop { op; dst; lhs; rhs }
 let add ~dst ~lhs ~rhs = binop Instr.Add ~dst ~lhs ~rhs:(Instr.Reg rhs)
 let addi ~dst ~lhs n = binop Instr.Add ~dst ~lhs ~rhs:(Instr.Imm n)
 let sub ~dst ~lhs ~rhs = binop Instr.Sub ~dst ~lhs ~rhs:(Instr.Reg rhs)
-let subi ~dst ~lhs n = binop Instr.Sub ~dst ~lhs ~rhs:(Instr.Imm n)
 let mul ~dst ~lhs ~rhs = binop Instr.Mul ~dst ~lhs ~rhs:(Instr.Reg rhs)
 let fbinop op ~dst ~lhs ~rhs = Instr.Fbinop { op; dst; lhs; rhs }
 let cmp ~dst ~lhs ~rhs = Instr.Compare { dst; lhs; rhs = Instr.Reg rhs }

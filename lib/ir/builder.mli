@@ -15,7 +15,6 @@ val binop : Instr.binop -> dst:Reg.t -> lhs:Reg.t -> rhs:Instr.operand -> Instr.
 val add : dst:Reg.t -> lhs:Reg.t -> rhs:Reg.t -> Instr.kind
 val addi : dst:Reg.t -> lhs:Reg.t -> int -> Instr.kind
 val sub : dst:Reg.t -> lhs:Reg.t -> rhs:Reg.t -> Instr.kind
-val subi : dst:Reg.t -> lhs:Reg.t -> int -> Instr.kind
 val mul : dst:Reg.t -> lhs:Reg.t -> rhs:Reg.t -> Instr.kind
 
 val fbinop : Instr.fbinop -> dst:Reg.t -> lhs:Reg.t -> rhs:Reg.t -> Instr.kind

@@ -687,11 +687,63 @@ let test_pinned_ladder () =
     programs;
   List.iter (digest_schedules programs) ladder_digests
 
+(* ---- configuration key ---- *)
+
+(* [Config.pp] is the bench's cell key: every field that changes a run
+   must change the text, and the four observers must not. *)
+let test_config_key () =
+  let key c = Fmt.str "%a" Config.pp c in
+  let d = Config.default in
+  let runs =
+    [
+      ("level", { d with Config.level = Config.Useful });
+      ("rename", { d with Config.rename = false });
+      ("prune_transitive", { d with Config.prune_transitive = false });
+      ("rules", { d with Config.rules = Priority_rule.[ Program_order ] });
+      ("max_region_blocks", { d with Config.max_region_blocks = 8 });
+      ("max_region_instrs", { d with Config.max_region_instrs = 32 });
+      ("max_nesting_levels", { d with Config.max_nesting_levels = 1 });
+      ("unroll_small_loops", { d with Config.unroll_small_loops = false });
+      ("rotate_small_loops", { d with Config.rotate_small_loops = false });
+      ("small_loop_blocks", { d with Config.small_loop_blocks = 2 });
+      ("local_post_pass", { d with Config.local_post_pass = false });
+      ("disambiguate", { d with Config.disambiguate = false });
+      ("split_webs", { d with Config.split_webs = true });
+      ("max_speculation_degree", { d with Config.max_speculation_degree = 2 });
+      ("profile", { d with Config.profile = Some (fun _ -> 1) });
+      ("min_speculation_probability",
+       { d with Config.min_speculation_probability = 0.3 });
+      ("local_machine", { d with Config.local_machine = Some Machine.rs6k_detailed });
+      ("allow_duplication", { d with Config.allow_duplication = true });
+      ("pressure_aware", { d with Config.pressure_aware = true });
+      ("regalloc", { d with Config.regalloc = true });
+      ("regs", { d with Config.regs = Some 6 });
+    ]
+  in
+  let keys = key d :: List.map (fun (_, c) -> key c) runs in
+  List.iter
+    (fun (field, c) ->
+      if List.length (List.filter (String.equal (key c)) keys) <> 1 then
+        Alcotest.failf "%s: key not unique: %s" field (key c))
+    (("default", d) :: runs);
+  let observers =
+    [
+      ("obs", { d with Config.obs = fst (Gis_obs.Sink.memory ()) });
+      ("prov", { d with Config.prov = Some (Gis_obs.Provenance.create ()) });
+      ("prof", { d with Config.prof = Some (Gis_obs.Prof.create ()) });
+      ("check", { d with Config.check = Some (fun ~stage:_ ~pre:_ ~post:_ -> ()) });
+    ]
+  in
+  List.iter
+    (fun (field, c) -> Alcotest.(check string) field (key d) (key c))
+    observers
+
 let () =
   Alcotest.run "gis_core"
     [
       ("heuristics", [ Alcotest.test_case "paper BL1" `Quick test_heuristics_bl1 ]);
       ("priority", [ Alcotest.test_case "seven rules" `Quick test_priority_order ]);
+      ("config", [ Alcotest.test_case "key covers every run field" `Quick test_config_key ]);
       ( "local",
         [
           Alcotest.test_case "fills delay slots" `Quick test_local_fills_delay_slots;
